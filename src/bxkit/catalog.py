@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .values import (
     AtomInt,
     AtomStr,
+    DomainDescriptor,
     GoField,
     Pair,
     Rec,
@@ -51,7 +52,6 @@ from .frameworks import (
     make_symmetric_lens,
     make_trigonal,
 )
-from .classify import SchemeSignature, classify
 
 
 @dataclass(eq=False)
@@ -59,7 +59,6 @@ class CatalogEntry:
     bx: Bx
     framework: str
     canonical: bool
-    expected_signature: SchemeSignature
     expected_laws: dict[tuple[str, str], str] = field(default_factory=dict)
     description: str = ""
 
@@ -73,7 +72,9 @@ def _shaped(condition: bool) -> None:
 # Mappings
 # ---------------------------------------------------------------------------
 
-def _uppercase_mapping() -> Bx:
+def _letter_mapping(name: str, codomain: DomainDescriptor) -> Bx:
+    """Upper-case ``a`` and ``b``; backward it is undefined on any other
+    letter of ``codomain``."""
     table = {"a": "A", "b": "B"}
     inverse = {v: k for k, v in table.items()}
 
@@ -87,24 +88,7 @@ def _uppercase_mapping() -> Bx:
             raise Undefined(f"no source for {b.value}")
         return atom(inverse[b.value])
 
-    return make_mapping("uppercase-mapping", up, down, atoms("a", "b"), atoms("A", "B"))
-
-
-def _embed_mapping() -> Bx:
-    table = {"a": "A", "b": "B"}
-    inverse = {v: k for k, v in table.items()}
-
-    def up(a: Value) -> Value:
-        _shaped(isinstance(a, AtomStr) and a.value in table)
-        return atom(table[a.value])
-
-    def down(b: Value) -> Value:
-        _shaped(isinstance(b, AtomStr))
-        if b.value not in inverse:
-            raise Undefined(f"no source for {b.value}")
-        return atom(inverse[b.value])
-
-    return make_mapping("embed-mapping", up, down, atoms("a", "b"), atoms("A", "B", "C"))
+    return make_mapping(name, up, down, atoms("a", "b"), codomain)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +268,6 @@ def _pair_sync() -> Bx:
         "pair-sync",
         to_fn,
         from_fn,
-        init_complement=Pair(zero, zero),
         domain_a=pairs_of(bit, bit),
         domain_b=pairs_of(bit, bit),
         complement_domain=pairs_of(bit, bit),
@@ -390,7 +373,6 @@ def _list_edit_lens(max_length: int = 2) -> Bx:
         "list-edit-lens",
         translate_to,
         translate_from,
-        init_complement=empty,
         domain_a=seqs_of(pairs_of(bit, bit), max_length),
         domain_b=seqs_of(bit, max_length),
         complement_domain=seqs_of(bit, max_length),
@@ -469,10 +451,6 @@ _FAILS = "fails"
 _NE = "not-expressible"
 
 
-def _signature(bx: Bx) -> SchemeSignature:
-    return classify(bx)
-
-
 def _entry(
     bx: Bx,
     framework: str,
@@ -484,7 +462,6 @@ def _entry(
         bx=bx,
         framework=framework,
         canonical=canonical,
-        expected_signature=_signature(bx),
         expected_laws=expected_laws or {},
         description=description,
     )
@@ -496,7 +473,7 @@ _catalog_cache: dict[str, CatalogEntry] | None = None
 def _build() -> dict[str, CatalogEntry]:
     entries = [
         _entry(
-            _uppercase_mapping(),
+            _letter_mapping("uppercase-mapping", atoms("A", "B")),
             "mapping",
             canonical=True,
             description="bijective rename between two-letter alphabets",
@@ -510,7 +487,7 @@ def _build() -> dict[str, CatalogEntry]:
             },
         ),
         _entry(
-            _embed_mapping(),
+            _letter_mapping("embed-mapping", atoms("A", "B", "C")),
             "mapping",
             canonical=False,
             description="injective embedding; backward direction is partial",

@@ -140,18 +140,9 @@ def cmd_apply(config: CliConfig) -> int:
     for required, label in ((config.bx_name, "--bx"), (config.direction, "--dir"), (config.update_text, "--update")):
         if not required:
             raise _UsageError(f"apply requires {label}")
-    try:
-        entry = catalog(config.bx_name)
-    except UnknownName as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        update = parse_update(config.update_text)
-        trace_text = config.trace_text or "none"
-        trace = parse_trace(trace_text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    entry = catalog(config.bx_name)
+    update = parse_update(config.update_text)
+    trace = parse_trace(config.trace_text or "none")
     try:
         out_update, out_trace = entry.bx.apply(config.direction, update, trace)
     except Undefined as exc:
@@ -167,11 +158,7 @@ def cmd_apply(config: CliConfig) -> int:
 def cmd_check(config: CliConfig) -> int:
     if not config.bx_name:
         raise _UsageError("check requires --bx")
-    try:
-        entry = catalog(config.bx_name)
-    except UnknownName as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    entry = catalog(config.bx_name)
     suite = _suite_config(config)
     report = run_suite(entry.bx, suite)
     if config.format == "value-grammar":
@@ -184,11 +171,7 @@ def cmd_check(config: CliConfig) -> int:
 def cmd_classify(config: CliConfig) -> int:
     if not config.bx_name:
         raise _UsageError("classify requires --bx")
-    try:
-        entry = catalog(config.bx_name)
-    except UnknownName as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    entry = catalog(config.bx_name)
     signature = classify(entry.bx)
     if config.format == "value-grammar":
         _emit(render_value(AtomStr(signature.format())), config.output)
@@ -200,17 +183,20 @@ def cmd_classify(config: CliConfig) -> int:
 def cmd_report(config: CliConfig) -> int:
     suite = _suite_config(config)
     rows = []
+    grades = []
     machine_rows: list[Value] = []
     for name, entry in catalog_entries().items():
         report = run_suite(entry.bx, suite)
         signature = classify(entry.bx)
+        behaviour = well_behaved(entry.bx, report)
         rows.append((name, signature, report))
+        grades.append(f"{name}: {behaviour}")
         machine_rows.append(
             Rec(
                 {
                     "name": AtomStr(name),
                     "signature": AtomStr(signature.format()),
-                    "behaviour": AtomStr(well_behaved(entry.bx, report)),
+                    "behaviour": AtomStr(behaviour),
                     "report": report.to_value(),
                 }
             )
@@ -220,12 +206,7 @@ def cmd_report(config: CliConfig) -> int:
 
         _emit(render_value(Seq(machine_rows)), config.output)
     else:
-        table = render_report(rows)
-        grades = "\n".join(
-            f"{name}: {well_behaved(catalog(name).bx, report)}"
-            for name, _signature, report in rows
-        )
-        _emit(table + "\n\n" + grades, config.output)
+        _emit(render_report(rows) + "\n\n" + "\n".join(grades), config.output)
     return EXIT_OK
 
 
@@ -280,13 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ParseError, UnknownName, CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

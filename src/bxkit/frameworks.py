@@ -369,7 +369,6 @@ def make_symmetric_lens(
     name: str,
     to_fn: Callable[[Value, Value], tuple[Value, Value]],
     from_fn: Callable[[Value, Value], tuple[Value, Value]],
-    init_complement: Value,
     domain_a: DomainDescriptor,
     domain_b: DomainDescriptor,
     complement_domain: DomainDescriptor,
@@ -382,19 +381,13 @@ def make_symmetric_lens(
     are precomputed so law checking can feed only testifying traces.
     """
 
-    def step_to(a: Value, c: Value) -> tuple[Value, Value]:
-        return to_fn(a, c)
-
-    def step_from(b: Value, c: Value) -> tuple[Value, Value]:
-        return from_fn(b, c)
-
     triples: set[tuple[Value, Value, Value]] = set(seeds)
     worklist = list(seeds)
     while worklist:
         _, _, c = worklist.pop()
         for a1 in enumerate_values(domain_a):
             try:
-                b1, c1 = step_to(a1, c)
+                b1, c1 = to_fn(a1, c)
             except Undefined:
                 continue
             if (a1, b1, c1) not in triples:
@@ -402,7 +395,7 @@ def make_symmetric_lens(
                 worklist.append((a1, b1, c1))
         for b1 in enumerate_values(domain_b):
             try:
-                a1, c1 = step_from(b1, c)
+                a1, c1 = from_fn(b1, c)
             except Undefined:
                 continue
             if (a1, b1, c1) not in triples:
@@ -451,7 +444,6 @@ def make_edit_lens(
     name: str,
     translate_to: Callable[[tuple[EditOp, ...], Value], tuple[tuple[EditOp, ...], Value]],
     translate_from: Callable[[tuple[EditOp, ...], Value], tuple[tuple[EditOp, ...], Value]],
-    init_complement: Value,
     domain_a: DomainDescriptor,
     domain_b: DomainDescriptor,
     complement_domain: DomainDescriptor,

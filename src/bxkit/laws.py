@@ -53,7 +53,6 @@ from .scheme import (
     check_incidence,
     compose_updates,
     default_preorder,
-    delta_of,
     enumerate_op_sequences,
     identity_update,
     invert_trace,
@@ -140,6 +139,10 @@ class Case:
     def end(self, side: str) -> Value | None:
         return self.a if side == "to" else self.b
 
+    def with_end(self, side: str, value: Value | None) -> Case:
+        """The anchor with its ``side`` end moved to ``value``."""
+        return Case(value, self.b, self.c) if side == "to" else Case(self.a, value, self.c)
+
 
 FREE_CASE = Case(None, None, None)
 
@@ -189,25 +192,24 @@ def _expected_output_trace(bx: Bx, direction: str, case: Case) -> Traceability |
     return _realize_arrow(bx, direction, case)
 
 
-def _reverse_trace_as(
+def _reverse_trace(
     bx: Bx,
+    direction: str,
     trace: Traceability,
-    arrow: str,
-    post_a: Value | None,
-    post_b: Value | None,
+    post_out: Value | None,
 ) -> Traceability | None:
-    """Reverse a produced trace into the representation of ``arrow``.
+    """Reverse the trace produced by a call in ``direction`` into the
+    representation of the opposite arrow.
 
-    Stored-state traces need the endpoint the reversal exposes, which the
-    caller supplies from the post-states of the call that produced the
-    trace; complements are their own reversal.
+    A stored-state trace of the opposite arrow stores that arrow's
+    source, which is the output-side post-state of the call; complements
+    are their own reversal.
     """
-    repr = bx.trace_to if arrow == "to" else bx.trace_from
+    repr = bx.input_trace_repr(direction)
     if repr is TraceRepr.NONE:
         return NO_TRACE
     if repr is TraceRepr.STATE:
-        endpoint = post_a if arrow == "to" else post_b
-        return StateTrace(endpoint) if endpoint is not None else None
+        return StateTrace(post_out) if post_out is not None else None
     if repr is TraceRepr.COMPLEMENT:
         return trace if isinstance(trace, ComplementTrace) else None
     if isinstance(trace, DeltaTrace):
@@ -251,15 +253,6 @@ def _input_updates(bx: Bx, direction: str, case: Case, config: LawSuiteConfig) -
     )
 
 
-def _output_side_updates(bx: Bx, direction: str, pre: Value | None, config: LawSuiteConfig) -> tuple[Update, ...]:
-    return _enumerate_updates(
-        bx.output_update_repr(direction),
-        bx.output_domain(direction),
-        pre,
-        config,
-    )
-
-
 def _post(update: Update, base: Value | None) -> Value | None:
     try:
         return rho_of(update)
@@ -270,13 +263,6 @@ def _post(update: Update, base: Value | None) -> Value | None:
             except SchemeError:
                 return None
         return None
-
-
-def _pre(update: Update, base: Value | None) -> Value | None:
-    try:
-        return delta_of(update)
-    except StateNotRepresented:
-        return base
 
 
 def _null(repr: UpdateRepr, value: Value | None) -> Update | None:
@@ -292,21 +278,27 @@ def _null(repr: UpdateRepr, value: Value | None) -> Update | None:
         return None
 
 
+def _undo(repr: UpdateRepr, update: Update, pre: Value | None) -> Update | None:
+    """The update that reverts ``update``; a post-state-only update
+    reverts by naming the pre-state again."""
+    if repr is UpdateRepr.POST:
+        return PostState(pre) if pre is not None else None
+    return invert_update(update)
+
+
+def _orient(direction: str, post_in: Value | None, post_out: Value | None) -> tuple[Value | None, Value | None]:
+    """Order the input-side and output-side states of a call as an (A, B) pair."""
+    if direction == "from":
+        return post_out, post_in
+    return post_in, post_out
+
+
 def _call(bx: Bx, direction: str, update: Update, trace: Traceability):
+    """The checkers' only call into the transformation; ``None`` when undefined."""
     try:
         return bx.apply(direction, update, trace)
     except Undefined:
         return None
-
-
-def _no_cases(bx: Bx, direction: str, cases) -> Verdict | None:
-    if not cases:
-        return Vacuous("no consistent pair exists on the declared domains")
-    return None
-
-
-def _free_cases(bx: Bx, direction: str) -> bool:
-    return bx.input_trace_repr(direction) is TraceRepr.NONE
 
 
 def _pre_recoverable(bx: Bx, direction: str) -> bool:
@@ -320,7 +312,7 @@ def _pre_recoverable(bx: Bx, direction: str) -> bool:
     return direction == "from" and repr is TraceRepr.STATE and bx.consistency_kind == "T"
 
 
-def _cex(
+def _fails(
     bx: Bx,
     law: str,
     direction: str,
@@ -329,16 +321,18 @@ def _cex(
     observed: str,
     expected: str,
     detail: str = "",
-) -> Counterexample:
-    return Counterexample(
-        law=law,
-        direction=direction,
-        bx_name=bx.name,
-        update=render_update(update),
-        trace=render_trace(trace),
-        observed=observed,
-        expected=expected,
-        detail=detail,
+) -> Fails:
+    return Fails(
+        Counterexample(
+            law=law,
+            direction=direction,
+            bx_name=bx.name,
+            update=render_update(update),
+            trace=render_trace(trace),
+            observed=observed,
+            expected=expected,
+            detail=detail,
+        )
     )
 
 
@@ -346,37 +340,67 @@ def _render_result(result: tuple[Update, Traceability]) -> str:
     return f"{render_update(result[0])} | {render_trace(result[1])}"
 
 
-class _Tally:
-    """Accumulates per-case outcomes and assembles the final verdict."""
+_NO_CONSISTENT_PAIR = "no consistent pair exists on the declared domains"
 
-    def __init__(self, vacuous_reason: str):
+
+class _Tally:
+    """Counts the anchors and the passing cases of one law check and
+    assembles its verdict; a failing check returns its ``Fails`` instead."""
+
+    def __init__(self, vacuous_reason: str, unanchored_reason: str = _NO_CONSISTENT_PAIR):
+        self.anchors = 0
         self.checked = 0
         self.weak = 0
-        self.failure: Counterexample | None = None
         self.weak_variant = ""
         self.vacuous_reason = vacuous_reason
-
-    def ok(self) -> None:
-        self.checked += 1
+        self.unanchored_reason = unanchored_reason
 
     def weakly(self, variant: str) -> None:
         self.checked += 1
         self.weak += 1
         self.weak_variant = variant
 
-    def fail(self, counterexample: Counterexample) -> bool:
-        if self.failure is None:
-            self.failure = counterexample
-        return True
-
     def verdict(self) -> Verdict:
-        if self.failure is not None:
-            return Fails(self.failure)
+        if self.anchors == 0:
+            return Vacuous(self.unanchored_reason)
         if self.checked == 0:
             return Vacuous(self.vacuous_reason)
         if self.weak:
             return WeaklyHolds(self.weak_variant, self.checked)
         return Holds(self.checked)
+
+
+def _anchored_cases(bx: Bx, direction: str, tally: _Tally):
+    """Yield ``(case, input trace, input base, output base)`` for every
+    consistent anchor whose input trace is realizable, counting the
+    anchors in ``tally``."""
+    cases = consistent_cases(bx, direction)
+    tally.anchors += len(cases)
+    for case in cases:
+        trace_in = _input_trace(bx, direction, case)
+        if trace_in is not None:
+            yield case, trace_in, case.end(direction), case.end(_other(direction))
+
+
+def _anchored_inputs(
+    bx: Bx, direction: str, config: LawSuiteConfig, tally: _Tally, round_trip: bool = False
+):
+    """Yield ``(case, input trace, update, input base, output base,
+    reverse trace)`` for every enumerated update on every anchor.
+
+    Round-trip laws feed results back through the opposite direction;
+    for them the reverse trace is that direction's input trace on the
+    same anchor, built once per anchor, and anchors where it is not
+    realizable are skipped.  Otherwise it is ``None``.
+    """
+    for case, trace_in, in_base, out_base in _anchored_cases(bx, direction, tally):
+        trace_back = None
+        if round_trip:
+            trace_back = _input_trace(bx, _other(direction), case)
+            if trace_back is None:
+                continue
+        for update in _input_updates(bx, direction, case, config):
+            yield case, trace_in, update, in_base, out_base, trace_back
 
 
 def _match_updates(
@@ -413,10 +437,11 @@ def _compare(
     config: LawSuiteConfig,
     base_pre: Value | None,
     detail: str = "",
-) -> bool:
+) -> Fails | None:
     """Compare a call result against the law's stated result.
 
-    Returns True when the tally recorded a failure (callers stop early).
+    A match is counted in the tally; a mismatch is returned as the
+    failure (callers stop at the first).
     """
     u_out, t_out = result
     match = _match_updates(expected_update, u_out, config, base_pre)
@@ -425,23 +450,17 @@ def _compare(
         expected_text = render_update(expected_update)
         if expected_trace is not None:
             expected_text += f" | {render_trace(expected_trace)}"
-        return tally.fail(
-            _cex(
-                bx,
-                law,
-                call_direction,
-                call_update,
-                call_trace,
-                observed=_render_result(result),
-                expected=expected_text,
-                detail=detail,
-            )
+        return _fails(
+            bx, law, call_direction, call_update, call_trace,
+            observed=_render_result(result),
+            expected=expected_text,
+            detail=detail,
         )
     if match == "weak":
         tally.weakly("post-state equality")
     else:
-        tally.ok()
-    return False
+        tally.checked += 1
+    return None
 
 
 def _opaque_guard(bx: Bx, direction: str) -> Verdict | None:
@@ -463,32 +482,25 @@ def check_stability(bx: Bx, direction: str, config: LawSuiteConfig | None = None
     repr_in = bx.input_update_repr(direction)
     if repr_in is UpdateRepr.POST and not _pre_recoverable(bx, direction):
         return NotExpressible("a null update cannot be identified: no pre-state is recoverable")
-    cases = consistent_cases(bx, direction)
-    empty = _no_cases(bx, direction, cases)
-    if empty:
-        return empty
     tally = _Tally("the transformation is undefined on every null input")
-    for case in cases:
-        trace_in = _input_trace(bx, direction, case)
-        if trace_in is None:
-            continue
-        u_id = _null(repr_in, case.end(direction))
+    for case, trace_in, in_base, out_base in _anchored_cases(bx, direction, tally):
+        u_id = _null(repr_in, in_base)
         if u_id is None:
             continue
         result = _call(bx, direction, u_id, trace_in)
         if result is None:
             continue
-        out_end = case.end(_other(direction))
-        expected_u = _null(bx.output_update_repr(direction), out_end)
+        expected_u = _null(bx.output_update_repr(direction), out_base)
         if expected_u is None:
             continue
         expected_t = _expected_output_trace(bx, direction, case)
-        if _compare(
+        failure = _compare(
             tally, bx, STABILITY, direction, u_id, trace_in, result,
-            expected_u, expected_t, config, out_end,
+            expected_u, expected_t, config, out_base,
             detail="null update was not preserved",
-        ):
-            break
+        )
+        if failure:
+            return failure
     return tally.verdict()
 
 
@@ -499,42 +511,28 @@ def check_invertibility(bx: Bx, direction: str, config: LawSuiteConfig | None = 
     if guard:
         return guard
     back = _other(direction)
-    back_trace_repr = bx.input_trace_repr(back)
-    if back_trace_repr in (TraceRepr.STATE, TraceRepr.DELTA) and _free_cases(bx, direction):
+    case_free = bx.input_trace_repr(direction) is TraceRepr.NONE
+    if case_free and bx.input_trace_repr(back) in (TraceRepr.STATE, TraceRepr.DELTA):
         return NotExpressible("the reversed trace is not representable for the opposite direction")
-    cases = consistent_cases(bx, direction)
-    empty = _no_cases(bx, direction, cases)
-    if empty:
-        return empty
     tally = _Tally("no premise call is defined")
-    for case in cases:
-        trace_in = _input_trace(bx, direction, case)
-        if trace_in is None:
+    for _, trace_in, u_in, in_base, out_base, trace_back in _anchored_inputs(
+        bx, direction, config, tally, round_trip=True
+    ):
+        premise = _call(bx, direction, u_in, trace_in)
+        if premise is None:
             continue
-        trace_back = _input_trace(bx, back, case)
-        if trace_back is None:
-            continue
-        in_base = case.end(direction)
-        out_base = case.end(back)
-        for u_in in _input_updates(bx, direction, case, config):
-            premise = _call(bx, direction, u_in, trace_in)
-            if premise is None:
-                continue
-            u_mid, t_mid = premise
-            conclusion = _call(bx, back, u_mid, trace_back)
-            if conclusion is None:
-                continue  # conclusion undefined: discharged
-            if direction == "from":
-                post_a, post_b = _post(u_mid, out_base), _post(u_in, in_base)
-            else:
-                post_a, post_b = _post(u_in, in_base), _post(u_mid, out_base)
-            expected_t = _reverse_trace_as(bx, t_mid, back, post_a, post_b)
-            if _compare(
-                tally, bx, INVERTIBILITY, back, u_mid, trace_back, conclusion,
-                u_in, expected_t, config, in_base,
-                detail="round trip did not restore the translated update",
-            ):
-                return tally.verdict()
+        u_mid, t_mid = premise
+        conclusion = _call(bx, back, u_mid, trace_back)
+        if conclusion is None:
+            continue  # conclusion undefined: discharged
+        expected_t = _reverse_trace(bx, direction, t_mid, _post(u_mid, out_base))
+        failure = _compare(
+            tally, bx, INVERTIBILITY, back, u_mid, trace_back, conclusion,
+            u_in, expected_t, config, in_base,
+            detail="round trip did not restore the translated update",
+        )
+        if failure:
+            return failure
     return tally.verdict()
 
 
@@ -551,52 +549,32 @@ def check_undoability(bx: Bx, direction: str, config: LawSuiteConfig | None = No
         TraceRepr.DELTA,
     ):
         return NotExpressible("update inversion is not representable without a state-carrying trace")
-    cases = consistent_cases(bx, direction)
-    empty = _no_cases(bx, direction, cases)
-    if empty:
-        return empty
     tally = _Tally("no premise call is defined")
-    reverse_arrow = _other(direction)
-    for case in cases:
-        trace_in = _input_trace(bx, direction, case)
-        if trace_in is None:
+    for case, trace_in, u_in, in_base, out_base, _ in _anchored_inputs(bx, direction, config, tally):
+        premise = _call(bx, direction, u_in, trace_in)
+        if premise is None:
             continue
-        in_base = case.end(direction)
-        out_base = case.end(_other(direction))
-        for u_in in _input_updates(bx, direction, case, config):
-            premise = _call(bx, direction, u_in, trace_in)
-            if premise is None:
-                continue
-            u_mid, t_mid = premise
-            if repr_in is UpdateRepr.POST:
-                u_inv = PostState(in_base) if in_base is not None else None
-            else:
-                u_inv = invert_update(u_in)
-            if u_inv is None:
-                continue
-            if direction == "from":
-                post_a, post_b = _post(u_mid, out_base), _post(u_in, in_base)
-            else:
-                post_a, post_b = _post(u_in, in_base), _post(u_mid, out_base)
-            trace_undo = _reverse_trace_as(bx, t_mid, reverse_arrow, post_a, post_b)
-            if trace_undo is None:
-                continue
-            undo = _call(bx, direction, u_inv, trace_undo)
-            if undo is None:
-                continue
-            if repr_out is UpdateRepr.POST:
-                expected_u = PostState(out_base) if out_base is not None else None
-            else:
-                expected_u = invert_update(u_mid)
-            if expected_u is None:
-                continue
-            expected_t = _expected_output_trace(bx, direction, case)
-            if _compare(
-                tally, bx, UNDOABILITY, direction, u_inv, trace_undo, undo,
-                expected_u, expected_t, config, out_base,
-                detail="inverse update did not restore the original state",
-            ):
-                return tally.verdict()
+        u_mid, t_mid = premise
+        u_inv = _undo(repr_in, u_in, in_base)
+        if u_inv is None:
+            continue
+        trace_undo = _reverse_trace(bx, direction, t_mid, _post(u_mid, out_base))
+        if trace_undo is None:
+            continue
+        undo = _call(bx, direction, u_inv, trace_undo)
+        if undo is None:
+            continue
+        expected_u = _undo(repr_out, u_mid, out_base)
+        if expected_u is None:
+            continue
+        expected_t = _expected_output_trace(bx, direction, case)
+        failure = _compare(
+            tally, bx, UNDOABILITY, direction, u_inv, trace_undo, undo,
+            expected_u, expected_t, config, out_base,
+            detail="inverse update did not restore the original state",
+        )
+        if failure:
+            return failure
     return tally.verdict()
 
 
@@ -606,55 +584,38 @@ def check_history_ignorance(bx: Bx, direction: str, config: LawSuiteConfig | Non
     guard = _opaque_guard(bx, direction)
     if guard:
         return guard
-    cases = consistent_cases(bx, direction)
-    empty = _no_cases(bx, direction, cases)
-    if empty:
-        return empty
     tally = _Tally("no chained premise is defined")
-    reverse_arrow = _other(direction)
-    for case in cases:
-        trace_in = _input_trace(bx, direction, case)
-        if trace_in is None:
+    for case, trace_in, u1, in_base, out_base, _ in _anchored_inputs(bx, direction, config, tally):
+        first = _call(bx, direction, u1, trace_in)
+        if first is None:
             continue
-        in_base = case.end(direction)
-        out_base = case.end(_other(direction))
-        in_domain = bx.input_domain(direction)
-        for u1 in _input_updates(bx, direction, case, config):
-            first = _call(bx, direction, u1, trace_in)
-            if first is None:
+        out1, s1 = first
+        trace2 = _reverse_trace(bx, direction, s1, _post(out1, out_base))
+        if trace2 is None:
+            continue
+        # The second updates start where the first left the input side.
+        # This is the innermost loop of the whole suite: keep it plain.
+        moved = case.with_end(direction, _post(u1, in_base))
+        for u2 in _input_updates(bx, direction, moved, config):
+            second = _call(bx, direction, u2, trace2)
+            if second is None:
                 continue
-            out1, s1 = first
-            post_in1 = _post(u1, in_base)
-            post_out1 = _post(out1, out_base)
-            if direction == "from":
-                post_a, post_b = post_out1, post_in1
-            else:
-                post_a, post_b = post_in1, post_out1
-            trace2 = _reverse_trace_as(bx, s1, reverse_arrow, post_a, post_b)
-            if trace2 is None:
+            out2, s2 = second
+            try:
+                u12 = compose_updates(u2, u1)
+                expected_u = compose_updates(out2, out1)
+            except SchemeError:
                 continue
-            seconds = _enumerate_updates(
-                bx.input_update_repr(direction), in_domain, post_in1, config
+            combined = _call(bx, direction, u12, trace_in)
+            if combined is None:
+                continue
+            failure = _compare(
+                tally, bx, HISTORY_IGNORANCE, direction, u12, trace_in, combined,
+                expected_u, s2, config, out_base,
+                detail="translating the composite differs from composing the translations",
             )
-            for u2 in seconds:
-                second = _call(bx, direction, u2, trace2)
-                if second is None:
-                    continue
-                out2, s2 = second
-                try:
-                    u12 = compose_updates(u2, u1)
-                    expected_u = compose_updates(out2, out1)
-                except SchemeError:
-                    continue
-                combined = _call(bx, direction, u12, trace_in)
-                if combined is None:
-                    continue
-                if _compare(
-                    tally, bx, HISTORY_IGNORANCE, direction, u12, trace_in, combined,
-                    expected_u, s2, config, out_base,
-                    detail="translating the composite differs from composing the translations",
-                ):
-                    return tally.verdict()
+            if failure:
+                return failure
     return tally.verdict()
 
 
@@ -670,52 +631,33 @@ def check_correctness(bx: Bx, direction: str, config: LawSuiteConfig | None = No
     guard = _opaque_guard(bx, direction)
     if guard:
         return guard
-    cases = consistent_cases(bx, direction)
-    empty = _no_cases(bx, direction, cases)
-    if empty:
-        return empty
     tally = _Tally("the transformation is undefined everywhere")
-    for case in cases:
-        trace_in = _input_trace(bx, direction, case)
-        if trace_in is None:
+    for _, trace_in, u_in, in_base, out_base, _ in _anchored_inputs(bx, direction, config, tally):
+        result = _call(bx, direction, u_in, trace_in)
+        if result is None:
             continue
-        in_base = case.end(direction)
-        out_base = case.end(_other(direction))
-        for u_in in _input_updates(bx, direction, case, config):
-            result = _call(bx, direction, u_in, trace_in)
-            if result is None:
-                continue
-            post_in = _post(u_in, in_base)
-            post_out = _post(result[0], out_base)
-            if post_in is None or post_out is None:
-                continue
-            if direction == "from":
-                pa, pb = post_out, post_in
-            else:
-                pa, pb = post_in, post_out
-            if bx.consistency(pa, pb):
-                tally.ok()
-                continue
-            if config.weak_variants and not _has_counterpart(bx, direction, post_in):
-                tally.weakly("inconsistent result allowed: no consistent counterpart exists")
-                continue
-            tally.fail(
-                _cex(
-                    bx, CORRECTNESS, direction, u_in, trace_in,
-                    observed=_render_result(result),
-                    expected="an output consistent with the input's post-state",
-                    detail=f"pair ({render_value(pa)}, {render_value(pb)}) is not consistent",
-                )
+        post_in = _post(u_in, in_base)
+        post_out = _post(result[0], out_base)
+        if post_in is None or post_out is None:
+            continue
+        pa, pb = _orient(direction, post_in, post_out)
+        if bx.consistency(pa, pb):
+            tally.checked += 1
+        elif config.weak_variants and not _has_counterpart(bx, direction, post_in):
+            tally.weakly("inconsistent result allowed: no consistent counterpart exists")
+        else:
+            return _fails(
+                bx, CORRECTNESS, direction, u_in, trace_in,
+                observed=_render_result(result),
+                expected="an output consistent with the input's post-state",
+                detail=f"pair ({render_value(pa)}, {render_value(pb)}) is not consistent",
             )
-            return tally.verdict()
     return tally.verdict()
 
 
 def _has_counterpart(bx: Bx, direction: str, post_in: Value) -> bool:
     opposite = bx.output_domain(direction)
-    if direction == "from":
-        return any(bx.consistency(x, post_in) for x in enumerate_values(opposite))
-    return any(bx.consistency(post_in, x) for x in enumerate_values(opposite))
+    return any(bx.consistency(*_orient(direction, post_in, x)) for x in enumerate_values(opposite))
 
 
 def check_hippocraticness(
@@ -743,65 +685,32 @@ def check_hippocraticness(
         return NotExpressible(
             "a consistency-preserving update cannot be recognized under an implicit relation"
         )
-    cases = consistent_cases(bx, direction)
-    empty = _no_cases(bx, direction, cases)
-    if empty:
-        return empty
-    if cases[0].a is None:
+    if bx.input_trace_repr(direction) is TraceRepr.NONE:
         return NotExpressible("no testifying pair is available to anchor the null update")
     tally = _Tally("no consistency-preserving update is defined")
-    for case in cases:
-        trace_in = _input_trace(bx, direction, case)
-        if trace_in is None:
+    for case, trace_in, u_in, in_base, out_base, _ in _anchored_inputs(bx, direction, config, tally):
+        post_in = _post(u_in, in_base)
+        if post_in is None:
             continue
-        in_base = case.end(direction)
-        out_base = case.end(_other(direction))
-        for u_in in _input_updates(bx, direction, case, config):
-            post_in = _post(u_in, in_base)
-            if post_in is None:
-                continue
-            if not literal:
-                if direction == "from":
-                    preserved = bx.consistency(out_base, post_in)
-                else:
-                    preserved = bx.consistency(post_in, out_base)
-                if not preserved:
-                    continue
-            result = _call(bx, direction, u_in, trace_in)
-            if result is None:
-                continue
-            expected_u = _null(bx.output_update_repr(direction), out_base)
-            if expected_u is None:
-                continue
-            expected_t = _composed_trace_expectation(bx, direction, case, post_in)
-            if _compare(
-                tally, bx, law, direction, u_in, trace_in, result,
-                expected_u, expected_t, config, out_base,
-                detail="a consistency-preserving update was not ignored",
-            ):
-                return tally.verdict()
+        if not literal and not bx.consistency(*_orient(direction, post_in, out_base)):
+            continue
+        result = _call(bx, direction, u_in, trace_in)
+        if result is None:
+            continue
+        expected_u = _null(bx.output_update_repr(direction), out_base)
+        if expected_u is None:
+            continue
+        # An ignored update moves the anchor's input end to its
+        # post-state; the output trace must testify the moved anchor.
+        expected_t = _expected_output_trace(bx, direction, case.with_end(direction, post_in))
+        failure = _compare(
+            tally, bx, law, direction, u_in, trace_in, result,
+            expected_u, expected_t, config, out_base,
+            detail="a consistency-preserving update was not ignored",
+        )
+        if failure:
+            return failure
     return tally.verdict()
-
-
-def _composed_trace_expectation(
-    bx: Bx, direction: str, case: Case, post_in: Value
-) -> Traceability | None:
-    """Expected output trace for an ignored update: the input trace
-    composed with that update, then reversed."""
-    repr = bx.output_trace_repr(direction)
-    if repr is TraceRepr.NONE:
-        return NO_TRACE
-    if repr is TraceRepr.STATE:
-        return StateTrace(post_in)
-    if repr is TraceRepr.COMPLEMENT:
-        return ComplementTrace(case.c) if case.c is not None else None
-    if case.a is None:
-        return None
-    if direction == "from":
-        rel = bx.default_align(case.a, post_in)
-        return DeltaTrace(post_in, case.a, rel.invert())
-    rel = bx.default_align(post_in, case.b)
-    return DeltaTrace(post_in, case.b, rel)
 
 
 def check_least_update(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
@@ -826,114 +735,66 @@ def check_least_update(bx: Bx, direction: str, config: LawSuiteConfig | None = N
             return anchored_order.compare(lifted_result, lifted_alt) == LESS_OR_EQUAL
         return plain_order.compare(u_result, u_alt) == LESS_OR_EQUAL
 
-    cases = consistent_cases(bx, direction)
-    empty = _no_cases(bx, direction, cases)
-    if empty:
-        return empty
     tally = _Tally("the transformation is undefined everywhere")
-    for case in cases:
-        trace_in = _input_trace(bx, direction, case)
-        if trace_in is None:
+    for _, trace_in, u_in, in_base, out_base, _ in _anchored_inputs(bx, direction, config, tally):
+        result = _call(bx, direction, u_in, trace_in)
+        if result is None:
             continue
-        in_base = case.end(direction)
-        out_base = case.end(_other(direction))
-        for u_in in _input_updates(bx, direction, case, config):
-            result = _call(bx, direction, u_in, trace_in)
-            if result is None:
+        post_in = _post(u_in, in_base)
+        if post_in is None:
+            continue
+        alternatives = _enumerate_updates(
+            bx.output_update_repr(direction), bx.output_domain(direction), out_base, config
+        )
+        for alt in alternatives:
+            post_alt = _post(alt, out_base)
+            if post_alt is None:
                 continue
-            post_in = _post(u_in, in_base)
-            if post_in is None:
-                continue
-            minimal = True
-            offending = None
-            for alt in _output_side_updates(bx, direction, out_base, config):
-                post_alt = _post(alt, out_base)
-                if post_alt is None:
-                    continue
-                if direction == "from":
-                    consistent = bx.consistency(post_alt, post_in)
-                else:
-                    consistent = bx.consistency(post_in, post_alt)
-                if not consistent:
-                    continue
-                if not smaller_or_equal(result[0], alt, out_base):
-                    minimal = False
-                    offending = alt
-                    break
-            if minimal:
-                tally.ok()
-                continue
-            tally.fail(
-                _cex(
+            consistent = bx.consistency(*_orient(direction, post_in, post_alt))
+            if consistent and not smaller_or_equal(result[0], alt, out_base):
+                return _fails(
                     bx, LEAST_UPDATE, direction, u_in, trace_in,
                     observed=_render_result(result),
-                    expected=f"an update no larger than {render_update(offending)}",
+                    expected=f"an update no larger than {render_update(alt)}",
                     detail="a strictly smaller consistency-restoring update exists",
                 )
-            )
-            return tally.verdict()
+        tally.checked += 1
     return tally.verdict()
 
 
 def check_totality(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
     """Defined on every enumerated update paired with a testifying trace."""
     config = config or LawSuiteConfig()
-    cases = consistent_cases(bx, direction)
-    empty = _no_cases(bx, direction, cases)
-    if empty:
-        return empty
     tally = _Tally("no inputs to enumerate")
-    for case in cases:
-        trace_in = _input_trace(bx, direction, case)
-        if trace_in is None:
-            continue
-        for u_in in _input_updates(bx, direction, case, config):
-            if _call(bx, direction, u_in, trace_in) is None:
-                tally.fail(
-                    _cex(
-                        bx, TOTALITY, direction, u_in, trace_in,
-                        observed="undefined",
-                        expected="a defined result",
-                    )
-                )
-                return tally.verdict()
-            tally.ok()
+    for _, trace_in, u_in, _, _, _ in _anchored_inputs(bx, direction, config, tally):
+        if _call(bx, direction, u_in, trace_in) is None:
+            return _fails(
+                bx, TOTALITY, direction, u_in, trace_in,
+                observed="undefined",
+                expected="a defined result",
+            )
+        tally.checked += 1
     return tally.verdict()
 
 
 def check_safety(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
     """Defined at least on inputs whose post-state has a consistent counterpart."""
     config = config or LawSuiteConfig()
-    cases = consistent_cases(bx, direction)
-    empty = _no_cases(bx, direction, cases)
-    if empty:
-        return empty
     tally = _Tally("no inputs to enumerate")
     counterpart_cache: dict[Value, bool] = {}
-    for case in cases:
-        trace_in = _input_trace(bx, direction, case)
-        if trace_in is None:
+    for _, trace_in, u_in, in_base, _, _ in _anchored_inputs(bx, direction, config, tally):
+        post_in = _post(u_in, in_base)
+        if post_in is None:
             continue
-        in_base = case.end(direction)
-        for u_in in _input_updates(bx, direction, case, config):
-            post_in = _post(u_in, in_base)
-            if post_in is None:
-                continue
-            if post_in not in counterpart_cache:
-                counterpart_cache[post_in] = _has_counterpart(bx, direction, post_in)
-            if not counterpart_cache[post_in]:
-                tally.ok()
-                continue
-            if _call(bx, direction, u_in, trace_in) is None:
-                tally.fail(
-                    _cex(
-                        bx, SAFETY, direction, u_in, trace_in,
-                        observed="undefined",
-                        expected="defined: the post-state has a consistent counterpart",
-                    )
-                )
-                return tally.verdict()
-            tally.ok()
+        if post_in not in counterpart_cache:
+            counterpart_cache[post_in] = _has_counterpart(bx, direction, post_in)
+        if counterpart_cache[post_in] and _call(bx, direction, u_in, trace_in) is None:
+            return _fails(
+                bx, SAFETY, direction, u_in, trace_in,
+                observed="undefined",
+                expected="defined: the post-state has a consistent counterpart",
+            )
+        tally.checked += 1
     return tally.verdict()
 
 
@@ -944,59 +805,41 @@ def check_convergence(bx: Bx, direction: str, config: LawSuiteConfig | None = No
     if guard:
         return guard
     back = _other(direction)
-    if bx.input_trace_repr(back) in (TraceRepr.STATE, TraceRepr.DELTA) and _free_cases(bx, direction):
+    case_free = bx.input_trace_repr(direction) is TraceRepr.NONE
+    if case_free and bx.input_trace_repr(back) in (TraceRepr.STATE, TraceRepr.DELTA):
         return NotExpressible("the reversed trace is not representable for the opposite direction")
-    cases = consistent_cases(bx, direction)
-    empty = _no_cases(bx, direction, cases)
-    if empty:
-        return empty
     tally = _Tally("no premise call is defined")
-    for case in cases:
-        trace_fwd = _input_trace(bx, direction, case)
-        trace_back = _input_trace(bx, back, case)
-        if trace_fwd is None or trace_back is None:
+    for _, trace_fwd, u_in, _, out_base, trace_back in _anchored_inputs(
+        bx, direction, config, tally, round_trip=True
+    ):
+        first = _call(bx, direction, u_in, trace_fwd)
+        if first is None:
             continue
-        out_base = case.end(_other(direction))
-        for u_in in _input_updates(bx, direction, case, config):
-            first = _call(bx, direction, u_in, trace_fwd)
-            if first is None:
-                continue
-            current = first[0]
-            previous_post = _post(current, out_base)
-            if previous_post is None:
-                continue
-            converged = False
-            undefined = False
-            for _ in range(config.max_convergence_rounds):
-                bounce = _call(bx, back, current, trace_back)
-                if bounce is None:
-                    undefined = True
-                    break
-                again = _call(bx, direction, bounce[0], trace_fwd)
-                if again is None:
-                    undefined = True
-                    break
-                current = again[0]
-                next_post = _post(current, out_base)
-                if next_post == previous_post:
-                    converged = True
-                    break
-                previous_post = next_post
-            if converged:
-                tally.ok()
-            elif undefined:
-                continue
-            else:
-                tally.fail(
-                    _cex(
-                        bx, CONVERGENCE, direction, u_in, trace_fwd,
-                        observed=_render_result(first),
-                        expected="a round-trip fixed point within "
-                        f"{config.max_convergence_rounds} iterations",
-                        detail=f"still changing at {render_value(previous_post)}",
-                    )
-                )
-                return tally.verdict()
+        current = first[0]
+        previous_post = _post(current, out_base)
+        if previous_post is None:
+            continue
+        for _ in range(config.max_convergence_rounds):
+            bounce = _call(bx, back, current, trace_back)
+            if bounce is None:
+                break  # a round trip is undefined: discharged
+            again = _call(bx, direction, bounce[0], trace_fwd)
+            if again is None:
+                break
+            current = again[0]
+            next_post = _post(current, out_base)
+            if next_post == previous_post:
+                tally.checked += 1
+                break
+            previous_post = next_post
+        else:
+            return _fails(
+                bx, CONVERGENCE, direction, u_in, trace_fwd,
+                observed=_render_result(first),
+                expected="a round-trip fixed point within "
+                f"{config.max_convergence_rounds} iterations",
+                detail=f"still changing at {render_value(previous_post)}",
+            )
     return tally.verdict()
 
 
@@ -1153,20 +996,15 @@ def _meta_checks(bx: Bx, verdicts: dict[tuple[str, str], Verdict]) -> list[str]:
 def audit_incidence(bx: Bx, config: LawSuiteConfig | None = None) -> Verdict:
     """Run every enumerated defined call and check endpoint agreement."""
     config = config or LawSuiteConfig()
-    tally = _Tally("no defined invocation to audit")
+    reason = "no defined invocation to audit"
+    tally = _Tally(reason, unanchored_reason=reason)
     for direction in DIRECTIONS:
-        for case in consistent_cases(bx, direction):
-            trace_in = _input_trace(bx, direction, case)
-            if trace_in is None:
+        for _, trace_in, u_in, _, _, _ in _anchored_inputs(bx, direction, config, tally):
+            result = _call(bx, direction, u_in, trace_in)
+            if result is None:
                 continue
-            for u_in in _input_updates(bx, direction, case, config):
-                result = _call(bx, direction, u_in, trace_in)
-                if result is None:
-                    continue
-                verdict = check_incidence(u_in, trace_in, result[0], result[1], direction)
-                if isinstance(verdict, Fails):
-                    tagged = dataclasses.replace(verdict.counterexample, bx_name=bx.name)
-                    tally.fail(tagged)
-                    return tally.verdict()
-                tally.ok()
+            verdict = check_incidence(u_in, trace_in, result[0], result[1], direction)
+            if isinstance(verdict, Fails):
+                return Fails(dataclasses.replace(verdict.counterexample, bx_name=bx.name))
+            tally.checked += 1
     return tally.verdict()

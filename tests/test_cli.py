@@ -54,14 +54,6 @@ def test_apply_undefined_exit_two(capsys):
     assert "no source for C" in err
 
 
-def test_apply_unknown_name_exit_one(capsys):
-    code, _, err = run_cli(
-        capsys, "apply", "--bx", "nope", "--dir", "to", "--update", "state{post=1}"
-    )
-    assert code == EXIT_USAGE
-    assert "nope" in err
-
-
 def test_apply_parse_error_exit_one(capsys):
     code, _, err = run_cli(
         capsys, "apply", "--bx", "fst-lens", "--dir", "to", "--update", "state{post=[1, ]}"
@@ -113,9 +105,19 @@ def test_check_broken_put_exit_three_with_counterexample(capsys):
     assert "update:" in out and "trace:" in out
 
 
-def test_check_unknown_exit_one(capsys):
-    code, _, _ = run_cli(capsys, "check", "--bx", "nope")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("apply", "--bx", "nope", "--dir", "to", "--update", "state{post=1}"),
+        ("check", "--bx", "nope"),
+        ("classify", "--bx", "nope"),
+    ],
+    ids=["apply", "check", "classify"],
+)
+def test_check_unknown_exit_one(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
+    assert "nope" in err
 
 
 def test_check_law_subset_can_pass_on_flawed_entry(capsys):
@@ -138,11 +140,6 @@ def test_classify_maintainer(capsys):
     code, out, _ = run_cli(capsys, "classify", "--bx", "key-maintainer")
     assert code == EXIT_OK
     assert out.strip() == "S | S,S | S,S | E"
-
-
-def test_classify_unknown_exit_one(capsys):
-    code, _, _ = run_cli(capsys, "classify", "--bx", "nope")
-    assert code == EXIT_USAGE
 
 
 def test_report_is_deterministic(capsys):

@@ -10,6 +10,7 @@ stable identifiers used by the command-line interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .values import (
     AtomInt,
@@ -294,9 +295,12 @@ def _seq_set(s: Seq, i: int, v: Value) -> Seq:
     return Seq(els[:i] + (v,) + els[i + 1:])
 
 
-def _list_edit_lens(max_length: int = 2) -> Bx:
+def build_list_edit_lens(max_length: int = 2) -> Bx:
     """Source lists hold (shared, hidden) pairs, target lists only the
-    shared halves; the complement remembers the hidden halves."""
+    shared halves; the complement remembers the hidden halves.
+
+    The catalog entry uses lists of at most two elements; longer ones
+    serve deeper replay tests.  Each call builds a fresh lens."""
     bit = atoms(0, 1)
 
     def fsts(s: Value) -> Seq:
@@ -451,28 +455,11 @@ _FAILS = "fails"
 _NE = "not-expressible"
 
 
-def _entry(
-    bx: Bx,
-    framework: str,
-    canonical: bool,
-    description: str,
-    expected_laws: dict[tuple[str, str], str] | None = None,
-) -> CatalogEntry:
-    return CatalogEntry(
-        bx=bx,
-        framework=framework,
-        canonical=canonical,
-        expected_laws=expected_laws or {},
-        description=description,
-    )
-
-
-_catalog_cache: dict[str, CatalogEntry] | None = None
-
-
-def _build() -> dict[str, CatalogEntry]:
+@cache
+def catalog_entries() -> dict[str, CatalogEntry]:
+    """Every entry by name, built once per process."""
     entries = [
-        _entry(
+        CatalogEntry(
             _letter_mapping("uppercase-mapping", atoms("A", "B")),
             "mapping",
             canonical=True,
@@ -486,7 +473,7 @@ def _build() -> dict[str, CatalogEntry]:
                 ("history_ignorance", "from"): _HOLDS,
             },
         ),
-        _entry(
+        CatalogEntry(
             _letter_mapping("embed-mapping", atoms("A", "B", "C")),
             "mapping",
             canonical=False,
@@ -497,7 +484,7 @@ def _build() -> dict[str, CatalogEntry]:
                 ("totality", "to"): _HOLDS,
             },
         ),
-        _entry(
+        CatalogEntry(
             _fst_lens(),
             "lens",
             canonical=True,
@@ -511,21 +498,21 @@ def _build() -> dict[str, CatalogEntry]:
                 ("totality", "from"): _HOLDS,
             },
         ),
-        _entry(
+        CatalogEntry(
             _const_lens(),
             "lens",
             canonical=False,
             description="constant view; put only defined at the constant",
             expected_laws={("totality", "from"): _FAILS, ("safety", "from"): _HOLDS},
         ),
-        _entry(
+        CatalogEntry(
             _broken_put_lens(),
             "lens",
             canonical=False,
             description="put ignores the view update",
             expected_laws={("invertibility", "from"): _FAILS},
         ),
-        _entry(
+        CatalogEntry(
             _key_maintainer(),
             "maintainer",
             canonical=True,
@@ -540,7 +527,7 @@ def _build() -> dict[str, CatalogEntry]:
                 ("least_update", "from"): _HOLDS,
             },
         ),
-        _entry(
+        CatalogEntry(
             _constant_maintainer(),
             "maintainer",
             canonical=False,
@@ -551,14 +538,14 @@ def _build() -> dict[str, CatalogEntry]:
                 ("correctness", "from"): _HOLDS,
             },
         ),
-        _entry(
+        CatalogEntry(
             _stale_maintainer(),
             "maintainer",
             canonical=False,
             description="repair depends on stale trace data",
             expected_laws={("history_ignorance", "from"): _FAILS},
         ),
-        _entry(
+        CatalogEntry(
             _oscillating_toy(),
             "maintainer",
             canonical=False,
@@ -568,7 +555,7 @@ def _build() -> dict[str, CatalogEntry]:
                 ("correctness", "from"): _HOLDS,
             },
         ),
-        _entry(
+        CatalogEntry(
             _trigonal_key(),
             "trigonal",
             canonical=True,
@@ -586,7 +573,7 @@ def _build() -> dict[str, CatalogEntry]:
                 for direction in ("to", "from")
             },
         ),
-        _entry(
+        CatalogEntry(
             _pair_sync(),
             "symmetric-lens",
             canonical=True,
@@ -597,8 +584,8 @@ def _build() -> dict[str, CatalogEntry]:
                 ("correctness", "from"): _HOLDS,
             },
         ),
-        _entry(
-            _list_edit_lens(),
+        CatalogEntry(
+            build_list_edit_lens(),
             "edit-lens",
             canonical=True,
             description="list edits translated under a hidden-half complement",
@@ -609,7 +596,7 @@ def _build() -> dict[str, CatalogEntry]:
                 ("convergence", "from"): _HOLDS,
             },
         ),
-        _entry(
+        CatalogEntry(
             _rename_sync(),
             "sdelta-lens",
             canonical=True,
@@ -624,13 +611,6 @@ def _build() -> dict[str, CatalogEntry]:
     return {entry.bx.name: entry for entry in entries}
 
 
-def catalog_entries() -> dict[str, CatalogEntry]:
-    global _catalog_cache
-    if _catalog_cache is None:
-        _catalog_cache = _build()
-    return _catalog_cache
-
-
 def catalog_names() -> tuple[str, ...]:
     return tuple(catalog_entries())
 
@@ -640,8 +620,3 @@ def catalog(name: str) -> CatalogEntry:
     if name not in entries:
         raise UnknownName(f"no catalog entry named {name!r}")
     return entries[name]
-
-
-def build_list_edit_lens(max_length: int) -> Bx:
-    """A fresh list edit lens over longer lists, for deeper replay tests."""
-    return _list_edit_lens(max_length)

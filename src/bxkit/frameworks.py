@@ -4,17 +4,18 @@ Seven constructors cover the classic interface families: plain mappings,
 lenses (get/put), maintainers, trigonal systems (maintainers fed both
 states), symmetric lenses (complement threading), edit lenses (edit
 sequences under a complement), and symmetric delta-lenses.  Each factory
-wraps user functions into a uniform partial transformation
-``(update, trace) -> (update, trace)`` that validates representations,
-rejects traces that do not testify the consistency relation, and always
-returns an output trace, synthesizing it when the classic interface
-would omit it as redundant.  Partiality always surfaces as ``Undefined``,
-never as a crash.
+declares its representations once, on the ``Bx`` it returns, and wraps
+user functions into a uniform partial transformation
+``(update, trace) -> (update, trace)`` that rejects traces that do not
+testify the consistency relation and always returns an output trace,
+synthesizing it when the classic interface would omit it as redundant.
+``Bx.apply`` checks inputs against the declared representations.
+Partiality always surfaces as ``Undefined``, never as a crash.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .values import (
     DomainDescriptor,
@@ -63,6 +64,7 @@ class UnknownName(Exception):
 Transform = Callable[[Update, Traceability], tuple[Update, Traceability]]
 Consistency = Callable[[Value, Value], bool]
 Aligner = Callable[[Value, Value], SamenessRelation]
+Triple = tuple[Value, Value, Value]
 
 
 @dataclass(eq=False)
@@ -89,7 +91,7 @@ class Bx:
     complement_domain: DomainDescriptor | None = None
     preorder: UpdatePreorder | None = None
     align: Aligner | None = None
-    replay: tuple[tuple[Value, Value, Value], ...] = field(default_factory=tuple)
+    replay: tuple[Triple, ...] = field(default_factory=tuple)
 
     @property
     def symmetry(self) -> str:
@@ -98,17 +100,23 @@ class Bx:
         return "S" if same_upd and same_trace else "A"
 
     def to(self, update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        return self.to_fn(update, trace)
+        return self.apply("to", update, trace)
 
     def from_(self, update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        return self.from_fn(update, trace)
+        return self.apply("from", update, trace)
 
     def apply(self, direction: str, update: Update, trace: Traceability) -> tuple[Update, Traceability]:
+        """Run one direction on inputs of the declared representations; the
+        selection inlines ``input_update_repr`` and ``input_trace_repr``."""
         if direction == "to":
-            return self.to(update, trace)
-        if direction == "from":
-            return self.from_(update, trace)
-        raise ValueError(f"direction must be 'to' or 'from', got {direction!r}")
+            fn, upd, trc = self.to_fn, self.upd_to, self.trace_from
+        elif direction == "from":
+            fn, upd, trc = self.from_fn, self.upd_from, self.trace_to
+        else:
+            raise ValueError(f"direction must be 'to' or 'from', got {direction!r}")
+        _expect_update(update, upd)
+        _expect_trace(trace, trc)
+        return fn(update, trace)
 
     def input_update_repr(self, direction: str) -> UpdateRepr:
         return self.upd_to if direction == "to" else self.upd_from
@@ -119,9 +127,6 @@ class Bx:
     def input_trace_repr(self, direction: str) -> TraceRepr:
         # "to" consumes the backward trace, "from" the forward one.
         return self.trace_from if direction == "to" else self.trace_to
-
-    def output_trace_repr(self, direction: str) -> TraceRepr:
-        return self.trace_to if direction == "to" else self.trace_from
 
     def input_domain(self, direction: str) -> DomainDescriptor:
         return self.domain_a if direction == "to" else self.domain_b
@@ -154,6 +159,18 @@ def _require(condition: bool, reason: str) -> None:
         raise Undefined(reason)
 
 
+def _graph_of(forward: Callable[[Value], Value]) -> Consistency:
+    """The relation ``forward(a) == b``, false wherever ``forward`` is undefined."""
+
+    def consistency(a: Value, b: Value) -> bool:
+        try:
+            return forward(a) == b
+        except Undefined:
+            return False
+
+    return consistency
+
+
 # ---------------------------------------------------------------------------
 # Mappings and lenses (consistency is the forward transformation)
 # ---------------------------------------------------------------------------
@@ -167,22 +184,10 @@ def make_mapping(
 ) -> Bx:
     """State-to-state mapping with no traceability on either side."""
 
-    def consistency(a: Value, b: Value) -> bool:
-        try:
-            return to_fn(a) == b
-        except Undefined:
-            return False
-
-    def to(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.POST)
-        _expect_trace(trace, TraceRepr.NONE)
-        assert isinstance(update, PostState)
+    def to(update: PostState, trace: Traceability) -> tuple[Update, Traceability]:
         return PostState(to_fn(update.post)), NO_TRACE
 
-    def from_(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.POST)
-        _expect_trace(trace, TraceRepr.NONE)
-        assert isinstance(update, PostState)
+    def from_(update: PostState, trace: Traceability) -> tuple[Update, Traceability]:
         return PostState(from_fn(update.post)), NO_TRACE
 
     return Bx(
@@ -192,7 +197,7 @@ def make_mapping(
         trace_to=TraceRepr.NONE,
         trace_from=TraceRepr.NONE,
         consistency_kind="T",
-        consistency=consistency,
+        consistency=_graph_of(to_fn),
         to_fn=to,
         from_fn=from_,
         domain_a=domain_a,
@@ -209,22 +214,10 @@ def make_lens(
 ) -> Bx:
     """Asymmetric lens: forward is get, backward is put over the old source."""
 
-    def consistency(a: Value, b: Value) -> bool:
-        try:
-            return get(a) == b
-        except Undefined:
-            return False
-
-    def to(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.POST)
-        _expect_trace(trace, TraceRepr.NONE)
-        assert isinstance(update, PostState)
+    def to(update: PostState, trace: Traceability) -> tuple[Update, Traceability]:
         return PostState(get(update.post)), StateTrace(update.post)
 
-    def from_(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.POST)
-        _expect_trace(trace, TraceRepr.STATE)
-        assert isinstance(update, PostState) and isinstance(trace, StateTrace)
+    def from_(update: PostState, trace: StateTrace) -> tuple[Update, Traceability]:
         old_source = trace.state
         try:
             get(old_source)
@@ -239,7 +232,7 @@ def make_lens(
         trace_to=TraceRepr.STATE,
         trace_from=TraceRepr.NONE,
         consistency_kind="T",
-        consistency=consistency,
+        consistency=_graph_of(get),
         to_fn=to,
         from_fn=from_,
         domain_a=domain_a,
@@ -272,19 +265,13 @@ def make_maintainer(
     def _has_partner_b(b: Value) -> bool:
         return any(consistency(a, b) for a in enumerate_values(domain_a))
 
-    def to(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.POST)
-        _expect_trace(trace, TraceRepr.STATE)
-        assert isinstance(update, PostState) and isinstance(trace, StateTrace)
+    def to(update: PostState, trace: StateTrace) -> tuple[Update, Traceability]:
         _require(contains(domain_b, trace.state), "trace outside target domain")
         _require(_has_partner_b(trace.state), "trace does not testify the consistency relation")
         repaired = to_fn(update.post, trace.state)
         return PostState(repaired), StateTrace(update.post)
 
-    def from_(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.POST)
-        _expect_trace(trace, TraceRepr.STATE)
-        assert isinstance(update, PostState) and isinstance(trace, StateTrace)
+    def from_(update: PostState, trace: StateTrace) -> tuple[Update, Traceability]:
         _require(contains(domain_a, trace.state), "trace outside source domain")
         _require(_has_partner_a(trace.state), "trace does not testify the consistency relation")
         repaired = from_fn(update.post, trace.state)
@@ -316,10 +303,7 @@ def make_trigonal(
     """Maintainer variant whose updates carry both pre- and post-state,
     enabling incremental repair of only the changed parts."""
 
-    def to(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.BOTH)
-        _expect_trace(trace, TraceRepr.STATE)
-        assert isinstance(update, BothStates) and isinstance(trace, StateTrace)
+    def to(update: BothStates, trace: StateTrace) -> tuple[Update, Traceability]:
         _require(contains(domain_b, trace.state), "trace outside target domain")
         _require(
             consistency(update.pre, trace.state),
@@ -328,10 +312,7 @@ def make_trigonal(
         repaired = to_fn((update.pre, update.post), trace.state)
         return BothStates(trace.state, repaired), StateTrace(update.post)
 
-    def from_(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.BOTH)
-        _expect_trace(trace, TraceRepr.STATE)
-        assert isinstance(update, BothStates) and isinstance(trace, StateTrace)
+    def from_(update: BothStates, trace: StateTrace) -> tuple[Update, Traceability]:
         _require(contains(domain_a, trace.state), "trace outside source domain")
         _require(
             consistency(trace.state, update.pre),
@@ -359,10 +340,28 @@ def make_trigonal(
 # Complement-based frameworks (implicit consistency via replay)
 # ---------------------------------------------------------------------------
 
-def _sorted_triples(triples: set[tuple[Value, Value, Value]]) -> tuple[tuple[Value, Value, Value], ...]:
+def _replay(
+    seeds: tuple[Triple, ...],
+    successors: Callable[[Value, Value, Value], Iterable[Triple]],
+) -> tuple[tuple[Triple, ...], Consistency]:
+    """Close the seed triples ``(a, b, complement)`` under ``successors``; return
+    them sorted by rendering, and the implicit relation: their ``(a, b)`` pairs."""
     from .grammar import render_value
 
-    return tuple(sorted(triples, key=lambda t: tuple(render_value(v) for v in t)))
+    triples = set(seeds)
+    worklist = list(seeds)
+    while worklist:
+        for triple in successors(*worklist.pop()):
+            if triple not in triples:
+                triples.add(triple)
+                worklist.append(triple)
+    replay = tuple(sorted(triples, key=lambda t: tuple(render_value(v) for v in t)))
+    reachable_pairs = frozenset((a, b) for a, b, _ in replay)
+
+    def consistency(a: Value, b: Value) -> bool:
+        return (a, b) in reachable_pairs
+
+    return replay, consistency
 
 
 def make_symmetric_lens(
@@ -381,44 +380,28 @@ def make_symmetric_lens(
     are precomputed so law checking can feed only testifying traces.
     """
 
-    triples: set[tuple[Value, Value, Value]] = set(seeds)
-    worklist = list(seeds)
-    while worklist:
-        _, _, c = worklist.pop()
+    def successors(a: Value, b: Value, c: Value) -> Iterator[Triple]:
         for a1 in enumerate_values(domain_a):
             try:
                 b1, c1 = to_fn(a1, c)
             except Undefined:
                 continue
-            if (a1, b1, c1) not in triples:
-                triples.add((a1, b1, c1))
-                worklist.append((a1, b1, c1))
+            yield a1, b1, c1
         for b1 in enumerate_values(domain_b):
             try:
                 a1, c1 = from_fn(b1, c)
             except Undefined:
                 continue
-            if (a1, b1, c1) not in triples:
-                triples.add((a1, b1, c1))
-                worklist.append((a1, b1, c1))
-    replay = _sorted_triples(triples)
-    reachable_pairs = frozenset((a, b) for a, b, _ in replay)
+            yield a1, b1, c1
 
-    def consistency(a: Value, b: Value) -> bool:
-        return (a, b) in reachable_pairs
+    replay, consistency = _replay(seeds, successors)
 
-    def to(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.POST)
-        _expect_trace(trace, TraceRepr.COMPLEMENT)
-        assert isinstance(update, PostState) and isinstance(trace, ComplementTrace)
+    def to(update: PostState, trace: ComplementTrace) -> tuple[Update, Traceability]:
         _require(contains(complement_domain, trace.payload), "complement outside its domain")
         b1, c1 = to_fn(update.post, trace.payload)
         return PostState(b1), ComplementTrace(c1)
 
-    def from_(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.POST)
-        _expect_trace(trace, TraceRepr.COMPLEMENT)
-        assert isinstance(update, PostState) and isinstance(trace, ComplementTrace)
+    def from_(update: PostState, trace: ComplementTrace) -> tuple[Update, Traceability]:
         _require(contains(complement_domain, trace.payload), "complement outside its domain")
         a1, c1 = from_fn(update.post, trace.payload)
         return PostState(a1), ComplementTrace(c1)
@@ -455,10 +438,7 @@ def make_edit_lens(
     current complement; that surfaces as ``Undefined``.
     """
 
-    triples: set[tuple[Value, Value, Value]] = set(seeds)
-    worklist = list(seeds)
-    while worklist:
-        a, b, c = worklist.pop()
+    def successors(a: Value, b: Value, c: Value) -> Iterator[Triple]:
         for op in enumerate_ops(a, domain_a):
             try:
                 ops_b, c1 = translate_to((op,), c)
@@ -466,9 +446,7 @@ def make_edit_lens(
                 b1 = apply_ops(ops_b, b)
             except Undefined:
                 continue
-            if (a1, b1, c1) not in triples:
-                triples.add((a1, b1, c1))
-                worklist.append((a1, b1, c1))
+            yield a1, b1, c1
         for op in enumerate_ops(b, domain_b):
             try:
                 ops_a, c1 = translate_from((op,), c)
@@ -476,27 +454,16 @@ def make_edit_lens(
                 a1 = apply_ops(ops_a, a)
             except Undefined:
                 continue
-            if (a1, b1, c1) not in triples:
-                triples.add((a1, b1, c1))
-                worklist.append((a1, b1, c1))
-    replay = _sorted_triples(triples)
-    reachable_pairs = frozenset((a, b) for a, b, _ in replay)
+            yield a1, b1, c1
 
-    def consistency(a: Value, b: Value) -> bool:
-        return (a, b) in reachable_pairs
+    replay, consistency = _replay(seeds, successors)
 
-    def to(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.EDITS)
-        _expect_trace(trace, TraceRepr.COMPLEMENT)
-        assert isinstance(update, Edits) and isinstance(trace, ComplementTrace)
+    def to(update: Edits, trace: ComplementTrace) -> tuple[Update, Traceability]:
         _require(contains(complement_domain, trace.payload), "complement outside its domain")
         ops_b, c1 = translate_to(update.ops, trace.payload)
         return Edits(ops_b), ComplementTrace(c1)
 
-    def from_(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        _expect_update(update, UpdateRepr.EDITS)
-        _expect_trace(trace, TraceRepr.COMPLEMENT)
-        assert isinstance(update, Edits) and isinstance(trace, ComplementTrace)
+    def from_(update: Edits, trace: ComplementTrace) -> tuple[Update, Traceability]:
         _require(contains(complement_domain, trace.payload), "complement outside its domain")
         ops_a, c1 = translate_from(update.ops, trace.payload)
         return Edits(ops_a), ComplementTrace(c1)
@@ -533,30 +500,18 @@ def make_sdelta_lens(
 ) -> Bx:
     """Delta-everywhere framework: updates and traces carry sameness relations."""
 
-    def _validated(
-        update: Update,
-        trace: Traceability,
-        forward: bool,
-    ) -> tuple[DeltaUpdate, DeltaTrace]:
-        _expect_update(update, UpdateRepr.DELTA)
-        _expect_trace(trace, TraceRepr.DELTA)
-        assert isinstance(update, DeltaUpdate) and isinstance(trace, DeltaTrace)
+    def _validated(update: DeltaUpdate, trace: DeltaTrace, a: Value, b: Value) -> None:
         _require(trace.tgt == update.pre, "update pre-state differs from trace target")
-        if forward:
-            consistent = consistency(trace.tgt, trace.src)
-        else:
-            consistent = consistency(trace.src, trace.tgt)
-        _require(consistent, "trace does not testify the consistency relation")
-        return update, trace
+        _require(consistency(a, b), "trace does not testify the consistency relation")
 
-    def to(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
+    def to(update: DeltaUpdate, trace: DeltaTrace) -> tuple[Update, Traceability]:
         # Forward input trace runs target-to-source (its src is the B value).
-        u, t = _validated(update, trace, forward=True)
-        return to_fn(u, t)
+        _validated(update, trace, trace.tgt, trace.src)
+        return to_fn(update, trace)
 
-    def from_(update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        u, t = _validated(update, trace, forward=False)
-        return from_fn(u, t)
+    def from_(update: DeltaUpdate, trace: DeltaTrace) -> tuple[Update, Traceability]:
+        _validated(update, trace, trace.src, trace.tgt)
+        return from_fn(update, trace)
 
     return Bx(
         name=name,

@@ -147,15 +147,15 @@ class Case:
 FREE_CASE = Case(None, None, None)
 
 
-def consistent_cases(bx: Bx, direction: str) -> tuple[Case, ...]:
+def consistent_cases(bx: Bx, direction: str, cap: int = ENUMERATION_CAP) -> tuple[Case, ...]:
     if bx.input_trace_repr(direction) is TraceRepr.NONE:
         return (FREE_CASE,)
     if bx.consistency_kind == "I":
         return tuple(Case(a, b, c) for a, b, c in bx.replay)
     pairs = [
         (a, b)
-        for a in enumerate_values(bx.domain_a)
-        for b in enumerate_values(bx.domain_b)
+        for a in enumerate_values(bx.domain_a, cap)
+        for b in enumerate_values(bx.domain_b, cap)
         if bx.consistency(a, b)
     ]
     return tuple(Case(a, b, None) for a, b in pairs)
@@ -370,11 +370,11 @@ class _Tally:
         return Holds(self.checked)
 
 
-def _anchored_cases(bx: Bx, direction: str, tally: _Tally):
+def _anchored_cases(bx: Bx, direction: str, config: LawSuiteConfig, tally: _Tally):
     """Yield ``(case, input trace, input base, output base)`` for every
     consistent anchor whose input trace is realizable, counting the
     anchors in ``tally``."""
-    cases = consistent_cases(bx, direction)
+    cases = consistent_cases(bx, direction, config.value_cap)
     tally.anchors += len(cases)
     for case in cases:
         trace_in = _input_trace(bx, direction, case)
@@ -393,7 +393,7 @@ def _anchored_inputs(
     same anchor, built once per anchor, and anchors where it is not
     realizable are skipped.  Otherwise it is ``None``.
     """
-    for case, trace_in, in_base, out_base in _anchored_cases(bx, direction, tally):
+    for case, trace_in, in_base, out_base in _anchored_cases(bx, direction, config, tally):
         trace_back = None
         if round_trip:
             trace_back = _input_trace(bx, _other(direction), case)
@@ -483,7 +483,7 @@ def check_stability(bx: Bx, direction: str, config: LawSuiteConfig | None = None
     if repr_in is UpdateRepr.POST and not _pre_recoverable(bx, direction):
         return NotExpressible("a null update cannot be identified: no pre-state is recoverable")
     tally = _Tally("the transformation is undefined on every null input")
-    for case, trace_in, in_base, out_base in _anchored_cases(bx, direction, tally):
+    for case, trace_in, in_base, out_base in _anchored_cases(bx, direction, config, tally):
         u_id = _null(repr_in, in_base)
         if u_id is None:
             continue
@@ -643,7 +643,7 @@ def check_correctness(bx: Bx, direction: str, config: LawSuiteConfig | None = No
         pa, pb = _orient(direction, post_in, post_out)
         if bx.consistency(pa, pb):
             tally.checked += 1
-        elif config.weak_variants and not _has_counterpart(bx, direction, post_in):
+        elif config.weak_variants and not _has_counterpart(bx, direction, post_in, config.value_cap):
             tally.weakly("inconsistent result allowed: no consistent counterpart exists")
         else:
             return _fails(
@@ -655,9 +655,9 @@ def check_correctness(bx: Bx, direction: str, config: LawSuiteConfig | None = No
     return tally.verdict()
 
 
-def _has_counterpart(bx: Bx, direction: str, post_in: Value) -> bool:
-    opposite = bx.output_domain(direction)
-    return any(bx.consistency(*_orient(direction, post_in, x)) for x in enumerate_values(opposite))
+def _has_counterpart(bx: Bx, direction: str, post_in: Value, cap: int) -> bool:
+    opposite = enumerate_values(bx.output_domain(direction), cap)
+    return any(bx.consistency(*_orient(direction, post_in, x)) for x in opposite)
 
 
 def check_hippocraticness(
@@ -787,7 +787,7 @@ def check_safety(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -
         if post_in is None:
             continue
         if post_in not in counterpart_cache:
-            counterpart_cache[post_in] = _has_counterpart(bx, direction, post_in)
+            counterpart_cache[post_in] = _has_counterpart(bx, direction, post_in, config.value_cap)
         if counterpart_cache[post_in] and _call(bx, direction, u_in, trace_in) is None:
             return _fails(
                 bx, SAFETY, direction, u_in, trace_in,

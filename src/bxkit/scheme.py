@@ -216,11 +216,14 @@ def enumerate_ops(value: Value, domain: DomainDescriptor) -> tuple[EditOp, ...]:
                 if el != current:
                     ops.append(ReplaceAt(i, current, el))
     elif isinstance(domain, RecDomain) and isinstance(value, Rec):
-        for name, sub in domain.fields:
-            current = value.get(name)
-            for alt in enumerate_values(sub):
-                if alt != current:
-                    ops.append(SetField(name, current, alt))
+        try:
+            for name, sub in domain.fields:
+                current = value.get(name)
+                for alt in enumerate_values(sub):
+                    if alt != current:
+                        ops.append(SetField(name, current, alt))
+        except KeyError as missing:
+            raise ValueError(f"record lacks field {missing.args[0]!r} of its domain") from None
     else:
         for alt in enumerate_values(domain):
             if alt != value:

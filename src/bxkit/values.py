@@ -161,10 +161,6 @@ LEFT = GoLeft()
 RIGHT = GoRight()
 
 
-def idx(i: int) -> GoIndex:
-    return GoIndex(i)
-
-
 def field(name: str) -> GoField:
     return GoField(name)
 
@@ -273,17 +269,8 @@ class SamenessRelation:
     def targets(self) -> frozenset[Path]:
         return frozenset(tgt for _, tgt in self.links)
 
-    def target_of(self, src: Path) -> Path | None:
-        for s, t in self.links:
-            if s == src:
-                return t
-        return None
-
     def sorted_links(self) -> tuple[tuple[Path, Path], ...]:
         return tuple(sorted(self.links, key=lambda l: (path_key(l[0]), path_key(l[1]))))
-
-
-EMPTY_RELATION = SamenessRelation()
 
 
 def compose_relations(second: SamenessRelation, first: SamenessRelation) -> SamenessRelation:

@@ -1,8 +1,14 @@
 """Command-line interface: transcripts and the exit-code contract."""
+import hashlib
+
 import pytest
 
 from bxkit.cli import EXIT_LAW_FAILURE, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE, main
 from bxkit.grammar import parse_trace, parse_update, parse_value
+
+# SHA-256 of ``bxkit report --format value-grammar``; it must not change
+# unless a fix demonstrably needs it to (see ROADMAP).
+REPORT_SHA256 = "c610a19c6ce9ed0dcd7cd68e2de32e2fac62f6e0d25c6327c4695692dcf22db6"
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +162,7 @@ def test_report_machine_form(capsys):
     code, out, _ = run_cli(capsys, "report", "--format", "value-grammar")
     assert code == EXIT_OK
     assert parse_value(out.strip()) is not None
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256
 
 
 def test_config_file_provides_defaults(capsys, tmp_path):

@@ -20,9 +20,13 @@ from bxkit.scheme import (
     Edits,
     Insert,
     NO_TRACE,
+    Opaque,
     PostState,
     ReprMismatch,
+    StateEdits,
     StateTrace,
+    TraceRepr,
+    UpdateRepr,
 )
 from bxkit.frameworks import Undefined, UnknownName
 from bxkit.catalog import catalog, catalog_entries, catalog_names
@@ -98,12 +102,37 @@ def test_fst_lens_get_put_laws_by_hand():
             assert got == PostState(b)  # PutGet
 
 
-def test_lens_repr_mismatch_is_reported():
-    bx = catalog("fst-lens").bx
-    with pytest.raises(ReprMismatch):
-        bx.to(BothStates(atom(1), atom(2)), NO_TRACE)
-    with pytest.raises(ReprMismatch):
-        bx.from_(PostState(atom(1)), NO_TRACE)
+# One input of every representation, keyed by its representation.
+_UPDATE_OF = {
+    UpdateRepr.POST: PostState(atom(1)),
+    UpdateRepr.BOTH: BothStates(atom(1), atom(2)),
+    UpdateRepr.DELTA: DeltaUpdate(atom(1), atom(2), SamenessRelation()),
+    UpdateRepr.EDITS: Edits(()),
+    UpdateRepr.STATE_EDITS: StateEdits(atom(1)),
+    UpdateRepr.OPAQUE: Opaque("f"),
+}
+_TRACE_OF = {
+    TraceRepr.NONE: NO_TRACE,
+    TraceRepr.STATE: StateTrace(atom(1)),
+    TraceRepr.COMPLEMENT: ComplementTrace(atom(1)),
+    TraceRepr.DELTA: DeltaTrace(atom(1), atom(2), SamenessRelation()),
+}
+
+
+@pytest.mark.parametrize("direction", ("to", "from"))
+@pytest.mark.parametrize("name", catalog_names())
+def test_repr_mismatch_is_reported(name, direction):
+    assert set(_UPDATE_OF) == set(UpdateRepr) and set(_TRACE_OF) == set(TraceRepr)
+    bx = catalog(name).bx
+    upd, trace = bx.input_update_repr(direction), bx.input_trace_repr(direction)
+    for other, update in _UPDATE_OF.items():
+        if other is not upd:
+            with pytest.raises(ReprMismatch, match="expected update representation"):
+                bx.apply(direction, update, _TRACE_OF[trace])
+    for other, wrong_trace in _TRACE_OF.items():
+        if other is not trace:
+            with pytest.raises(ReprMismatch, match="expected trace representation"):
+                bx.apply(direction, _UPDATE_OF[upd], wrong_trace)
 
 
 def test_const_lens_partial_put():

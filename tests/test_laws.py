@@ -2,7 +2,7 @@
 vacuity accounting, determinism, and the entailment meta-theorems."""
 import pytest
 
-from bxkit.values import Seq, atom, atoms, enumerate_values, pair, pairs_of, rec
+from bxkit.values import CapExceeded, Seq, atom, atoms, enumerate_values, pair, pairs_of, rec
 from bxkit.scheme import PostState
 from bxkit.frameworks import Undefined, make_lens, make_maintainer
 from bxkit.catalog import catalog, catalog_names
@@ -386,6 +386,13 @@ def test_no_checker_fails_on_undefined_cases():
         if law in (TOTALITY, SAFETY):
             continue
         assert verdict.kind != Verdict.FAILS, law
+
+
+def test_value_cap_bounds_the_consistent_case_scan():
+    # fst-lens/from enumerates its 3-value target for updates but scans
+    # the 9-value source for consistent cases.
+    with pytest.raises(CapExceeded):
+        check_totality(bx("fst-lens"), "from", LawSuiteConfig(value_cap=4))
 
 
 def test_consistent_cases_feed_only_testifying_traces():

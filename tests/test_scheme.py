@@ -271,6 +271,11 @@ def test_enumerate_ops_respects_domain():
     assert {op for op in empty_ops} == {Insert(0, atom(0)), Insert(0, atom(1))}
 
 
+def test_enumerate_ops_names_a_field_missing_from_the_record():
+    with pytest.raises(ValueError, match="'u'"):
+        enumerate_ops(rec(k=atom(1)), recs_of(k=atoms(1, 2), u=atoms(7, 8)))
+
+
 # -- traces ----------------------------------------------------------------------
 
 def test_invert_trace_examples():

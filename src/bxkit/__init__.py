@@ -28,10 +28,8 @@ from .values import (
     enumerate_values,
     pair,
     pairs_of,
-    parse_value,
     rec,
     recs_of,
-    render_value,
     select,
     seq,
     seqs_of,
@@ -70,6 +68,7 @@ from .scheme import (
     src_of,
     tgt_of,
 )
+from .grammar import parse_value, render_value
 from .frameworks import (
     Bx,
     Undefined,

@@ -148,9 +148,6 @@ def cmd_apply(config: CliConfig) -> int:
     except Undefined as exc:
         print(f"undefined: {exc.reason}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except SchemeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     _emit(f"{render_update(out_update)}\n{render_trace(out_trace)}", config.output)
     return EXIT_OK
 
@@ -261,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, UnknownName, CapExceeded, ValueError) as exc:
+    except (ParseError, UnknownName, CapExceeded, SchemeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,19 +3,18 @@
 The grammar is fixed so that tests and CLI transcripts are byte
 reproducible: integers are decimal, strings are double-quoted with only
 backslash and quote escapes, pairs are ``(v, v)``, sequences ``[v, v]``,
-records ``{k = 2, u = 7}`` with names sorted ascending.  Updates render
-as ``state{post=V}``, ``states{pre=V, post=V}``,
-``delta{pre=V, post=V, same=[(P, P)]}``, ``edits[OP, OP]``,
-``stateedits{pre=V, edits=[OP]}`` and ``opaque{tag="T"}``; traces as
-``none``, ``state{V}``, ``compl{V}`` and ``delta{src=V, tgt=V, same=[...]}``.
-Paths concatenate ``/left``, ``/right``, ``/3`` and ``/.name`` steps; the
-empty path renders as the empty string.  Whitespace between tokens is
-insignificant on input; rendering then parsing is the identity.
+records ``{k = 2, u = 7}`` with names sorted ascending.  Paths
+concatenate ``/left``, ``/right``, ``/3`` and ``/.name`` steps; the
+empty path renders as the empty string.  Each edit, update and trace
+constructor states its form once, in the table ``_FORMS``: a head,
+brackets, and a label and kind per field.  The renderer and the parser
+both read that table.  Whitespace between tokens is insignificant on
+input; rendering then parsing is the identity.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .values import (
     AtomInt,
@@ -115,53 +114,66 @@ def render_links(rel: SamenessRelation) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
+# Each edit, update and trace constructor's textual form: its head, its
+# brackets ("" for none) and one (label, kind) per dataclass field in
+# declaration order.  An unlabeled field is written without ``label=``.
+# A kind is index, name, tag, value, links or ops (a list of edits).
+# Within a family, the parser offers the heads in this order.
+_FORMS = {
+    Insert: ("ins", "()", (("", "index"), ("", "value"))),
+    Delete: ("del", "()", (("", "index"), ("", "value"))),
+    ReplaceAt: ("rep", "()", (("", "index"), ("", "value"), ("", "value"))),
+    SetField: ("set", "()", (("", "name"), ("", "value"), ("", "value"))),
+    ReplaceRoot: ("root", "()", (("", "value"), ("", "value"))),
+    PostState: ("state", "{}", (("post", "value"),)),
+    BothStates: ("states", "{}", (("pre", "value"), ("post", "value"))),
+    DeltaUpdate: ("delta", "{}", (("pre", "value"), ("post", "value"), ("same", "links"))),
+    Edits: ("edits", "", (("", "ops"),)),
+    StateEdits: ("stateedits", "{}", (("pre", "value"), ("edits", "ops"))),
+    Opaque: ("opaque", "{}", (("tag", "tag"),)),
+    NoTrace: ("none", "", ()),
+    StateTrace: ("state", "{}", (("", "value"),)),
+    ComplementTrace: ("compl", "{}", (("", "value"),)),
+    DeltaTrace: ("delta", "{}", (("src", "value"), ("tgt", "value"), ("same", "links"))),
+}
+
+
+def _render_field(kind: str, value) -> str:
+    if kind == "value":
+        return render_value(value)
+    if kind == "links":
+        return render_links(value)
+    if kind == "ops":
+        return "[" + ", ".join(render_op(op) for op in value) + "]"
+    if kind == "tag":
+        return f'"{_escape(value)}"'
+    if kind == "name" and not _IDENT.fullmatch(value):
+        raise ValueError(f"field name {value!r} is not serializable")
+    return str(value)
+
+
+def _render_form(obj, family: type, what: str) -> str:
+    form = _FORMS.get(type(obj))
+    if form is None or not isinstance(obj, family):
+        raise TypeError(f"not {what}: {obj!r}")
+    head, brackets, slots = form
+    parts = []
+    for attribute, (label, kind) in zip(fields(obj), slots, strict=True):
+        text = _render_field(kind, getattr(obj, attribute.name))
+        parts.append(f"{label}={text}" if label else text)
+    return head + brackets[:1] + ", ".join(parts) + brackets[1:]
+
+
 def render_op(op: EditOp) -> str:
-    if isinstance(op, Insert):
-        return f"ins({op.index}, {render_value(op.element)})"
-    if isinstance(op, Delete):
-        return f"del({op.index}, {render_value(op.removed)})"
-    if isinstance(op, ReplaceAt):
-        return f"rep({op.index}, {render_value(op.old)}, {render_value(op.new)})"
-    if isinstance(op, SetField):
-        return f"set({op.name}, {render_value(op.old)}, {render_value(op.new)})"
-    if isinstance(op, ReplaceRoot):
-        return f"root({render_value(op.old)}, {render_value(op.new)})"
-    raise TypeError(f"not an edit op: {op!r}")
+    return _render_form(op, EditOp, "an edit op")
 
 
 def render_update(u: Update) -> str:
-    if isinstance(u, PostState):
-        return f"state{{post={render_value(u.post)}}}"
-    if isinstance(u, BothStates):
-        return f"states{{pre={render_value(u.pre)}, post={render_value(u.post)}}}"
-    if isinstance(u, DeltaUpdate):
-        return (
-            f"delta{{pre={render_value(u.pre)}, post={render_value(u.post)}, "
-            f"same={render_links(u.same)}}}"
-        )
-    if isinstance(u, Edits):
-        return "edits[" + ", ".join(render_op(op) for op in u.ops) + "]"
-    if isinstance(u, StateEdits):
-        ops = ", ".join(render_op(op) for op in u.ops)
-        return f"stateedits{{pre={render_value(u.pre)}, edits=[{ops}]}}"
-    if isinstance(u, Opaque):
-        return f'opaque{{tag="{_escape(u.tag)}"}}'
-    raise TypeError(f"not an update: {u!r}")
+    return _render_form(u, Update, "an update")
 
 
 def render_trace(t: Traceability) -> str:
-    if isinstance(t, NoTrace):
-        return "none"
-    if isinstance(t, StateTrace):
-        return f"state{{{render_value(t.state)}}}"
-    if isinstance(t, ComplementTrace):
-        return f"compl{{{render_value(t.payload)}}}"
-    if isinstance(t, DeltaTrace):
-        return (
-            f"delta{{src={render_value(t.src)}, tgt={render_value(t.tgt)}, "
-            f"same={render_links(t.same)}}}"
-        )
-    raise TypeError(f"not a traceability: {t!r}")
+    return _render_form(t, Traceability, "a traceability")
 
 
 # ---------------------------------------------------------------------------
@@ -350,150 +362,66 @@ class _Parser:
 
     # -- edits, updates, traces ----------------------------------------------
 
-    def edit_op(self) -> EditOp:
-        name = self.keyword("ins", "del", "rep", "set", "root")
-        self.expect("(")
-        if name in ("ins", "del", "rep"):
-            index_token = self.expect("INT", "an index")
-            index = int(index_token.text)
-            self.expect(",")
-            first = self.value()
-            if name == "rep":
+    def field(self, kind: str):
+        if kind == "value":
+            return self.value()
+        if kind == "links":
+            return self.links()
+        if kind == "ops":
+            self.expect("[")
+            ops: list[EditOp] = []
+            if self.peek().kind != "]":
+                ops.append(self.form(EditOp))
+                while self.peek().kind == ",":
+                    self.advance()
+                    ops.append(self.form(EditOp))
+            self.expect("]")
+            return ops
+        if kind == "tag":
+            return self.expect("STRING", "a tag string").text
+        if kind == "name":
+            return self.expect("IDENT", "field name").text
+        return int(self.expect("INT", "an index").text)
+
+    def form(self, family: type):
+        """Read one member of ``family`` as ``_FORMS`` states it."""
+        forms = {
+            form[0]: (cls, form) for cls, form in _FORMS.items() if issubclass(cls, family)
+        }
+        cls, (_head, brackets, slots) = forms[self.keyword(*forms)]
+        if brackets:
+            self.expect(brackets[0])
+        args = []
+        for position, (label, kind) in enumerate(slots):
+            if position:
                 self.expect(",")
-                second = self.value()
-                op: EditOp = ReplaceAt(index, first, second)
-            elif name == "ins":
-                op = Insert(index, first)
-            else:
-                op = Delete(index, first)
-        elif name == "set":
-            field_name = self.expect("IDENT", "field name").text
-            self.expect(",")
-            old = self.value()
-            self.expect(",")
-            new = self.value()
-            op = SetField(field_name, old, new)
-        else:
-            old = self.value()
-            self.expect(",")
-            new = self.value()
-            op = ReplaceRoot(old, new)
-        self.expect(")")
-        return op
+            if label:
+                self.keyword(label)
+                self.expect("=")
+            args.append(self.field(kind))
+        if brackets:
+            self.expect(brackets[1])
+        return cls(*args)
 
-    def edit_list(self) -> tuple[EditOp, ...]:
-        self.expect("[")
-        ops: list[EditOp] = []
-        if self.peek().kind != "]":
-            ops.append(self.edit_op())
-            while self.peek().kind == ",":
-                self.advance()
-                ops.append(self.edit_op())
-        self.expect("]")
-        return tuple(ops)
 
-    def field_eq(self, name: str) -> None:
-        token = self.expect("IDENT", name)
-        if token.text != name:
-            raise ParseError(token.pos, name)
-        self.expect("=")
-
-    def update(self) -> Update:
-        head = self.keyword("state", "states", "delta", "edits", "stateedits", "opaque")
-        if head == "state":
-            self.expect("{")
-            self.field_eq("post")
-            post = self.value()
-            self.expect("}")
-            return PostState(post)
-        if head == "states":
-            self.expect("{")
-            self.field_eq("pre")
-            pre = self.value()
-            self.expect(",")
-            self.field_eq("post")
-            post = self.value()
-            self.expect("}")
-            return BothStates(pre, post)
-        if head == "delta":
-            self.expect("{")
-            self.field_eq("pre")
-            pre = self.value()
-            self.expect(",")
-            self.field_eq("post")
-            post = self.value()
-            self.expect(",")
-            self.field_eq("same")
-            same = self.links()
-            self.expect("}")
-            return DeltaUpdate(pre, post, same)
-        if head == "edits":
-            return Edits(self.edit_list())
-        if head == "stateedits":
-            self.expect("{")
-            self.field_eq("pre")
-            pre = self.value()
-            self.expect(",")
-            self.field_eq("edits")
-            ops = self.edit_list()
-            self.expect("}")
-            return StateEdits(pre, ops)
-        self.expect("{")
-        self.field_eq("tag")
-        tag = self.expect("STRING", "a tag string").text
-        self.expect("}")
-        return Opaque(tag)
-
-    def trace(self) -> Traceability:
-        head = self.keyword("none", "state", "compl", "delta")
-        if head == "none":
-            return NoTrace()
-        if head == "state":
-            self.expect("{")
-            state = self.value()
-            self.expect("}")
-            return StateTrace(state)
-        if head == "compl":
-            self.expect("{")
-            payload = self.value()
-            self.expect("}")
-            return ComplementTrace(payload)
-        self.expect("{")
-        self.field_eq("src")
-        src = self.value()
-        self.expect(",")
-        self.field_eq("tgt")
-        tgt = self.value()
-        self.expect(",")
-        self.field_eq("same")
-        same = self.links()
-        self.expect("}")
-        return DeltaTrace(src, tgt, same)
+def _parse(text: str, read):
+    parser = _Parser(text)
+    result = read(parser)
+    parser.done()
+    return result
 
 
 def parse_value(text: str) -> Value:
-    parser = _Parser(text)
-    value = parser.value()
-    parser.done()
-    return value
+    return _parse(text, _Parser.value)
 
 
 def parse_path(text: str) -> Path:
-    parser = _Parser(text)
-    path = parser.path()
-    parser.done()
-    return path
+    return _parse(text, _Parser.path)
 
 
 def parse_update(text: str) -> Update:
-    parser = _Parser(text)
-    update = parser.update()
-    parser.done()
-    return update
+    return _parse(text, lambda parser: parser.form(Update))
 
 
 def parse_trace(text: str) -> Traceability:
-    parser = _Parser(text)
-    trace = parser.trace()
-    parser.done()
-    return trace
+    return _parse(text, lambda parser: parser.form(Traceability))

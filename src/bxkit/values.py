@@ -548,17 +548,3 @@ def diff(pre: Value, post: Value) -> SamenessRelation:
 
     walk(ROOT, ROOT, pre, post)
     return SamenessRelation(links)
-
-
-# ---------------------------------------------------------------------------
-# Serialization (grammar lives in bxkit.grammar; re-exported here)
-# ---------------------------------------------------------------------------
-
-def render_value(value: Value) -> str:
-    from .grammar import render_value as render
-    return render(value)
-
-
-def parse_value(text: str) -> Value:
-    from .grammar import parse_value as parse
-    return parse(text)

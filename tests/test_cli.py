@@ -82,6 +82,17 @@ def test_apply_repr_mismatch_exit_one(capsys):
     assert code == EXIT_USAGE
 
 
+def test_apply_unapplicable_edit_exit_one(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "apply", "--bx", "fst-lens", "--dir", "to",
+        "--update", "stateedits{pre=[0], edits=[del(0, 1)]}",
+    )
+    assert code == EXIT_USAGE
+    assert "error:" in err
+    assert "delete at 0" in err
+
+
 def test_apply_output_reparses(capsys, tmp_path):
     out_file = tmp_path / "result.txt"
     code, _, _ = run_cli(

@@ -153,9 +153,34 @@ def test_parse_trace_rejects_unknown_head():
         parse_trace("mystery{1}")
 
 
+@pytest.mark.parametrize(
+    "parse,text,position,expected",
+    [
+        (parse_update, "states{post=1, pre=2}", 7, "pre"),
+        (parse_update, "edits[ins(0 5)]", 12, ","),
+        (parse_update, "edits[mv(0, 1)]", 6, "ins or del or rep or set or root"),
+        (parse_trace, "compl{}", 6, "a value"),
+        (parse_update, "opaque{tag=1}", 11, "a tag string"),
+        (parse_update, "state{post=1", 12, "}"),
+        (parse_trace, "state{post=1}", 6, "a value"),
+        (parse_update, "stateedits{pre=[0], edits=[del(0, 0)], x=1}", 37, "}"),
+        (parse_trace, "delta{src=1, tgt=1}", 18, ","),
+        (parse_update, "edits[set(1, 2, 3)]", 10, "field name"),
+        (parse_update, "edits[ins(x, 1)]", 10, "an index"),
+        (parse_trace, "none{}", 4, "end of input"),
+    ],
+)
+def test_update_and_trace_parse_errors(parse, text, position, expected):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.position, err.value.expected) == (position, expected)
+
+
 def test_render_rejects_unserializable_field_names():
     with pytest.raises(ValueError):
         render_value(rec({"not a name": atom(1)}))
+    with pytest.raises(ValueError):
+        render_update(Edits([SetField("not a name", atom(1), atom(2))]))
 
 
 # -- randomized round trips over updates and traces ---------------------------
@@ -199,6 +224,9 @@ def _rand_updates():
         st.builds(PostState, v),
         st.builds(BothStates, v, v),
         st.builds(lambda x: DeltaUpdate(x, x, diff(x, x)), v),
+        st.builds(lambda x, y: DeltaUpdate(x, y, diff(x, y)), v, v),
+        st.builds(lambda x: StateEdits(x, ()), v),
+        st.builds(lambda x, y: StateEdits(x, (ReplaceRoot(x, y),)), v, v),
         st.lists(_rand_ops(), max_size=3).map(Edits),
         st.builds(Opaque, st.text(alphabet="abc\\\"", max_size=5)),
     )

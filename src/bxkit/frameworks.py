@@ -11,6 +11,8 @@ testify the consistency relation and always returns an output trace,
 synthesizing it when the classic interface would omit it as redundant.
 ``Bx.apply`` checks inputs against the declared representations.
 Partiality always surfaces as ``Undefined``, never as a crash.
+A maintainer's testimony check scans the opposite domain once per trace
+state and memoizes the answer; the memo is bounded by the two domains.
 """
 from __future__ import annotations
 
@@ -257,23 +259,34 @@ def make_maintainer(
     ``to_fn(a_post, b_pre)`` returns the repaired target, ``from_fn``
     dually.  The repair functions are supplied, not inferred from the
     relation.
+
+    Whether a trace state has a consistent partner is decided once per
+    state, on first use, by scanning the opposite domain, and remembered
+    in a per-side memo.  Only members of the state's own domain are
+    remembered, so the memos hold at most |A| + |B| entries.
     """
+    testified: dict[str, dict[Value, bool]] = {"to": {}, "from": {}}
 
-    def _has_partner_a(a: Value) -> bool:
-        return any(consistency(a, b) for b in enumerate_values(domain_b))
-
-    def _has_partner_b(b: Value) -> bool:
-        return any(consistency(a, b) for a in enumerate_values(domain_a))
+    def _testify(direction: str, state: Value) -> None:
+        memo = testified[direction]
+        known = memo.get(state)
+        if known is None:
+            if direction == "to":
+                _require(contains(domain_b, state), "trace outside target domain")
+                partners = (consistency(a, state) for a in enumerate_values(domain_a))
+            else:
+                _require(contains(domain_a, state), "trace outside source domain")
+                partners = (consistency(state, b) for b in enumerate_values(domain_b))
+            known = memo[state] = any(partners)
+        _require(known, "trace does not testify the consistency relation")
 
     def to(update: PostState, trace: StateTrace) -> tuple[Update, Traceability]:
-        _require(contains(domain_b, trace.state), "trace outside target domain")
-        _require(_has_partner_b(trace.state), "trace does not testify the consistency relation")
+        _testify("to", trace.state)
         repaired = to_fn(update.post, trace.state)
         return PostState(repaired), StateTrace(update.post)
 
     def from_(update: PostState, trace: StateTrace) -> tuple[Update, Traceability]:
-        _require(contains(domain_a, trace.state), "trace outside source domain")
-        _require(_has_partner_a(trace.state), "trace does not testify the consistency relation")
+        _testify("from", trace.state)
         repaired = from_fn(update.post, trace.state)
         return PostState(repaired), StateTrace(update.post)
 

@@ -1,8 +1,13 @@
 """Command-line interface: transcripts and the exit-code contract."""
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bxkit
 from bxkit.cli import EXIT_LAW_FAILURE, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE, main
 from bxkit.grammar import parse_trace, parse_update, parse_value
 
@@ -157,6 +162,17 @@ def test_classify_maintainer(capsys):
     code, out, _ = run_cli(capsys, "classify", "--bx", "key-maintainer")
     assert code == EXIT_OK
     assert out.strip() == "S | S,S | S,S | E"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(bxkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "bxkit", "classify", "--bx", "key-maintainer"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.strip() == "S | S,S | S,S | E"
 
 
 def test_report_is_deterministic(capsys):

@@ -5,10 +5,12 @@ from bxkit.values import (
     GoField,
     SamenessRelation,
     atom,
+    atoms,
     diff,
     enumerate_values,
     pair,
     rec,
+    recs_of,
     seq,
 )
 from bxkit.scheme import (
@@ -28,7 +30,7 @@ from bxkit.scheme import (
     TraceRepr,
     UpdateRepr,
 )
-from bxkit.frameworks import Undefined, UnknownName
+from bxkit.frameworks import Undefined, UnknownName, make_maintainer
 from bxkit.catalog import catalog, catalog_entries, catalog_names
 from bxkit.laws import LawSuiteConfig, audit_incidence
 from bxkit.verdict import Fails
@@ -173,10 +175,85 @@ def test_key_maintainer_repair_is_unique_minimal_by_search():
     assert out == PostState(minimal[0])
 
 
-def test_maintainer_rejects_untestifying_trace():
+def _reason(call):
+    with pytest.raises(Undefined) as raised:
+        call()
+    return raised.value.reason
+
+
+@pytest.mark.parametrize(
+    "direction, reason",
+    [("to", "trace outside target domain"), ("from", "trace outside source domain")],
+)
+def test_maintainer_rejects_trace_outside_its_domain(direction, reason):
     bx = catalog("key-maintainer").bx
-    with pytest.raises(Undefined):
-        bx.from_(PostState(rec(k=atom(2), v=atom(8))), StateTrace(atom(5)))
+    post = rec(k=atom(2), v=atom(8)) if direction == "from" else rec(k=atom(2), u=atom(8))
+    for _ in range(2):
+        assert _reason(lambda: bx.apply(direction, PostState(post), StateTrace(atom(5)))) == reason
+
+
+def _same_key(a, b):
+    return a.get("k") == b.get("k")
+
+
+def _partial_keys(consistency=_same_key):
+    # Key 3 exists only on the target side, so {k = 3} has no partner.
+    def copy_key(post, pre):
+        return pre.set("k", post.get("k"))
+
+    return make_maintainer(
+        "partial-keys", consistency, copy_key, copy_key, recs_of(k=atoms(1, 2)), recs_of(k=atoms(1, 2, 3))
+    )
+
+
+def test_maintainer_rejects_untestifying_trace():
+    bx = _partial_keys()
+    for _ in range(2):
+        assert (
+            _reason(lambda: bx.to(PostState(rec(k=atom(1))), StateTrace(rec(k=atom(3)))))
+            == "trace does not testify the consistency relation"
+        )
+
+
+def test_maintainer_scans_for_partners_once_per_trace_state():
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return _same_key(a, b)
+
+    bx = _partial_keys(counted)
+    orphan = StateTrace(rec(k=atom(3)))
+    for _ in range(2):
+        assert _reason(lambda: bx.to(PostState(rec(k=atom(1))), orphan)) == (
+            "trace does not testify the consistency relation"
+        )
+        assert len(calls) == 2
+    for _ in range(2):
+        assert bx.from_(PostState(rec(k=atom(2))), StateTrace(rec(k=atom(1))))[0] == PostState(rec(k=atom(2)))
+        assert len(calls) == 3
+    # A value outside the domain is never remembered, so it stays "outside".
+    for _ in range(2):
+        assert _reason(lambda: bx.to(PostState(rec(k=atom(1))), StateTrace(atom(5)))) == (
+            "trace outside target domain"
+        )
+    assert len(calls) == 3
+
+
+def test_maintainer_partner_scan_that_raised_is_not_remembered():
+    raised = []
+
+    def flaky(a, b):
+        if not raised:
+            raised.append(True)
+            raise RuntimeError("flaky consistency")
+        return _same_key(a, b)
+
+    bx = _partial_keys(flaky)
+    trace = StateTrace(rec(k=atom(1)))
+    with pytest.raises(RuntimeError):
+        bx.to(PostState(rec(k=atom(2))), trace)
+    assert bx.to(PostState(rec(k=atom(2))), trace) == (PostState(rec(k=atom(2))), StateTrace(rec(k=atom(2))))
 
 
 # -- trigonal -----------------------------------------------------------------------

@@ -25,6 +25,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNDEFINED = 2
 EXIT_LAW_FAILURE = 3
+FORMATS = ("text", "value-grammar")
 
 
 class _UsageError(Exception):
@@ -104,6 +105,8 @@ def _suite_config(config: CliConfig) -> LawSuiteConfig:
     laws = ALL_LAWS if config.laws in (None, "all") else tuple(
         canonical_law(part) for part in config.laws.split(",") if part.strip()
     )
+    if not laws:
+        raise _UsageError("--laws selects no law")
     kwargs = {"laws": laws}
     if config.cap is not None:
         kwargs["value_cap"] = int(config.cap)
@@ -214,7 +217,7 @@ def build_parser() -> _ArgumentParser:
     def common(p: _ArgumentParser) -> None:
         p.add_argument("--config", help="config file in the value grammar")
         p.add_argument("--output", help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=["text", "value-grammar"], default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
 
     apply_p = sub.add_parser("apply", help="run one transformation on serialized inputs")
     apply_p.add_argument("--bx")
@@ -248,6 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _merge(args)
+        if config.format not in FORMATS:
+            raise _UsageError(f"unknown format {config.format!r}")
         if config.command == "apply":
             return cmd_apply(config)
         if config.command == "check":
@@ -258,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, UnknownName, CapExceeded, SchemeError, ValueError) as exc:
+    except (ParseError, UnknownName, CapExceeded, SchemeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,6 +9,10 @@ mentions is defined, so an undefined call discharges the case instead
 of failing it, and a law whose premise is never satisfied reports
 vacuity rather than success.
 
+Each call of ``run_suite``, ``audit_incidence`` or a lone ``check_*``
+is one run: its checks share the consistent cases, input updates and
+counterpart answers, built on first use and dropped with the call.
+
 Expressibility is decided from the representations alone.  A law that
 needs a null update, an update inverse, or a reversed trace that the
 framework's own data cannot represent is reported as not expressible,
@@ -188,10 +192,6 @@ def _input_trace(bx: Bx, direction: str, case: Case) -> Traceability | None:
     return _realize_arrow(bx, _other(direction), case)
 
 
-def _expected_output_trace(bx: Bx, direction: str, case: Case) -> Traceability | None:
-    return _realize_arrow(bx, direction, case)
-
-
 def _reverse_trace(
     bx: Bx,
     direction: str,
@@ -217,40 +217,80 @@ def _reverse_trace(
     return None
 
 
-def _enumerate_updates(
-    repr: UpdateRepr,
-    domain,
-    pre: Value | None,
-    config: LawSuiteConfig,
-) -> tuple[Update, ...]:
-    values = enumerate_values(domain, config.value_cap)
-    if repr is UpdateRepr.POST:
-        return tuple(PostState(v) for v in values)
-    if pre is None:
+class _Run:
+    """One call's transformation and configuration, and the memos its checks share."""
+
+    def __init__(self, bx: Bx, config: LawSuiteConfig | None):
+        self.bx = bx
+        self.config = config or LawSuiteConfig()
+        self._cases: dict[str, tuple[Case, ...]] = {}
+        self._updates: dict[tuple[str, Value | None], tuple[Update, ...]] = {}
+        self._counterparts: dict[tuple[str, Value], bool] = {}
+
+    def anchored_cases(self, direction: str, tally: _Tally):
+        """Yield ``(case, input trace, input base, output base)`` for every
+        consistent anchor whose input trace is realizable, counting the
+        anchors in ``tally``."""
+        if direction not in self._cases:
+            self._cases[direction] = consistent_cases(self.bx, direction, self.config.value_cap)
+        cases = self._cases[direction]
+        tally.anchors += len(cases)
+        for case in cases:
+            trace_in = _input_trace(self.bx, direction, case)
+            if trace_in is not None:
+                yield case, trace_in, case.end(direction), case.end(_other(direction))
+
+    def anchored_inputs(self, direction: str, tally: _Tally, round_trip: bool = False):
+        """Yield ``(case, input trace, update, input base, output base,
+        reverse trace)`` for every enumerated update on every anchor.
+
+        Round-trip laws feed results back through the opposite direction;
+        for them the reverse trace is that direction's input trace on the
+        same anchor, built once per anchor, and anchors where it is not
+        realizable are skipped.  Otherwise it is ``None``.
+        """
+        for case, trace_in, in_base, out_base in self.anchored_cases(direction, tally):
+            trace_back = None
+            if round_trip:
+                trace_back = _input_trace(self.bx, _other(direction), case)
+                if trace_back is None:
+                    continue
+            for update in self.updates(direction, in_base):
+                yield case, trace_in, update, in_base, out_base, trace_back
+
+    def updates(self, direction: str, pre: Value | None) -> tuple[Update, ...]:
+        # Post-state updates do not depend on ``pre``: one tuple per direction.
+        repr = self.bx.input_update_repr(direction)
+        key = (direction, None if repr is UpdateRepr.POST else pre)
+        if key not in self._updates:
+            self._updates[key] = self._enumerate(repr, self.bx.input_domain(direction), pre)
+        return self._updates[key]
+
+    def _enumerate(self, repr: UpdateRepr, domain, pre: Value | None) -> tuple[Update, ...]:
+        values = enumerate_values(domain, self.config.value_cap)
+        if repr is UpdateRepr.POST:
+            return tuple(PostState(v) for v in values)
+        if pre is None:
+            return ()
+        if repr is UpdateRepr.BOTH:
+            return tuple(BothStates(pre, v) for v in values)
+        if repr is UpdateRepr.DELTA:
+            return tuple(DeltaUpdate(pre, v, diff(pre, v)) for v in values)
+        depth = self.config.edit_ops_per_update
+        if repr is UpdateRepr.EDITS:
+            return tuple(Edits(ops) for ops in enumerate_op_sequences(pre, domain, depth))
+        if repr is UpdateRepr.STATE_EDITS:
+            return tuple(StateEdits(pre, ops) for ops in enumerate_op_sequences(pre, domain, depth))
         return ()
-    if repr is UpdateRepr.BOTH:
-        return tuple(BothStates(pre, v) for v in values)
-    if repr is UpdateRepr.DELTA:
-        return tuple(DeltaUpdate(pre, v, diff(pre, v)) for v in values)
-    if repr is UpdateRepr.EDITS:
-        return tuple(
-            Edits(ops) for ops in enumerate_op_sequences(pre, domain, config.edit_ops_per_update)
-        )
-    if repr is UpdateRepr.STATE_EDITS:
-        return tuple(
-            StateEdits(pre, ops)
-            for ops in enumerate_op_sequences(pre, domain, config.edit_ops_per_update)
-        )
-    return ()
 
-
-def _input_updates(bx: Bx, direction: str, case: Case, config: LawSuiteConfig) -> tuple[Update, ...]:
-    return _enumerate_updates(
-        bx.input_update_repr(direction),
-        bx.input_domain(direction),
-        case.end(direction),
-        config,
-    )
+    def has_counterpart(self, direction: str, post_in: Value) -> bool:
+        """Is some output-side state consistent with ``post_in``?"""
+        key = (direction, post_in)
+        if key not in self._counterparts:
+            opposite = enumerate_values(self.bx.output_domain(direction), self.config.value_cap)
+            pairs = (_orient(direction, post_in, x) for x in opposite)
+            self._counterparts[key] = any(self.bx.consistency(a, b) for a, b in pairs)
+        return self._counterparts[key]
 
 
 def _post(update: Update, base: Value | None) -> Value | None:
@@ -370,39 +410,6 @@ class _Tally:
         return Holds(self.checked)
 
 
-def _anchored_cases(bx: Bx, direction: str, config: LawSuiteConfig, tally: _Tally):
-    """Yield ``(case, input trace, input base, output base)`` for every
-    consistent anchor whose input trace is realizable, counting the
-    anchors in ``tally``."""
-    cases = consistent_cases(bx, direction, config.value_cap)
-    tally.anchors += len(cases)
-    for case in cases:
-        trace_in = _input_trace(bx, direction, case)
-        if trace_in is not None:
-            yield case, trace_in, case.end(direction), case.end(_other(direction))
-
-
-def _anchored_inputs(
-    bx: Bx, direction: str, config: LawSuiteConfig, tally: _Tally, round_trip: bool = False
-):
-    """Yield ``(case, input trace, update, input base, output base,
-    reverse trace)`` for every enumerated update on every anchor.
-
-    Round-trip laws feed results back through the opposite direction;
-    for them the reverse trace is that direction's input trace on the
-    same anchor, built once per anchor, and anchors where it is not
-    realizable are skipped.  Otherwise it is ``None``.
-    """
-    for case, trace_in, in_base, out_base in _anchored_cases(bx, direction, config, tally):
-        trace_back = None
-        if round_trip:
-            trace_back = _input_trace(bx, _other(direction), case)
-            if trace_back is None:
-                continue
-        for update in _input_updates(bx, direction, case, config):
-            yield case, trace_in, update, in_base, out_base, trace_back
-
-
 def _match_updates(
     expected: Update,
     actual: Update,
@@ -426,7 +433,7 @@ def _match_updates(
 
 def _compare(
     tally: _Tally,
-    bx: Bx,
+    run: _Run,
     law: str,
     call_direction: str,
     call_update: Update,
@@ -434,7 +441,6 @@ def _compare(
     result: tuple[Update, Traceability],
     expected_update: Update,
     expected_trace: Traceability | None,
-    config: LawSuiteConfig,
     base_pre: Value | None,
     detail: str = "",
 ) -> Fails | None:
@@ -444,14 +450,14 @@ def _compare(
     failure (callers stop at the first).
     """
     u_out, t_out = result
-    match = _match_updates(expected_update, u_out, config, base_pre)
+    match = _match_updates(expected_update, u_out, run.config, base_pre)
     trace_ok = expected_trace is None or t_out == expected_trace
     if match == "no" or not trace_ok:
         expected_text = render_update(expected_update)
         if expected_trace is not None:
             expected_text += f" | {render_trace(expected_trace)}"
         return _fails(
-            bx, law, call_direction, call_update, call_trace,
+            run.bx, law, call_direction, call_update, call_trace,
             observed=_render_result(result),
             expected=expected_text,
             detail=detail,
@@ -473,9 +479,31 @@ def _opaque_guard(bx: Bx, direction: str) -> Verdict | None:
 # The laws
 # ---------------------------------------------------------------------------
 
-def check_stability(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
+CHECKERS: dict[str, Callable[[_Run, str], Verdict]] = {}
+
+
+def _law(law: str):
+    """Register a ``(run, direction)`` checker as ``CHECKERS[law]``; its name
+    gets the public form, which makes a run per call.  Delegating laws call
+    ``on_run`` with their own run, past ``CHECKERS``, so that no law is
+    timed inside another."""
+
+    def register(checker: Callable[[_Run, str], Verdict]):
+        def check(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
+            return checker(_Run(bx, config), direction)
+
+        check.__name__ = check.__qualname__ = checker.__name__
+        check.__doc__ = checker.__doc__
+        check.on_run = CHECKERS[law] = checker
+        return check
+
+    return register
+
+
+@_law(STABILITY)
+def check_stability(run: _Run, direction: str) -> Verdict:
     """Null updates must translate to null updates, leaving the trace reversed."""
-    config = config or LawSuiteConfig()
+    bx = run.bx
     guard = _opaque_guard(bx, direction)
     if guard:
         return guard
@@ -483,7 +511,7 @@ def check_stability(bx: Bx, direction: str, config: LawSuiteConfig | None = None
     if repr_in is UpdateRepr.POST and not _pre_recoverable(bx, direction):
         return NotExpressible("a null update cannot be identified: no pre-state is recoverable")
     tally = _Tally("the transformation is undefined on every null input")
-    for case, trace_in, in_base, out_base in _anchored_cases(bx, direction, config, tally):
+    for case, trace_in, in_base, out_base in run.anchored_cases(direction, tally):
         u_id = _null(repr_in, in_base)
         if u_id is None:
             continue
@@ -493,10 +521,10 @@ def check_stability(bx: Bx, direction: str, config: LawSuiteConfig | None = None
         expected_u = _null(bx.output_update_repr(direction), out_base)
         if expected_u is None:
             continue
-        expected_t = _expected_output_trace(bx, direction, case)
+        expected_t = _realize_arrow(bx, direction, case)
         failure = _compare(
-            tally, bx, STABILITY, direction, u_id, trace_in, result,
-            expected_u, expected_t, config, out_base,
+            tally, run, STABILITY, direction, u_id, trace_in, result,
+            expected_u, expected_t, out_base,
             detail="null update was not preserved",
         )
         if failure:
@@ -504,9 +532,10 @@ def check_stability(bx: Bx, direction: str, config: LawSuiteConfig | None = None
     return tally.verdict()
 
 
-def check_invertibility(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
+@_law(INVERTIBILITY)
+def check_invertibility(run: _Run, direction: str) -> Verdict:
     """A translated update round-trips through the opposite transformation."""
-    config = config or LawSuiteConfig()
+    bx = run.bx
     guard = _opaque_guard(bx, direction)
     if guard:
         return guard
@@ -515,8 +544,8 @@ def check_invertibility(bx: Bx, direction: str, config: LawSuiteConfig | None = 
     if case_free and bx.input_trace_repr(back) in (TraceRepr.STATE, TraceRepr.DELTA):
         return NotExpressible("the reversed trace is not representable for the opposite direction")
     tally = _Tally("no premise call is defined")
-    for _, trace_in, u_in, in_base, out_base, trace_back in _anchored_inputs(
-        bx, direction, config, tally, round_trip=True
+    for _, trace_in, u_in, in_base, out_base, trace_back in run.anchored_inputs(
+        direction, tally, round_trip=True
     ):
         premise = _call(bx, direction, u_in, trace_in)
         if premise is None:
@@ -527,8 +556,8 @@ def check_invertibility(bx: Bx, direction: str, config: LawSuiteConfig | None = 
             continue  # conclusion undefined: discharged
         expected_t = _reverse_trace(bx, direction, t_mid, _post(u_mid, out_base))
         failure = _compare(
-            tally, bx, INVERTIBILITY, back, u_mid, trace_back, conclusion,
-            u_in, expected_t, config, in_base,
+            tally, run, INVERTIBILITY, back, u_mid, trace_back, conclusion,
+            u_in, expected_t, in_base,
             detail="round trip did not restore the translated update",
         )
         if failure:
@@ -536,9 +565,10 @@ def check_invertibility(bx: Bx, direction: str, config: LawSuiteConfig | None = 
     return tally.verdict()
 
 
-def check_undoability(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
+@_law(UNDOABILITY)
+def check_undoability(run: _Run, direction: str) -> Verdict:
     """Re-applying the transformation with the inverted update undoes it."""
-    config = config or LawSuiteConfig()
+    bx = run.bx
     guard = _opaque_guard(bx, direction)
     if guard:
         return guard
@@ -550,7 +580,7 @@ def check_undoability(bx: Bx, direction: str, config: LawSuiteConfig | None = No
     ):
         return NotExpressible("update inversion is not representable without a state-carrying trace")
     tally = _Tally("no premise call is defined")
-    for case, trace_in, u_in, in_base, out_base, _ in _anchored_inputs(bx, direction, config, tally):
+    for case, trace_in, u_in, in_base, out_base, _ in run.anchored_inputs(direction, tally):
         premise = _call(bx, direction, u_in, trace_in)
         if premise is None:
             continue
@@ -567,10 +597,10 @@ def check_undoability(bx: Bx, direction: str, config: LawSuiteConfig | None = No
         expected_u = _undo(repr_out, u_mid, out_base)
         if expected_u is None:
             continue
-        expected_t = _expected_output_trace(bx, direction, case)
+        expected_t = _realize_arrow(bx, direction, case)
         failure = _compare(
-            tally, bx, UNDOABILITY, direction, u_inv, trace_undo, undo,
-            expected_u, expected_t, config, out_base,
+            tally, run, UNDOABILITY, direction, u_inv, trace_undo, undo,
+            expected_u, expected_t, out_base,
             detail="inverse update did not restore the original state",
         )
         if failure:
@@ -578,14 +608,15 @@ def check_undoability(bx: Bx, direction: str, config: LawSuiteConfig | None = No
     return tally.verdict()
 
 
-def check_history_ignorance(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
+@_law(HISTORY_IGNORANCE)
+def check_history_ignorance(run: _Run, direction: str) -> Verdict:
     """Translating a composite equals composing the two translations."""
-    config = config or LawSuiteConfig()
+    bx = run.bx
     guard = _opaque_guard(bx, direction)
     if guard:
         return guard
     tally = _Tally("no chained premise is defined")
-    for case, trace_in, u1, in_base, out_base, _ in _anchored_inputs(bx, direction, config, tally):
+    for _, trace_in, u1, in_base, out_base, _ in run.anchored_inputs(direction, tally):
         first = _call(bx, direction, u1, trace_in)
         if first is None:
             continue
@@ -595,8 +626,7 @@ def check_history_ignorance(bx: Bx, direction: str, config: LawSuiteConfig | Non
             continue
         # The second updates start where the first left the input side.
         # This is the innermost loop of the whole suite: keep it plain.
-        moved = case.with_end(direction, _post(u1, in_base))
-        for u2 in _input_updates(bx, direction, moved, config):
+        for u2 in run.updates(direction, _post(u1, in_base)):
             second = _call(bx, direction, u2, trace2)
             if second is None:
                 continue
@@ -610,8 +640,8 @@ def check_history_ignorance(bx: Bx, direction: str, config: LawSuiteConfig | Non
             if combined is None:
                 continue
             failure = _compare(
-                tally, bx, HISTORY_IGNORANCE, direction, u12, trace_in, combined,
-                expected_u, s2, config, out_base,
+                tally, run, HISTORY_IGNORANCE, direction, u12, trace_in, combined,
+                expected_u, s2, out_base,
                 detail="translating the composite differs from composing the translations",
             )
             if failure:
@@ -619,20 +649,21 @@ def check_history_ignorance(bx: Bx, direction: str, config: LawSuiteConfig | Non
     return tally.verdict()
 
 
-def check_correctness(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
+@_law(CORRECTNESS)
+def check_correctness(run: _Run, direction: str) -> Verdict:
     """Every defined result restores the consistency relation.
 
     When the consistency relation is the forward transformation itself,
     correctness degenerates into invertibility and is checked as such.
     """
-    config = config or LawSuiteConfig()
+    bx = run.bx
     if bx.consistency_kind == "T":
-        return _retag(check_invertibility(bx, direction, config), CORRECTNESS)
+        return _retag(check_invertibility.on_run(run, direction), CORRECTNESS)
     guard = _opaque_guard(bx, direction)
     if guard:
         return guard
     tally = _Tally("the transformation is undefined everywhere")
-    for _, trace_in, u_in, in_base, out_base, _ in _anchored_inputs(bx, direction, config, tally):
+    for _, trace_in, u_in, in_base, out_base, _ in run.anchored_inputs(direction, tally):
         result = _call(bx, direction, u_in, trace_in)
         if result is None:
             continue
@@ -643,7 +674,7 @@ def check_correctness(bx: Bx, direction: str, config: LawSuiteConfig | None = No
         pa, pb = _orient(direction, post_in, post_out)
         if bx.consistency(pa, pb):
             tally.checked += 1
-        elif config.weak_variants and not _has_counterpart(bx, direction, post_in, config.value_cap):
+        elif run.config.weak_variants and not run.has_counterpart(direction, post_in):
             tally.weakly("inconsistent result allowed: no consistent counterpart exists")
         else:
             return _fails(
@@ -653,11 +684,6 @@ def check_correctness(bx: Bx, direction: str, config: LawSuiteConfig | None = No
                 detail=f"pair ({render_value(pa)}, {render_value(pb)}) is not consistent",
             )
     return tally.verdict()
-
-
-def _has_counterpart(bx: Bx, direction: str, post_in: Value, cap: int) -> bool:
-    opposite = enumerate_values(bx.output_domain(direction), cap)
-    return any(bx.consistency(*_orient(direction, post_in, x)) for x in opposite)
 
 
 def check_hippocraticness(
@@ -674,9 +700,13 @@ def check_hippocraticness(
     stay consistent"; pass ``literal=True`` for the unconstrained
     reading, reported separately.
     """
-    config = config or LawSuiteConfig()
+    return _hippocraticness(_Run(bx, config), direction, literal)
+
+
+def _hippocraticness(run: _Run, direction: str, literal: bool = False) -> Verdict:
+    bx = run.bx
     if bx.consistency_kind == "T":
-        return _retag(check_stability(bx, direction, config), HIPPOCRATICNESS)
+        return _retag(check_stability.on_run(run, direction), HIPPOCRATICNESS)
     guard = _opaque_guard(bx, direction)
     if guard:
         return guard
@@ -688,7 +718,7 @@ def check_hippocraticness(
     if bx.input_trace_repr(direction) is TraceRepr.NONE:
         return NotExpressible("no testifying pair is available to anchor the null update")
     tally = _Tally("no consistency-preserving update is defined")
-    for case, trace_in, u_in, in_base, out_base, _ in _anchored_inputs(bx, direction, config, tally):
+    for case, trace_in, u_in, in_base, out_base, _ in run.anchored_inputs(direction, tally):
         post_in = _post(u_in, in_base)
         if post_in is None:
             continue
@@ -702,10 +732,10 @@ def check_hippocraticness(
             continue
         # An ignored update moves the anchor's input end to its
         # post-state; the output trace must testify the moved anchor.
-        expected_t = _expected_output_trace(bx, direction, case.with_end(direction, post_in))
+        expected_t = _realize_arrow(bx, direction, case.with_end(direction, post_in))
         failure = _compare(
-            tally, bx, law, direction, u_in, trace_in, result,
-            expected_u, expected_t, config, out_base,
+            tally, run, law, direction, u_in, trace_in, result,
+            expected_u, expected_t, out_base,
             detail="a consistency-preserving update was not ignored",
         )
         if failure:
@@ -713,9 +743,14 @@ def check_hippocraticness(
     return tally.verdict()
 
 
-def check_least_update(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
+# Registered by hand: the public form also takes ``literal``.
+CHECKERS[HIPPOCRATICNESS] = _hippocraticness
+
+
+@_law(LEAST_UPDATE)
+def check_least_update(run: _Run, direction: str) -> Verdict:
     """The returned update is minimal among all consistency-restoring ones."""
-    config = config or LawSuiteConfig()
+    bx = run.bx
     guard = _opaque_guard(bx, direction)
     if guard:
         return guard
@@ -736,17 +771,15 @@ def check_least_update(bx: Bx, direction: str, config: LawSuiteConfig | None = N
         return plain_order.compare(u_result, u_alt) == LESS_OR_EQUAL
 
     tally = _Tally("the transformation is undefined everywhere")
-    for _, trace_in, u_in, in_base, out_base, _ in _anchored_inputs(bx, direction, config, tally):
+    for _, trace_in, u_in, in_base, out_base, _ in run.anchored_inputs(direction, tally):
         result = _call(bx, direction, u_in, trace_in)
         if result is None:
             continue
         post_in = _post(u_in, in_base)
         if post_in is None:
             continue
-        alternatives = _enumerate_updates(
-            bx.output_update_repr(direction), bx.output_domain(direction), out_base, config
-        )
-        for alt in alternatives:
+        # The alternatives are the opposite direction's input updates.
+        for alt in run.updates(_other(direction), out_base):
             post_alt = _post(alt, out_base)
             if post_alt is None:
                 continue
@@ -762,11 +795,12 @@ def check_least_update(bx: Bx, direction: str, config: LawSuiteConfig | None = N
     return tally.verdict()
 
 
-def check_totality(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
+@_law(TOTALITY)
+def check_totality(run: _Run, direction: str) -> Verdict:
     """Defined on every enumerated update paired with a testifying trace."""
-    config = config or LawSuiteConfig()
+    bx = run.bx
     tally = _Tally("no inputs to enumerate")
-    for _, trace_in, u_in, _, _, _ in _anchored_inputs(bx, direction, config, tally):
+    for _, trace_in, u_in, _, _, _ in run.anchored_inputs(direction, tally):
         if _call(bx, direction, u_in, trace_in) is None:
             return _fails(
                 bx, TOTALITY, direction, u_in, trace_in,
@@ -777,18 +811,16 @@ def check_totality(bx: Bx, direction: str, config: LawSuiteConfig | None = None)
     return tally.verdict()
 
 
-def check_safety(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
+@_law(SAFETY)
+def check_safety(run: _Run, direction: str) -> Verdict:
     """Defined at least on inputs whose post-state has a consistent counterpart."""
-    config = config or LawSuiteConfig()
+    bx = run.bx
     tally = _Tally("no inputs to enumerate")
-    counterpart_cache: dict[Value, bool] = {}
-    for _, trace_in, u_in, in_base, _, _ in _anchored_inputs(bx, direction, config, tally):
+    for _, trace_in, u_in, in_base, _, _ in run.anchored_inputs(direction, tally):
         post_in = _post(u_in, in_base)
         if post_in is None:
             continue
-        if post_in not in counterpart_cache:
-            counterpart_cache[post_in] = _has_counterpart(bx, direction, post_in, config.value_cap)
-        if counterpart_cache[post_in] and _call(bx, direction, u_in, trace_in) is None:
+        if run.has_counterpart(direction, post_in) and _call(bx, direction, u_in, trace_in) is None:
             return _fails(
                 bx, SAFETY, direction, u_in, trace_in,
                 observed="undefined",
@@ -798,9 +830,10 @@ def check_safety(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -
     return tally.verdict()
 
 
-def check_convergence(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
+@_law(CONVERGENCE)
+def check_convergence(run: _Run, direction: str) -> Verdict:
     """Round-tripping reaches a fixed point on post-states within two passes."""
-    config = config or LawSuiteConfig()
+    bx = run.bx
     guard = _opaque_guard(bx, direction)
     if guard:
         return guard
@@ -809,8 +842,8 @@ def check_convergence(bx: Bx, direction: str, config: LawSuiteConfig | None = No
     if case_free and bx.input_trace_repr(back) in (TraceRepr.STATE, TraceRepr.DELTA):
         return NotExpressible("the reversed trace is not representable for the opposite direction")
     tally = _Tally("no premise call is defined")
-    for _, trace_fwd, u_in, _, out_base, trace_back in _anchored_inputs(
-        bx, direction, config, tally, round_trip=True
+    for _, trace_fwd, u_in, _, out_base, trace_back in run.anchored_inputs(
+        direction, tally, round_trip=True
     ):
         first = _call(bx, direction, u_in, trace_fwd)
         if first is None:
@@ -819,7 +852,7 @@ def check_convergence(bx: Bx, direction: str, config: LawSuiteConfig | None = No
         previous_post = _post(current, out_base)
         if previous_post is None:
             continue
-        for _ in range(config.max_convergence_rounds):
+        for _ in range(run.config.max_convergence_rounds):
             bounce = _call(bx, back, current, trace_back)
             if bounce is None:
                 break  # a round trip is undefined: discharged
@@ -837,7 +870,7 @@ def check_convergence(bx: Bx, direction: str, config: LawSuiteConfig | None = No
                 bx, CONVERGENCE, direction, u_in, trace_fwd,
                 observed=_render_result(first),
                 expected="a round-trip fixed point within "
-                f"{config.max_convergence_rounds} iterations",
+                f"{run.config.max_convergence_rounds} iterations",
                 detail=f"still changing at {render_value(previous_post)}",
             )
     return tally.verdict()
@@ -848,20 +881,6 @@ def _retag(verdict: Verdict, law: str) -> Verdict:
         relabeled = dataclasses.replace(verdict.counterexample, law=law)
         return Fails(relabeled)
     return verdict
-
-
-CHECKERS: dict[str, Callable[[Bx, str, LawSuiteConfig], Verdict]] = {
-    STABILITY: check_stability,
-    INVERTIBILITY: check_invertibility,
-    UNDOABILITY: check_undoability,
-    HISTORY_IGNORANCE: check_history_ignorance,
-    CORRECTNESS: check_correctness,
-    HIPPOCRATICNESS: check_hippocraticness,
-    LEAST_UPDATE: check_least_update,
-    TOTALITY: check_totality,
-    SAFETY: check_safety,
-    CONVERGENCE: check_convergence,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -936,20 +955,20 @@ class LawReport:
 def run_suite(bx: Bx, config: LawSuiteConfig | None = None) -> LawReport:
     """Evaluate every selected law in both directions, then the entailment
     theorems; identical configurations always produce identical reports."""
-    config = config or LawSuiteConfig()
+    run = _Run(bx, config)
     verdicts: dict[tuple[str, str], Verdict] = {}
-    for law in config.laws:
+    for law in run.config.laws:
         checker = CHECKERS[law]
         for direction in DIRECTIONS:
-            verdicts[(law, direction)] = checker(bx, direction, config)
+            verdicts[(law, direction)] = checker(run, direction)
     if (
-        HIPPOCRATICNESS in config.laws
+        HIPPOCRATICNESS in run.config.laws
         and bx.consistency_kind == "I"
         and UpdateRepr.EDITS in (bx.upd_to, bx.upd_from)
     ):
         for direction in DIRECTIONS:
-            verdicts[(HIPPOCRATICNESS_LITERAL, direction)] = check_hippocraticness(
-                bx, direction, config, literal=True
+            verdicts[(HIPPOCRATICNESS_LITERAL, direction)] = _hippocraticness(
+                run, direction, literal=True
             )
     meta = tuple(_meta_checks(bx, verdicts))
     return LawReport(bx.name, verdicts, meta)
@@ -995,11 +1014,11 @@ def _meta_checks(bx: Bx, verdicts: dict[tuple[str, str], Verdict]) -> list[str]:
 
 def audit_incidence(bx: Bx, config: LawSuiteConfig | None = None) -> Verdict:
     """Run every enumerated defined call and check endpoint agreement."""
-    config = config or LawSuiteConfig()
+    run = _Run(bx, config)
     reason = "no defined invocation to audit"
     tally = _Tally(reason, unanchored_reason=reason)
     for direction in DIRECTIONS:
-        for _, trace_in, u_in, _, _, _ in _anchored_inputs(bx, direction, config, tally):
+        for _, trace_in, u_in, _, _, _ in run.anchored_inputs(direction, tally):
             result = _call(bx, direction, u_in, trace_in)
             if result is None:
                 continue

@@ -422,16 +422,22 @@ def cardinality(domain: DomainDescriptor) -> int:
     raise TypeError(f"unknown domain {domain!r}")
 
 
-@lru_cache(maxsize=None)
 def _enumerate(domain: DomainDescriptor) -> tuple[Value, ...]:
+    # Only domains within ENUMERATION_CAP are cached, at most 256 of them
+    # (a benchmark workload uses 16); a larger one is built on each call.
+    if cardinality(domain) > ENUMERATION_CAP:
+        return _build.__wrapped__(domain)
+    return _build(domain)
+
+
+@lru_cache(maxsize=256)
+def _build(domain: DomainDescriptor) -> tuple[Value, ...]:
     if isinstance(domain, AtomDomain):
         return domain.atoms
     if isinstance(domain, PairDomain):
-        return tuple(
-            Pair(l, r)
-            for l in _enumerate(domain.left)
-            for r in _enumerate(domain.right)
-        )
+        # Each side is enumerated once, not once per value of the other.
+        pools = (_enumerate(domain.left), _enumerate(domain.right))
+        return tuple(Pair(l, r) for l, r in itertools.product(*pools))
     if isinstance(domain, SeqDomain):
         element_values = _enumerate(domain.element)
         out: list[Value] = []
@@ -514,7 +520,7 @@ def _lcs_matches(xs: tuple[Value, ...], ys: tuple[Value, ...]) -> list[tuple[int
     return matches
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2 ** 14)  # bounded; the widest benchmark workload keeps 4,608
 def diff(pre: Value, post: Value) -> SamenessRelation:
     """Align two values and link the paths of components that are equal.
 

@@ -39,8 +39,8 @@ from bxkit.laws import (
     audit_incidence,
     consistent_cases,
     run_suite,
+    _Run,
     _input_trace,
-    _input_updates,
 )
 from bxkit.verdict import Fails, Verdict
 
@@ -304,6 +304,7 @@ def test_criterion_8_round_trip_serialization():
     checked = 0
     for name in catalog_names():
         bx = catalog(name).bx
+        run = _Run(bx, config)
         for domain in (bx.domain_a, bx.domain_b, bx.complement_domain):
             if domain is None:
                 continue
@@ -316,7 +317,7 @@ def test_criterion_8_round_trip_serialization():
                 if trace is not None:
                     assert parse_trace(render_trace(trace)) == trace
                     checked += 1
-                for update in _input_updates(bx, direction, case, config):
+                for update in run.updates(direction, case.end(direction)):
                     assert parse_update(render_update(update)) == update
                     checked += 1
                     if trace is None:

@@ -164,13 +164,16 @@ def test_classify_maintainer(capsys):
     assert out.strip() == "S | S,S | S,S | E"
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_module(*argv):
     src = str(Path(bxkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "bxkit", "classify", "--bx", "key-maintainer"],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "bxkit", *argv], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _run_module("classify", "--bx", "key-maintainer")
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.strip() == "S | S,S | S,S | E"
 
@@ -224,3 +227,33 @@ def test_check_tiny_cap_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "--bx", "fst-lens", "--laws", "totality", "--cap", "2")
     assert code == EXIT_USAGE
     assert "exceeds cap" in err
+
+
+def test_missing_config_file_is_a_usage_error(tmp_path):
+    done = _run_module("check", "--bx", "fst-lens", "--config", str(tmp_path / "missing.bx"))
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path):
+    done = _run_module("classify", "--bx", "fst-lens", "--output", str(tmp_path / "missing" / "out.txt"))
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+
+
+def test_config_file_format_is_checked_like_the_flag(capsys, tmp_path):
+    config = tmp_path / "config.bx"
+    config.write_text('{format = "yaml"}')
+    code, out, err = run_cli(capsys, "classify", "--bx", "fst-lens", "--config", str(config))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "yaml" in err
+
+
+@pytest.mark.parametrize("laws", ["", ","])
+def test_check_selecting_no_law_is_a_usage_error(capsys, laws):
+    code, out, _ = run_cli(capsys, "check", "--bx", "fst-lens", "--laws", laws)
+    assert code == EXIT_USAGE
+    assert out == ""

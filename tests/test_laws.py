@@ -1,12 +1,17 @@
 """Law checkers: per-framework verdicts, counterexamples, weak variants,
 vacuity accounting, determinism, and the entailment meta-theorems."""
+import dataclasses
+import inspect
+
 import pytest
 
 from bxkit.values import CapExceeded, Seq, atom, atoms, enumerate_values, pair, pairs_of, rec
 from bxkit.scheme import PostState
-from bxkit.frameworks import Undefined, make_lens, make_maintainer
+from bxkit.frameworks import Undefined, make_lens, make_mapping, make_maintainer
 from bxkit.catalog import catalog, catalog_names
+import bxkit.laws
 from bxkit.laws import (
+    ALL_LAWS,
     CONVERGENCE,
     CORRECTNESS,
     HIPPOCRATICNESS,
@@ -512,3 +517,70 @@ def test_attached_preorder_overrides_the_default():
     indifferent = make_maintainer("resetter-flat", keyed, forward, resetting, domain_a, domain_b)
     indifferent.preorder = UpdatePreorder("flat", lambda u: 0)
     assert isinstance(check_least_update(indifferent, "from"), Holds)
+
+
+# -- one run per call -------------------------------------------------------------
+
+def _counting(monkeypatch, name):
+    """Count the calls the law checkers make to ``bxkit.laws.<name>``."""
+    calls = []
+    original = getattr(bxkit.laws, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bxkit.laws, name, counted)
+    return calls
+
+
+def test_a_suite_run_builds_the_consistent_cases_once_per_direction(monkeypatch):
+    calls = _counting(monkeypatch, "consistent_cases")
+    run_suite(bx("key-maintainer"))
+    assert sorted(direction for _, direction, _ in calls) == ["from", "to"]
+
+
+def test_history_ignorance_enumerates_second_updates_once_per_pre_state(monkeypatch):
+    edit_lens = bx("list-edit-lens")
+    for direction, domain in (("to", edit_lens.domain_a), ("from", edit_lens.domain_b)):
+        calls = _counting(monkeypatch, "enumerate_op_sequences")
+        check_history_ignorance(edit_lens, direction)
+        assert len(calls) == len(enumerate_values(domain)), direction
+
+
+def test_a_run_does_not_outlive_its_call():
+    # A fresh mapping, so that no cached catalog entry is changed.
+    def up(a):
+        return atom(a.value.upper())
+
+    def down(b):
+        if b.value not in ("A", "B"):
+            raise Undefined("no source")
+        return atom(b.value.lower())
+
+    mapping = make_mapping("letters", up, down, atoms("a", "b"), atoms("A", "B", "C"))
+    calls = []
+
+    def consistency(a, b):
+        calls.append((a, b))
+        return mapping.consistency(a, b)
+
+    counted = dataclasses.replace(mapping, consistency=consistency)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert isinstance(check_safety(counted, "from"), Holds)
+        counts.append(len(calls))
+    assert counts == [5, 5]
+
+
+def test_public_checkers_keep_their_signatures():
+    plain = "(bx: 'Bx', direction: 'str', config: 'LawSuiteConfig | None' = None) -> 'Verdict'"
+    for law in ALL_LAWS:
+        checker = getattr(bxkit.laws, f"check_{law}")
+        expected = plain
+        if law == HIPPOCRATICNESS:
+            expected = plain.replace("= None)", "= None, literal: 'bool' = False)")
+        assert str(inspect.signature(checker)) == expected, law
+        assert checker.__name__ == f"check_{law}"
+        assert checker.__doc__

@@ -1,10 +1,13 @@
 """Value model: enumeration, paths, selection, and the diff oracle."""
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bxkit.values import (
     AtomInt,
+    ENUMERATION_CAP,
     CapExceeded,
     GoField,
     GoIndex,
@@ -83,6 +86,25 @@ def test_enumeration_cap():
         enumerate_values(wide)
     assert err.value.cardinality == sum(10 ** k for k in range(7))
     assert enumerate_values(wide, cap=err.value.cardinality)  # cap raised: fine
+
+
+@pytest.mark.parametrize("as_component", [False, True], ids=["direct", "pair-component"])
+def test_enumerations_above_the_cap_are_not_retained(as_component):
+    wide = seqs_of(atoms(*range(10)), 5)  # 111,111 values
+    assert cardinality(wide) > ENUMERATION_CAP
+    domain = pairs_of(wide, atoms(0)) if as_component else wide
+    tracemalloc.start()
+    try:
+        assert len(enumerate_values(domain, cap=200_000)) == cardinality(wide)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Pinning the 111,111 values would keep well over 10 MB alive.
+    assert retained < 1_000_000
+
+
+def test_diff_cache_is_bounded():
+    assert diff.cache_info().maxsize is not None
 
 
 def test_atom_domain_dedupes_preserving_order():

@@ -105,8 +105,6 @@ def _suite_config(config: CliConfig) -> LawSuiteConfig:
     laws = ALL_LAWS if config.laws in (None, "all") else tuple(
         canonical_law(part) for part in config.laws.split(",") if part.strip()
     )
-    if not laws:
-        raise _UsageError("--laws selects no law")
     kwargs = {"laws": laws}
     if config.cap is not None:
         kwargs["value_cap"] = int(config.cap)

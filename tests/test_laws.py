@@ -2,12 +2,14 @@
 vacuity accounting, determinism, and the entailment meta-theorems."""
 import dataclasses
 import inspect
+import tracemalloc
 
 import pytest
 
 from bxkit.values import CapExceeded, Seq, atom, atoms, enumerate_values, pair, pairs_of, rec
 from bxkit.scheme import PostState
-from bxkit.frameworks import Undefined, make_lens, make_mapping, make_maintainer
+from bxkit.frameworks import Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
+from bxkit.grammar import parse_trace, parse_update
 from bxkit.catalog import catalog, catalog_names
 import bxkit.laws
 from bxkit.laws import (
@@ -376,6 +378,11 @@ def test_meta_theorems_hold_across_catalog():
         assert report.meta_errors == (), (name, report.meta_errors)
 
 
+def test_an_empty_law_selection_is_refused():
+    with pytest.raises(ValueError, match="selects no law"):
+        LawSuiteConfig(laws=())
+
+
 def test_suite_respects_law_selection():
     config = LawSuiteConfig(laws=("invertibility",))
     report = run_suite(bx("broken-put-lens"), config)
@@ -584,3 +591,68 @@ def test_public_checkers_keep_their_signatures():
         assert str(inspect.signature(checker)) == expected, law
         assert checker.__name__ == f"check_{law}"
         assert checker.__doc__
+
+
+def test_a_run_keeps_no_both_states_updates_per_pre_state():
+    # Both-states updates are rebuilt per anchor; keeping them would hold
+    # |A| x |A| updates (about 0.9 MiB here) until the run ends.
+    values = atoms(*range(100))
+    identity = make_trigonal(
+        "identity", lambda a, b: a == b, lambda u, b: u[1], lambda u, a: u[1], values, values
+    )
+    tracemalloc.start()
+    try:
+        verdict = check_totality(identity, "to")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == Holds(10_000)
+    assert peak < 0.1 * 2**20
+
+
+# -- exceptions of the user's code ----------------------------------------------------
+
+def _raising_maintainer():
+    """The key maintainer, except that its backward repair raises on key 2."""
+    key = bx("key-maintainer")
+
+    def repair_a(b_post, a_pre):
+        if b_post.get("k") == atom(2):
+            raise KeyError("missing")
+        return a_pre.set("k", b_post.get("k"))
+
+    return make_maintainer(
+        "raising-maintainer",
+        key.consistency,
+        lambda a_post, b_pre: b_pre.set("k", a_post.get("k")),
+        repair_a,
+        key.domain_a,
+        key.domain_b,
+    )
+
+
+def test_an_exception_of_the_users_code_is_a_replayable_counterexample():
+    raising = _raising_maintainer()
+    report = run_suite(raising)
+    assert report.kind(TOTALITY, "to") == Verdict.HOLDS
+    totality = report.verdict(TOTALITY, "from")
+    assert isinstance(totality, Fails)
+    assert totality.counterexample.observed == "raised KeyError('missing')"
+    raised = [c for c in report.failures() if c.observed.startswith("raised")]
+    assert len(raised) == 9
+    for counterexample in raised:
+        assert counterexample.direction == "from"
+        update = parse_update(counterexample.update)
+        trace = parse_trace(counterexample.trace)
+        with pytest.raises(KeyError):
+            raising.apply("from", update, trace)
+
+
+def test_a_blown_cap_still_ends_the_run():
+    def blow(b_post, a_pre):
+        raise CapExceeded(2, 1)
+
+    key = bx("key-maintainer")
+    capped = make_maintainer("capped", key.consistency, lambda a, b: b, blow, key.domain_a, key.domain_b)
+    with pytest.raises(CapExceeded):
+        check_totality(capped, "from")

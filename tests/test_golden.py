@@ -88,10 +88,8 @@ def golden_lines() -> list[str]:
     for kind in ("T", "I"):
         ghost = _ghost(kind)
         lines += _lone_checks(f"lone/{ghost.name}", ghost)
-        lines += [
-            f"suite/default/{ghost.name}/{law}/{direction}: {verdict!r}"
-            for (law, direction), verdict in run_suite(ghost).verdicts.items()
-        ]
+        for (law, direction), verdict in run_suite(ghost).verdicts.items():
+            lines += _verdict_lines(f"suite/default/{ghost.name}/{law}/{direction}", verdict)
     for law in ALL_LAWS:
         checker = getattr(bxkit.laws, f"check_{law}")
         lines.append(f"signature/check_{law}: {inspect.signature(checker)}")

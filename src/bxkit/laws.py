@@ -30,6 +30,7 @@ quantifying over consistent pairs while stability stays out of reach.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, NoReturn
 
@@ -51,6 +52,7 @@ from .scheme import (
     Edits,
     NO_TRACE,
     PostState,
+    ReprMismatch,
     SchemeError,
     StateEdits,
     StateNotRepresented,
@@ -164,13 +166,12 @@ def consistent_cases(bx: Bx, direction: str, cap: int = ENUMERATION_CAP) -> tupl
         return (FREE_CASE,)
     if bx.consistency_kind == "I":
         return tuple(Case(a, b, c) for a, b, c in bx.replay)
-    pairs = [
-        (a, b)
+    return tuple(
+        Case(a, b, None)
         for a in enumerate_values(bx.domain_a, cap)
         for b in enumerate_values(bx.domain_b, cap)
         if bx.consistency(a, b)
-    ]
-    return tuple(Case(a, b, None) for a, b in pairs)
+    )
 
 
 def _realize_arrow(bx: Bx, arrow: str, case: Case) -> Traceability | None:
@@ -350,25 +351,21 @@ class _Stop(Exception):
 
 class _Check:
     """One law checked in one direction of a run: the body's only way into
-    the transformation, its anchor and case counts, and its first failure."""
+    the transformation, its case count, and its first failure."""
 
     def __init__(self, run: _Run, law: str, direction: str, vacuous_reason: str):
         self.run = run
         self.law = law
         self.direction = direction
         self.vacuous_reason = vacuous_reason
-        self.anchors = 0
         self.checked = 0
         self.weak_variant = ""
 
     def anchored_cases(self):
         """Yield ``(case, input trace, input base, output base)`` for every
-        consistent anchor whose input trace is realizable, counting the
-        anchors."""
+        consistent anchor whose input trace is realizable."""
         bx, direction = self.run.bx, self.direction
-        cases = self.run.cases(direction)
-        self.anchors += len(cases)
-        for case in cases:
+        for case in self.run.cases(direction):
             trace_in = _input_trace(bx, direction, case)
             if trace_in is not None:
                 yield case, trace_in, case.end(direction), case.end(_other(direction))
@@ -394,12 +391,14 @@ class _Check:
     def call(self, direction: str, update: Update, trace: Traceability):
         """The checkers' only call into the transformation; ``None`` when
         undefined.  Another exception of the user's code is a counterexample,
-        as in QuickCheck; only a blown enumeration cap ends the run."""
+        as in QuickCheck.  A blown enumeration cap ends the run, and so does
+        an input of the wrong representation, built by the checker or fed
+        back from a result: that is no counterexample to the law."""
         try:
             return self.run.bx.apply(direction, update, trace)
         except Undefined:
             return None
-        except CapExceeded:
+        except (CapExceeded, ReprMismatch):
             raise
         except Exception as exc:
             self.fail(
@@ -468,8 +467,6 @@ class _Check:
             self.checked += 1
 
     def verdict(self) -> Verdict:
-        if self.anchors == 0:
-            return Vacuous("no consistent pair exists on the declared domains")
         if self.checked == 0:
             return Vacuous(self.vacuous_reason)
         if self.weak_variant:
@@ -524,19 +521,18 @@ _DEGENERATES = {
 # The laws
 # ---------------------------------------------------------------------------
 
-CHECKERS: dict[str, Callable[[_Run, str], Verdict]] = {}
-_BODIES: dict[str, tuple[Callable[[_Check, Bx, str], None], str]] = {}
-
-
-def _check_on(run: _Run, law: str, direction: str) -> Verdict:
+def _check_on(run: _Run, direction: str, law: str) -> Verdict:
     """Check ``law`` in ``direction`` on ``run``: reduce a degenerate law,
-    decide expressibility, then run the body and build the verdict."""
+    decide expressibility and whether any anchor exists, then run the body
+    and build the verdict."""
     label = law
     if run.bx.consistency_kind == "T" and law in _DEGENERATES:
         law, label = _DEGENERATES[law]
     reason = _inexpressible(run.bx, law, direction)
     if reason is not None:
         return NotExpressible(reason)
+    if not run.cases(direction):
+        return Vacuous("no consistent pair exists on the declared domains")
     body, vacuous_reason = _BODIES[law]
     check = _Check(run, label, direction, vacuous_reason)
     try:
@@ -546,18 +542,24 @@ def _check_on(run: _Run, law: str, direction: str) -> Verdict:
     return check.verdict()
 
 
+# Each law's body and the reason it is vacuous, registered below.
+_BODIES: dict[str, tuple[Callable[[_Check, Bx, str], None], str]] = {}
+# ``run_suite`` dispatches each law of the suite through its entry here.
+CHECKERS: dict[str, Callable[[_Run, str], Verdict]] = {
+    law: functools.partial(_check_on, law=law) for law in ALL_LAWS
+}
+
+
 def _law(law: str, vacuous_reason: str):
-    """Register a body as the one of ``law``, a law of the suite also as
-    ``CHECKERS[law]``, and return its public form, which makes a run
-    per call.  ``vacuous_reason`` is reported when no case is checked."""
+    """Register a body as the one of ``law`` and return its public form,
+    which makes a run per call.  ``vacuous_reason`` is reported when no
+    case is checked."""
 
     def register(body: Callable[[_Check, Bx, str], None]):
         _BODIES[law] = body, vacuous_reason
-        if law in ALL_LAWS:
-            CHECKERS[law] = lambda run, direction: _check_on(run, law, direction)
 
         def check(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
-            return _check_on(_Run(bx, config), law, direction)
+            return _check_on(_Run(bx, config), direction, law)
 
         check.__name__ = check.__qualname__ = body.__name__
         check.__doc__ = body.__doc__
@@ -712,11 +714,10 @@ def check_hippocraticness(
     reading, reported separately.
     """
     law = HIPPOCRATICNESS_LITERAL if literal else HIPPOCRATICNESS
-    return _check_on(_Run(bx, config), law, direction)
+    return _check_on(_Run(bx, config), direction, law)
 
 
-def _hippocraticness(check: _Check, bx: Bx, direction: str) -> None:
-    literal = check.law == HIPPOCRATICNESS_LITERAL
+def _hippocraticness(check: _Check, bx: Bx, direction: str, literal: bool = False) -> None:
     for case, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
         post_in = _post(u_in, in_base)
         if post_in is None:
@@ -740,8 +741,9 @@ def _hippocraticness(check: _Check, bx: Bx, direction: str) -> None:
 
 # The literal reading is a body of its own name but no ``CHECKERS`` key:
 # ``run_suite`` reports it beside hippocraticness where it differs.
-for _name in (HIPPOCRATICNESS, HIPPOCRATICNESS_LITERAL):
-    _law(_name, "no consistency-preserving update is defined")(_hippocraticness)
+_literal = functools.partial(_hippocraticness, literal=True)
+for _name, _body in ((HIPPOCRATICNESS, _hippocraticness), (HIPPOCRATICNESS_LITERAL, _literal)):
+    _BODIES[_name] = _body, "no consistency-preserving update is defined"
 
 
 @_law(LEAST_UPDATE, "the transformation is undefined everywhere")
@@ -930,7 +932,7 @@ def run_suite(bx: Bx, config: LawSuiteConfig | None = None) -> LawReport:
     ):
         for direction in DIRECTIONS:
             verdicts[(HIPPOCRATICNESS_LITERAL, direction)] = _check_on(
-                run, HIPPOCRATICNESS_LITERAL, direction
+                run, direction, HIPPOCRATICNESS_LITERAL
             )
     meta = tuple(_meta_checks(bx, verdicts))
     return LawReport(bx.name, verdicts, meta)
@@ -947,6 +949,7 @@ def _meta_checks(bx: Bx, verdicts: dict[tuple[str, str], Verdict]) -> list[str]:
         stab = kind(STABILITY, direction)
         hist = kind(HISTORY_IGNORANCE, direction)
         undo = kind(UNDOABILITY, direction)
+        hip = kind(HIPPOCRATICNESS, direction)
         if stab == Verdict.HOLDS and hist == Verdict.HOLDS and undo not in (None, Verdict.HOLDS):
             errors.append(
                 f"{bx.name}/{direction}: stability and history-ignorance hold "
@@ -959,14 +962,12 @@ def _meta_checks(bx: Bx, verdicts: dict[tuple[str, str], Verdict]) -> list[str]:
                     f"{bx.name}/{direction}: correctness ({corr}) does not degenerate "
                     f"into invertibility ({inv})"
                 )
-            hip = kind(HIPPOCRATICNESS, direction)
             if hip is not None and stab is not None and hip != stab:
                 errors.append(
                     f"{bx.name}/{direction}: hippocraticness ({hip}) does not degenerate "
                     f"into stability ({stab})"
                 )
         least = kind(LEAST_UPDATE, direction)
-        hip = kind(HIPPOCRATICNESS, direction)
         if least == Verdict.HOLDS and hip == Verdict.FAILS:
             errors.append(
                 f"{bx.name}/{direction}: least-update holds but hippocraticness fails"
@@ -976,11 +977,11 @@ def _meta_checks(bx: Bx, verdicts: dict[tuple[str, str], Verdict]) -> list[str]:
 
 def audit_incidence(bx: Bx, config: LawSuiteConfig | None = None) -> Verdict:
     """Run every enumerated defined call and check endpoint agreement."""
-    run = _Run(bx, config)
-    checked = 0
-    for direction in DIRECTIONS:
-        check = _Check(run, "incidence", direction, "")
-        try:
+    # One check spans both directions, so it counts every audited call.
+    check = _Check(_Run(bx, config), "incidence", "to", "no defined invocation to audit")
+    try:
+        for direction in DIRECTIONS:
+            check.direction = direction
             for _, trace_in, u_in, _, _, _ in check.anchored_inputs():
                 result = check.call(direction, u_in, trace_in)
                 if result is None:
@@ -988,7 +989,7 @@ def audit_incidence(bx: Bx, config: LawSuiteConfig | None = None) -> Verdict:
                 verdict = check_incidence(u_in, trace_in, result[0], result[1], direction)
                 if isinstance(verdict, Fails):
                     return Fails(dataclasses.replace(verdict.counterexample, bx_name=bx.name))
-                checked += 1
-        except _Stop as stop:
-            return stop.args[0]
-    return Holds(checked) if checked else Vacuous("no defined invocation to audit")
+                check.checked += 1
+    except _Stop as stop:
+        return stop.args[0]
+    return check.verdict()

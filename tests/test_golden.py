@@ -93,7 +93,7 @@ def golden_lines() -> list[str]:
     for law in ALL_LAWS:
         checker = getattr(bxkit.laws, f"check_{law}")
         lines.append(f"signature/check_{law}: {inspect.signature(checker)}")
-        lines.append(f"doc/check_{law}: {checker.__doc__!r}")
+        lines.append(f"doc/check_{law}: {inspect.cleandoc(checker.__doc__)!r}")
     lines.append(f"CHECKERS: {sorted(CHECKERS)!r}")
     return lines
 

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from bxkit.values import CapExceeded, Seq, atom, atoms, enumerate_values, pair, pairs_of, rec
-from bxkit.scheme import PostState
+from bxkit.scheme import BothStates, PostState, ReprMismatch
 from bxkit.frameworks import Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
 from bxkit.grammar import parse_trace, parse_update
 from bxkit.catalog import catalog, catalog_names
@@ -593,21 +593,30 @@ def test_public_checkers_keep_their_signatures():
         assert checker.__doc__
 
 
-def test_a_run_keeps_no_both_states_updates_per_pre_state():
-    # Both-states updates are rebuilt per anchor; keeping them would hold
-    # |A| x |A| updates (about 0.9 MiB here) until the run ends.
-    values = atoms(*range(100))
+def _totality_peak(size):
+    """Traced peak of ``check_totality`` on a ``size``-atom identity trigonal,
+    once the domain's enumeration is in the module cache."""
+    values = atoms(*range(size))
     identity = make_trigonal(
         "identity", lambda a, b: a == b, lambda u, b: u[1], lambda u, a: u[1], values, values
     )
+    consistent_cases(identity, "to")
     tracemalloc.start()
     try:
         verdict = check_totality(identity, "to")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert verdict == Holds(10_000)
-    assert peak < 0.1 * 2**20
+    assert verdict == Holds(size * size)
+    return peak
+
+
+def test_a_run_keeps_no_both_states_updates_per_pre_state():
+    # Both-states updates are rebuilt per anchor, so a run's peak grows
+    # with |A| (the cases and one anchor's updates), not with |A| x |A|
+    # (every anchor's updates kept until the run ends).  Doubling |A|
+    # about doubles the peak; keeping the updates about quadruples it.
+    assert _totality_peak(100) < 2.5 * _totality_peak(50)
 
 
 # -- exceptions of the user's code ----------------------------------------------------
@@ -646,6 +655,22 @@ def test_an_exception_of_the_users_code_is_a_replayable_counterexample():
         trace = parse_trace(counterexample.trace)
         with pytest.raises(KeyError):
             raising.apply("from", update, trace)
+
+
+def test_a_result_of_the_wrong_representation_ends_the_run():
+    # Bx.apply checks the representations of its inputs only.  Round-trip
+    # laws feed a result back as an input, and a result of the wrong
+    # representation then fails that check: a fault of the transformation's
+    # declaration, not a counterexample, so it propagates.
+    key = bx("key-maintainer")
+
+    def to(update, trace):
+        u_out, t_out = key.to_fn(update, trace)
+        return BothStates(u_out.post, u_out.post), t_out
+
+    wrong = dataclasses.replace(key, name="wrong-result", to_fn=to)
+    with pytest.raises(ReprMismatch, match="expected update representation"):
+        check_invertibility(wrong, "to")
 
 
 def test_a_blown_cap_still_ends_the_run():

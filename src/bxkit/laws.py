@@ -11,7 +11,7 @@ vacuity rather than success.
 
 Each call of ``run_suite``, ``audit_incidence`` or a lone ``check_*``
 is one run: its checks share the consistent cases, input updates and
-counterpart answers, built on first use and dropped with the call.
+partner rows, built on first use and dropped with the call.
 
 A law is a body ``(check, bx, direction)`` holding only its quantifier
 loop: it calls the transformation, counts cases and fails through its
@@ -126,6 +126,8 @@ class LawSuiteConfig:
         self.laws = tuple(canonical_law(l) for l in self.laws)
         if not self.laws:
             raise ValueError("the law suite selects no law")
+        if HIPPOCRATICNESS_LITERAL in self.laws:
+            raise ValueError(f"{HIPPOCRATICNESS_LITERAL!r} is reported only beside hippocraticness")
         if self.edit_ops_per_update < 0 or self.max_convergence_rounds < 1 or self.value_cap < 1:
             raise ValueError("nonsensical law suite configuration")
 
@@ -167,11 +169,14 @@ def consistent_cases(bx: Bx, direction: str, cap: int = ENUMERATION_CAP) -> tupl
     if bx.consistency_kind == "I":
         return tuple(Case(a, b, c) for a, b, c in bx.replay)
     return tuple(
-        Case(a, b, None)
-        for a in enumerate_values(bx.domain_a, cap)
-        for b in enumerate_values(bx.domain_b, cap)
-        if bx.consistency(a, b)
+        Case(a, b, None) for a in enumerate_values(bx.domain_a, cap) for b in _row(bx, "to", a, cap)
     )
+
+
+def _row(bx: Bx, direction: str, state: Value, cap: int) -> dict[Value, None]:
+    """The output-side values consistent with ``state``, in enumeration order."""
+    opposite = enumerate_values(bx.output_domain(direction), cap)
+    return {x: None for x in opposite if bx.consistency(*_orient(direction, state, x))}
 
 
 def _realize_arrow(bx: Bx, arrow: str, case: Case) -> Traceability | None:
@@ -234,7 +239,7 @@ class _Run:
         self.config = config or LawSuiteConfig()
         self._cases: dict[str, tuple[Case, ...]] = {}
         self._updates: dict[tuple[str, Value | None], tuple[Update, ...]] = {}
-        self._counterparts: dict[tuple[str, Value], bool] = {}
+        self._rows: dict[tuple[str, Value], dict[Value, None]] = {}
 
     def cases(self, direction: str) -> tuple[Case, ...]:
         if direction not in self._cases:
@@ -270,14 +275,12 @@ class _Run:
             return tuple(StateEdits(pre, ops) for ops in enumerate_op_sequences(pre, domain, depth))
         return ()
 
-    def has_counterpart(self, direction: str, post_in: Value) -> bool:
-        """Is some output-side state consistent with ``post_in``?"""
-        key = (direction, post_in)
-        if key not in self._counterparts:
-            opposite = enumerate_values(self.bx.output_domain(direction), self.config.value_cap)
-            pairs = (_orient(direction, post_in, x) for x in opposite)
-            self._counterparts[key] = any(self.bx.consistency(a, b) for a, b in pairs)
-        return self._counterparts[key]
+    def partners(self, direction: str, state: Value) -> dict[Value, None]:
+        """The partner row of the input-side ``state``, scanned once per run."""
+        key = (direction, state)
+        if key not in self._rows:
+            self._rows[key] = _row(self.bx, direction, state, self.config.value_cap)
+        return self._rows[key]
 
 
 def _post(update: Update, base: Value | None) -> Value | None:
@@ -688,7 +691,7 @@ def check_correctness(check: _Check, bx: Bx, direction: str) -> None:
         pa, pb = _orient(direction, post_in, post_out)
         if bx.consistency(pa, pb):
             check.checked += 1
-        elif check.run.config.weak_variants and not check.run.has_counterpart(direction, post_in):
+        elif check.run.config.weak_variants and not check.run.partners(direction, post_in):
             check.weakly("inconsistent result allowed: no consistent counterpart exists")
         else:
             check.fail(
@@ -770,13 +773,10 @@ def check_least_update(check: _Check, bx: Bx, direction: str) -> None:
         post_in = _post(u_in, in_base)
         if post_in is None:
             continue
-        # The alternatives are the opposite direction's input updates.
+        # The alternatives are the opposite direction's input updates, over the row's domain.
+        partners = check.run.partners(direction, post_in)
         for alt in check.run.updates(_other(direction), out_base):
-            post_alt = _post(alt, out_base)
-            if post_alt is None:
-                continue
-            consistent = bx.consistency(*_orient(direction, post_in, post_alt))
-            if consistent and not smaller_or_equal(result[0], alt, out_base):
+            if _post(alt, out_base) in partners and not smaller_or_equal(result[0], alt, out_base):
                 check.fail(
                     u_in, trace_in,
                     observed=_render_result(result),
@@ -802,8 +802,7 @@ def check_safety(check: _Check, bx: Bx, direction: str) -> None:
         post_in = _post(u_in, in_base)
         if post_in is None:
             continue
-        counterpart = check.run.has_counterpart(direction, post_in)
-        if counterpart and check.call(direction, u_in, trace_in) is None:
+        if check.run.partners(direction, post_in) and check.call(direction, u_in, trace_in) is None:
             check.fail(
                 u_in, trace_in,
                 observed="undefined",

@@ -223,6 +223,15 @@ def test_check_respects_edit_ops_flag(capsys):
     assert code == EXIT_OK
 
 
+def test_check_selecting_the_literal_reading_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--bx", "key-maintainer", "--laws", "hippocraticness_literal"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "hippocraticness_literal" in err
+
+
 def test_check_tiny_cap_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "--bx", "fst-lens", "--laws", "totality", "--cap", "2")
     assert code == EXIT_USAGE

@@ -165,6 +165,44 @@ def test_correctness_fails_for_wrong_repair():
     assert isinstance(check_correctness(wrong, "from"), Fails)
 
 
+def test_correctness_judges_the_transformations_own_result():
+    # The repairs return records with a private field of 9, outside the
+    # declared domains but consistent under key equality.  Correctness asks
+    # the relation about that result itself, not whether it lies in a
+    # partner row scanned over the domain; least update compares against
+    # the in-domain alternatives and finds a smaller one.
+    key = bx("key-maintainer")
+    nine = make_maintainer(
+        "nine-maintainer",
+        key.consistency,
+        lambda a_post, b_pre: rec(k=a_post.get("k"), v=atom(9)),
+        lambda b_post, a_pre: rec(k=b_post.get("k"), u=atom(9)),
+        key.domain_a,
+        key.domain_b,
+    )
+    expected = {
+        "to": (
+            "state{post={k = 1, u = 7}}",
+            "state{{k = 1, v = 7}}",
+            "state{post={k = 1, v = 9}} | state{{k = 1, u = 7}}",
+            "state{post={k = 1, v = 7}}",
+        ),
+        "from": (
+            "state{post={k = 1, v = 7}}",
+            "state{{k = 1, u = 7}}",
+            "state{post={k = 1, u = 9}} | state{{k = 1, v = 7}}",
+            "state{post={k = 1, u = 7}}",
+        ),
+    }
+    for direction, (update, trace, observed, smaller) in expected.items():
+        assert check_correctness(nine, direction) == Holds(32)
+        least = check_least_update(nine, direction)
+        assert isinstance(least, Fails), direction
+        c = least.counterexample
+        assert (c.update, c.trace, c.observed) == (update, trace, observed)
+        assert c.expected == f"an update no larger than {smaller}"
+
+
 # -- hippocraticness -----------------------------------------------------------------------
 
 def test_hippocraticness_maintainer():
@@ -383,6 +421,14 @@ def test_an_empty_law_selection_is_refused():
         LawSuiteConfig(laws=())
 
 
+def test_the_literal_reading_is_not_selectable():
+    # It is reported beside hippocraticness, and read back under its name.
+    with pytest.raises(ValueError, match="hippocraticness_literal"):
+        LawSuiteConfig(laws=("hippocraticness_literal",))
+    report = run_suite(bx("list-edit-lens"), LawSuiteConfig(laws=(HIPPOCRATICNESS,)))
+    assert report.verdict("hippocraticness-literal", "from").kind == Verdict.FAILS
+
+
 def test_suite_respects_law_selection():
     config = LawSuiteConfig(laws=("invertibility",))
     report = run_suite(bx("broken-put-lens"), config)
@@ -578,7 +624,25 @@ def test_a_run_does_not_outlive_its_call():
         calls.clear()
         assert isinstance(check_safety(counted, "from"), Holds)
         counts.append(len(calls))
-    assert counts == [5, 5]
+    assert counts == [6, 6]
+
+
+def test_least_update_scans_rows_not_pairs():
+    # The consistent cases and the partner rows each ask the relation about
+    # every (a, b) pair at most once, however many alternatives there are.
+    key = bx("key-maintainer")
+    calls = []
+
+    def consistency(a, b):
+        calls.append((a, b))
+        return key.consistency(a, b)
+
+    counted = dataclasses.replace(key, consistency=consistency)
+    pairs = len(enumerate_values(key.domain_a)) * len(enumerate_values(key.domain_b))
+    for direction in ("to", "from"):
+        calls.clear()
+        assert isinstance(check_least_update(counted, direction), Holds)
+        assert len(calls) <= 2 * pairs, direction
 
 
 def test_public_checkers_keep_their_signatures():

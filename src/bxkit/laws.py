@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import sys
+import time
 from dataclasses import dataclass
 from typing import Callable, NoReturn
 
@@ -102,6 +104,16 @@ ALL_LAWS = (
 )
 
 DIRECTIONS = ("to", "from")
+
+
+def _log(message: str, *args) -> None:
+    """Log at DEBUG on the ``bxkit.laws`` logger.  A program that has not
+    imported ``logging`` has configured no handler, so nothing would be
+    shown; importing it here would add about half a MiB to the peak memory
+    of every process that checks a law."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("bxkit.laws").debug(message, *args)
 
 
 def canonical_law(name: str) -> str:
@@ -528,21 +540,27 @@ def _check_on(run: _Run, direction: str, law: str) -> Verdict:
     """Check ``law`` in ``direction`` on ``run``: reduce a degenerate law,
     decide expressibility and whether any anchor exists, then run the body
     and build the verdict."""
-    label = law
+    _log("%s: %s/%s started", run.bx.name, law, direction)
+    started = time.perf_counter()
+    named = label = law
     if run.bx.consistency_kind == "T" and law in _DEGENERATES:
         law, label = _DEGENERATES[law]
     reason = _inexpressible(run.bx, law, direction)
     if reason is not None:
-        return NotExpressible(reason)
-    if not run.cases(direction):
-        return Vacuous("no consistent pair exists on the declared domains")
-    body, vacuous_reason = _BODIES[law]
-    check = _Check(run, label, direction, vacuous_reason)
-    try:
-        body(check, run.bx, direction)
-    except _Stop as stop:
-        return stop.args[0]
-    return check.verdict()
+        verdict = NotExpressible(reason)
+    elif not run.cases(direction):
+        verdict = Vacuous("no consistent pair exists on the declared domains")
+    else:
+        body, vacuous_reason = _BODIES[law]
+        check = _Check(run, label, direction, vacuous_reason)
+        try:
+            body(check, run.bx, direction)
+            verdict = check.verdict()
+        except _Stop as stop:
+            verdict = stop.args[0]
+    elapsed = time.perf_counter() - started
+    _log("%s: %s/%s %s in %.3f s", run.bx.name, named, direction, verdict.kind, elapsed)
+    return verdict
 
 
 # Each law's body and the reason it is vacuous, registered below.
@@ -644,6 +662,16 @@ def check_undoability(check: _Check, bx: Bx, direction: str) -> None:
 @_law(HISTORY_IGNORANCE, "no chained premise is defined")
 def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
     """Translating a composite equals composing the two translations."""
+    # The second calls after a first update depend only on where it left the
+    # input side, which fixes their updates, and on the trace it returned.
+    # Many first updates share that pair, so the second results are grouped
+    # by it, aligned with the updates, and each group is filled inline the
+    # first time it is met: the calls keep the order of a plain triple loop.
+    # A counterexample ends the check, so a partly filled group is never
+    # read.  ``canon`` keeps one copy of each distinct result.  A pair or a
+    # result that cannot be hashed leaves its first update to plain calls.
+    groups: dict[tuple[Value | None, Traceability], list] = {}
+    canon: dict = {}
     for _, trace_in, u1, in_base, out_base, _ in check.anchored_inputs():
         first = check.call(direction, u1, trace_in)
         if first is None:
@@ -652,10 +680,22 @@ def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
         trace2 = _reverse_trace(bx, direction, s1, _post(out1, out_base))
         if trace2 is None:
             continue
-        # The second updates start where the first left the input side.
-        # This is the innermost loop of the whole suite: keep it plain.
-        for u2 in check.run.updates(direction, _post(u1, in_base)):
-            second = check.call(direction, u2, trace2)
+        moved = _post(u1, in_base)
+        try:
+            known = groups.setdefault((moved, trace2), [])
+        except TypeError:
+            known = None
+        for i, u2 in enumerate(check.run.updates(direction, moved)):
+            if known is not None and i < len(known):
+                second = known[i]
+            else:
+                second = check.call(direction, u2, trace2)
+                if known is not None:
+                    try:
+                        known.append(canon.setdefault(second, second))
+                    except TypeError:
+                        del groups[moved, trace2]
+                        known = None
             if second is None:
                 continue
             out2, s2 = second

@@ -164,18 +164,32 @@ def test_classify_maintainer(capsys):
     assert out.strip() == "S | S,S | S,S | E"
 
 
-def _run_module(*argv):
+def _run_python(*argv):
     src = str(Path(bxkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "bxkit", *argv], env=env, capture_output=True, text=True, timeout=60
-    )
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+def _run_module(*argv):
+    return _run_python("-m", "bxkit", *argv)
 
 
 def test_python_dash_m_runs_the_cli():
     done = _run_module("classify", "--bx", "key-maintainer")
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.strip() == "S | S,S | S,S | E"
+
+
+def test_law_checks_print_no_log_line_by_default():
+    # The law checks log at DEBUG; with no handler configured nothing shows,
+    # and a process that never imports logging is not made to.
+    done = _run_module("check", "--bx", "fst-lens")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stderr == ""
+    script = "import sys; from bxkit.laws import run_suite; from bxkit.catalog import catalog; "
+    script += "run_suite(catalog('fst-lens').bx); print('logging' in sys.modules)"
+    done = _run_python("-c", script)
+    assert (done.stdout, done.stderr) == ("False\n", "")
 
 
 def test_report_is_deterministic(capsys):

@@ -8,14 +8,22 @@ then asserts that the generic representation-driven checkers reach the
 same verdict kind on every applicable catalog entry.  A disagreement
 here means the harness's trace realization or expressibility logic
 drifted from the concrete semantics.
+
+History ignorance also keeps its plain triple loop here, as the
+reference for the checker that reuses second results.
 """
+import dataclasses
+
 import pytest
 
-from bxkit.values import enumerate_values
-from bxkit.scheme import NoTrace, PostState, StateTrace
+import bxkit.laws
+from bxkit.values import Seq, enumerate_values
+from bxkit.scheme import ComplementTrace, NoTrace, PostState, SchemeError, StateTrace, compose_updates
 from bxkit.frameworks import Undefined
-from bxkit.catalog import catalog, catalog_entries
+from bxkit.catalog import catalog, catalog_entries, catalog_names
 from bxkit.laws import (
+    HISTORY_IGNORANCE,
+    LawSuiteConfig,
     check_correctness,
     check_hippocraticness,
     check_history_ignorance,
@@ -315,3 +323,94 @@ def test_every_transformation_valued_entry_keeps_degeneracy():
                 check_hippocraticness(entry.bx, direction).kind
                 == check_stability(entry.bx, direction).kind
             ), name
+
+
+# -- history ignorance: the plain triple loop ------------------------------------------
+
+
+def _plain_history_ignorance(check, bx, direction):
+    """The checker's body without reuse: every second call is made."""
+    for _, trace_in, u1, in_base, out_base, _ in check.anchored_inputs():
+        first = check.call(direction, u1, trace_in)
+        if first is None:
+            continue
+        out1, s1 = first
+        trace2 = bxkit.laws._reverse_trace(bx, direction, s1, bxkit.laws._post(out1, out_base))
+        if trace2 is None:
+            continue
+        for u2 in check.run.updates(direction, bxkit.laws._post(u1, in_base)):
+            second = check.call(direction, u2, trace2)
+            if second is None:
+                continue
+            out2, s2 = second
+            try:
+                u12 = compose_updates(u2, u1)
+                expected_u = compose_updates(out2, out1)
+            except SchemeError:
+                continue
+            combined = check.call(direction, u12, trace_in)
+            if combined is None:
+                continue
+            check.compare(
+                u12, trace_in, combined, expected_u, s2, out_base,
+                detail="translating the composite differs from composing the translations",
+            )
+
+
+class _Loose(Seq):
+    """A sequence that cannot be hashed."""
+
+    __hash__ = None
+
+
+def _loose_complements(on_null_only):
+    """The list edit lens with unhashable complements in ``to`` results:
+    always, or only for the empty update, so that a hashable group meets an
+    unhashable second result."""
+    lens = catalog("list-edit-lens").bx
+
+    def to(update, trace):
+        u_out, t_out = lens.to_fn(update, trace)
+        if on_null_only and update.ops:
+            return u_out, t_out
+        return u_out, ComplementTrace(_Loose(t_out.payload.elements))
+
+    return dataclasses.replace(lens, name="loose-edit-lens", to_fn=to)
+
+
+def _assert_matches_plain_loop(monkeypatch, bx, direction, config=None):
+    grouped = check_history_ignorance(bx, direction, config)
+    _, reason = bxkit.laws._BODIES[HISTORY_IGNORANCE]
+    with monkeypatch.context() as patched:
+        patched.setitem(bxkit.laws._BODIES, HISTORY_IGNORANCE, (_plain_history_ignorance, reason))
+        plain = check_history_ignorance(bx, direction, config)
+    assert grouped.kind == plain.kind
+    if plain.kind == Verdict.FAILS:
+        assert dataclasses.asdict(grouped.counterexample) == dataclasses.asdict(plain.counterexample)
+    assert grouped == plain
+    return grouped
+
+
+@pytest.mark.parametrize("direction", ["to", "from"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_history_ignorance_matches_the_plain_loop(monkeypatch, name, direction):
+    _assert_matches_plain_loop(monkeypatch, catalog(name).bx, direction)
+
+
+def test_history_ignorance_matches_the_plain_loop_at_depth_two(monkeypatch):
+    depth_two = LawSuiteConfig(edit_ops_per_update=2)
+    verdict = _assert_matches_plain_loop(monkeypatch, catalog("list-edit-lens").bx, "from", depth_two)
+    assert verdict.cases_checked == 2645
+
+
+def test_history_ignorance_matches_the_plain_loop_where_it_fails(monkeypatch):
+    verdict = _assert_matches_plain_loop(monkeypatch, catalog("stale-maintainer").bx, "from")
+    assert verdict.kind == Verdict.FAILS
+
+
+@pytest.mark.parametrize("on_null_only", [False, True])
+def test_history_ignorance_matches_the_plain_loop_on_unhashable_traces(monkeypatch, on_null_only):
+    # Always: every second trace is unhashable.  Only on the empty update: a
+    # group with a hashable trace meets an unhashable second result.
+    verdict = _assert_matches_plain_loop(monkeypatch, _loose_complements(on_null_only), "to")
+    assert verdict.kind == (Verdict.FAILS if on_null_only else Verdict.HOLDS)

@@ -1,21 +1,24 @@
 """Law checkers: per-framework verdicts, counterexamples, weak variants,
 vacuity accounting, determinism, and the entailment meta-theorems."""
 import dataclasses
+import hashlib
 import inspect
+import logging
 import tracemalloc
 
 import pytest
 
 from bxkit.values import CapExceeded, Seq, atom, atoms, enumerate_values, pair, pairs_of, rec
-from bxkit.scheme import BothStates, PostState, ReprMismatch
+from bxkit.scheme import BothStates, ComplementTrace, PostState, ReprMismatch
 from bxkit.frameworks import Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
-from bxkit.grammar import parse_trace, parse_update
+from bxkit.grammar import parse_trace, parse_update, render_value
 from bxkit.catalog import catalog, catalog_names
 import bxkit.laws
 from bxkit.laws import (
     ALL_LAWS,
     CONVERGENCE,
     CORRECTNESS,
+    DIRECTIONS,
     HIPPOCRATICNESS,
     HIPPOCRATICNESS_LITERAL,
     HISTORY_IGNORANCE,
@@ -546,6 +549,11 @@ def test_edit_lens_pinned_verdicts_stable_at_depth_two():
         assert report.kind("stability", direction) == Verdict.HOLDS
         assert report.kind("convergence", direction) == Verdict.HOLDS
     assert report.meta_errors == ()
+    # Every verdict and counterexample of the run, byte for byte.
+    rendered = render_value(report.to_value()).encode("utf-8")
+    assert hashlib.sha256(rendered).hexdigest() == (
+        "22fcc04e6ae3392d820e6d3ac341ca3941e886f8c44929733e8efeb4de43e3b0"
+    )
 
 
 def test_attached_preorder_overrides_the_default():
@@ -599,6 +607,63 @@ def test_history_ignorance_enumerates_second_updates_once_per_pre_state(monkeypa
         calls = _counting(monkeypatch, "enumerate_op_sequences")
         check_history_ignorance(edit_lens, direction)
         assert len(calls) == len(enumerate_values(domain)), direction
+
+
+def _counting_calls(lens, calls):
+    """``lens`` with every call into its ``to`` and ``from`` functions recorded."""
+
+    def counted(fn):
+        def call(update, trace):
+            calls.append((update, trace))
+            return fn(update, trace)
+
+        return call
+
+    return dataclasses.replace(lens, to_fn=counted(lens.to_fn), from_fn=counted(lens.from_fn))
+
+
+def test_history_ignorance_calls_each_second_input_once():
+    # A plain triple loop makes 4,195 (to) and 1,011 (from) calls on 1,339
+    # and 225 distinct inputs; reusing second results within the check
+    # leaves the first and combined calls and one call per second input.
+    edit_lens = bx("list-edit-lens")
+    for direction, bound in (("to", 2399), ("from", 587)):
+        calls = []
+        verdict = check_history_ignorance(_counting_calls(edit_lens, calls), direction)
+        assert verdict.kind == Verdict.HOLDS
+        assert len(calls) <= bound, direction
+
+
+def test_history_ignorance_survives_an_unhashable_complement():
+    # A trace that cannot be hashed cannot key a group of second results;
+    # its second calls are made plainly, and here they are undefined, since
+    # a list is no complement of the lens's domain.
+    edit_lens = bx("list-edit-lens")
+
+    def to(update, trace):
+        u_out, t_out = edit_lens.to_fn(update, trace)
+        return u_out, ComplementTrace(list(t_out.payload.elements))
+
+    listing = dataclasses.replace(edit_lens, name="listing-edit-lens", to_fn=to)
+    assert check_history_ignorance(listing, "to") == Vacuous("no chained premise is defined")
+    assert check_history_ignorance(listing, "from") == Holds(365)
+
+
+def test_each_law_check_logs_its_start_and_verdict(caplog):
+    fst = bx("fst-lens")
+    quiet = render_value(run_suite(fst).to_value())
+    with caplog.at_level(logging.DEBUG, logger="bxkit.laws"):
+        report = run_suite(fst)
+    assert render_value(report.to_value()) == quiet
+    records = [r for r in caplog.records if r.name == "bxkit.laws"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    expected = []
+    for law in ALL_LAWS:
+        for direction in DIRECTIONS:
+            expected.append(("fst-lens", law, direction))
+            expected.append(("fst-lens", law, direction, report.kind(law, direction)))
+    assert [r.args[:4] for r in records] == expected
+    assert all(isinstance(r.args[4], float) for r in records[1::2])
 
 
 def test_a_run_does_not_outlive_its_call():

@@ -2,23 +2,25 @@
 
 Exit codes are part of the contract: 0 on success, 1 for usage, parse,
 or unknown-name problems, 2 when the transformation is undefined at the
-given input, 3 when a selected law fails.  Flags override values read
-from an optional config file written in the value grammar, for example
-``{bx = "fst-lens", dir = "from"}``.
+given input, 3 when a selected law fails.  A subcommand's ``--config``
+names a file holding one record of atoms in the value grammar, for
+example ``{bx = "fst-lens", dir = "from"}``.  Each field is read as the
+subcommand's flag of the same name, ahead of the command line, so argparse
+types and checks it like the flag and a flag given on the command line
+wins; a field the subcommand has no flag for is ignored.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
-from .values import AtomInt, AtomStr, CapExceeded, Rec, Value
+from .values import AtomInt, AtomStr, CapExceeded, Rec, Seq
 from .scheme import SchemeError
 from .frameworks import Undefined, UnknownName
 from .grammar import ParseError, parse_trace, parse_update, parse_value, render_trace, render_update, render_value
 from .catalog import catalog, catalog_entries
 from .classify import classify, render_report, well_behaved
-from .laws import ALL_LAWS, LawReport, LawSuiteConfig, canonical_law, run_suite
+from .laws import ALL_LAWS, LawReport, LawSuiteConfig, run_suite
 from .verdict import Fails, Holds, NotExpressible, Vacuous, Verdict, WeaklyHolds
 
 EXIT_OK = 0
@@ -39,58 +41,37 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class CliConfig:
-    command: str
-    bx_name: str | None = None
-    direction: str | None = None
-    update_text: str | None = None
-    trace_text: str | None = None
-    laws: str | None = None
-    output: str | None = None
-    format: str = "text"
-    cap: int | None = None
-    edit_ops: int | None = None
-
-
-def _load_config_file(path: str) -> dict[str, str | int]:
+def _config_flags(path: str, command: _ArgumentParser) -> list[str]:
+    """The fields of the config file at ``path`` as ``--field=value`` flags
+    of ``command``; a field it has no option for is left out."""
     with open(path, "r", encoding="utf-8") as handle:
         value = parse_value(handle.read())
     if not isinstance(value, Rec):
         raise _UsageError("config file must contain a record")
-    out: dict[str, str | int] = {}
+    flags = []
     for name, sub in value.fields:
-        if isinstance(sub, AtomStr):
-            out[name] = sub.value
-        elif isinstance(sub, AtomInt):
-            out[name] = sub.value
-        else:
+        if not isinstance(sub, (AtomStr, AtomInt)):
             raise _UsageError(f"config field {name} must be an atom")
-    return out
+        flag = "--" + name.replace("_", "-")
+        # ``--help`` takes no value, so it names no field.
+        action = command._option_string_actions.get(flag)
+        if action is not None and action.nargs != 0:
+            flags.append(f"{flag}={sub.value}")
+    return flags
 
 
-def _merge(args: argparse.Namespace) -> CliConfig:
-    file_values: dict[str, str | int] = {}
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-
-    def pick(flag_value, key: str, default=None):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key, default)
-
-    return CliConfig(
-        command=args.command,
-        bx_name=pick(getattr(args, "bx", None), "bx"),
-        direction=pick(getattr(args, "dir", None), "dir"),
-        update_text=pick(getattr(args, "update", None), "update"),
-        trace_text=pick(getattr(args, "trace", None), "trace"),
-        laws=pick(getattr(args, "laws", None), "laws", "all"),
-        output=pick(getattr(args, "output", None), "output"),
-        format=pick(getattr(args, "format", None), "format", "text"),
-        cap=pick(getattr(args, "cap", None), "cap"),
-        edit_ops=pick(getattr(args, "edit_ops", None), "edit_ops"),
-    )
+def _with_config(argv: list[str], commands: dict[str, _ArgumentParser]) -> list[str]:
+    """``argv`` with the fields of its ``--config`` file put in as flags
+    just after the subcommand, so that flags on the command line win."""
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return argv
+    finder = _ArgumentParser(add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv[1:])[0].config
+    if not path:
+        return argv
+    return [argv[0], *_config_flags(path, command), *argv[1:]]
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -101,16 +82,9 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
 
 
-def _suite_config(config: CliConfig) -> LawSuiteConfig:
-    laws = ALL_LAWS if config.laws in (None, "all") else tuple(
-        canonical_law(part) for part in config.laws.split(",") if part.strip()
-    )
-    kwargs = {"laws": laws}
-    if config.cap is not None:
-        kwargs["value_cap"] = int(config.cap)
-    if config.edit_ops is not None:
-        kwargs["edit_ops_per_update"] = int(config.edit_ops)
-    return LawSuiteConfig(**kwargs)
+def _suite_config(args: argparse.Namespace) -> LawSuiteConfig:
+    laws = ALL_LAWS if args.laws == "all" else tuple(part for part in args.laws.split(",") if part.strip())
+    return LawSuiteConfig(laws=laws, value_cap=args.cap, edit_ops_per_update=args.edit_ops)
 
 
 def _verdict_line(verdict: Verdict) -> str:
@@ -137,59 +111,49 @@ def _report_text(report: LawReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_apply(config: CliConfig) -> int:
-    for required, label in ((config.bx_name, "--bx"), (config.direction, "--dir"), (config.update_text, "--update")):
-        if not required:
-            raise _UsageError(f"apply requires {label}")
-    entry = catalog(config.bx_name)
-    update = parse_update(config.update_text)
-    trace = parse_trace(config.trace_text or "none")
+def cmd_apply(args: argparse.Namespace) -> int:
+    entry = catalog(args.bx)
+    update = parse_update(args.update)
+    trace = parse_trace(args.trace or "none")
     try:
-        out_update, out_trace = entry.bx.apply(config.direction, update, trace)
+        out_update, out_trace = entry.bx.apply(args.dir, update, trace)
     except Undefined as exc:
         print(f"undefined: {exc.reason}", file=sys.stderr)
         return EXIT_UNDEFINED
-    _emit(f"{render_update(out_update)}\n{render_trace(out_trace)}", config.output)
+    _emit(f"{render_update(out_update)}\n{render_trace(out_trace)}", args.output)
     return EXIT_OK
 
 
-def cmd_check(config: CliConfig) -> int:
-    if not config.bx_name:
-        raise _UsageError("check requires --bx")
-    entry = catalog(config.bx_name)
-    suite = _suite_config(config)
+def cmd_check(args: argparse.Namespace) -> int:
+    entry = catalog(args.bx)
+    suite = _suite_config(args)
     report = run_suite(entry.bx, suite)
-    if config.format == "value-grammar":
-        _emit(render_value(report.to_value()), config.output)
+    if args.format == "value-grammar":
+        _emit(render_value(report.to_value()), args.output)
     else:
-        _emit(_report_text(report), config.output)
+        _emit(_report_text(report), args.output)
     return EXIT_LAW_FAILURE if report.failures(suite.laws) else EXIT_OK
 
 
-def cmd_classify(config: CliConfig) -> int:
-    if not config.bx_name:
-        raise _UsageError("classify requires --bx")
-    entry = catalog(config.bx_name)
+def cmd_classify(args: argparse.Namespace) -> int:
+    entry = catalog(args.bx)
     signature = classify(entry.bx)
-    if config.format == "value-grammar":
-        _emit(render_value(AtomStr(signature.format())), config.output)
+    if args.format == "value-grammar":
+        _emit(render_value(AtomStr(signature.format())), args.output)
     else:
-        _emit(signature.format(), config.output)
+        _emit(signature.format(), args.output)
     return EXIT_OK
 
 
-def cmd_report(config: CliConfig) -> int:
-    suite = _suite_config(config)
+def cmd_report(args: argparse.Namespace) -> int:
+    suite = _suite_config(args)
     rows = []
-    grades = []
-    machine_rows: list[Value] = []
     for name, entry in catalog_entries().items():
         report = run_suite(entry.bx, suite)
         signature = classify(entry.bx)
-        behaviour = well_behaved(entry.bx, report)
-        rows.append((name, signature, report))
-        grades.append(f"{name}: {behaviour}")
-        machine_rows.append(
+        rows.append((name, signature, report, well_behaved(entry.bx, report)))
+    if args.format == "value-grammar":
+        machine_rows = [
             Rec(
                 {
                     "name": AtomStr(name),
@@ -198,66 +162,59 @@ def cmd_report(config: CliConfig) -> int:
                     "report": report.to_value(),
                 }
             )
-        )
-    if config.format == "value-grammar":
-        from .values import Seq
-
-        _emit(render_value(Seq(machine_rows)), config.output)
+            for name, signature, report, behaviour in rows
+        ]
+        _emit(render_value(Seq(machine_rows)), args.output)
     else:
-        _emit(render_report(rows) + "\n\n" + "\n".join(grades), config.output)
+        grades = [f"{name}: {behaviour}" for name, _, _, behaviour in rows]
+        _emit(render_report(row[:3] for row in rows) + "\n\n" + "\n".join(grades), args.output)
     return EXIT_OK
 
 
-def build_parser() -> _ArgumentParser:
+def build_parser() -> tuple[_ArgumentParser, dict[str, _ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = _ArgumentParser(prog="bxkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _ArgumentParser) -> None:
+    def command(name: str, run, help: str) -> _ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="config file in the value grammar")
         p.add_argument("--output", help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=FORMATS, default=None)
+        p.add_argument("--format", choices=FORMATS, default="text")
+        return p
 
-    apply_p = sub.add_parser("apply", help="run one transformation on serialized inputs")
-    apply_p.add_argument("--bx")
-    apply_p.add_argument("--dir", choices=["to", "from"])
-    apply_p.add_argument("--update", help="input update in the textual grammar")
+    def suite_flags(p: _ArgumentParser) -> None:
+        p.add_argument("--laws", default="all", help="'all' or a comma-separated law list")
+        p.add_argument("--cap", type=int, default=LawSuiteConfig.value_cap, help="enumeration cap for input domains")
+        p.add_argument(
+            "--edit-ops", dest="edit_ops", type=int, default=LawSuiteConfig.edit_ops_per_update,
+            help="edits per enumerated update",
+        )
+
+    apply_p = command("apply", cmd_apply, "run one transformation on serialized inputs")
+    apply_p.add_argument("--bx", required=True)
+    apply_p.add_argument("--dir", choices=["to", "from"], required=True)
+    apply_p.add_argument("--update", required=True, help="input update in the textual grammar")
     apply_p.add_argument("--trace", help="input trace in the textual grammar (default: none)")
-    common(apply_p)
 
-    check_p = sub.add_parser("check", help="run the law suite for one catalog entry")
-    check_p.add_argument("--bx")
-    check_p.add_argument("--laws", help="'all' or a comma-separated law list")
-    check_p.add_argument("--cap", type=int, help="enumeration cap for input domains")
-    check_p.add_argument("--edit-ops", dest="edit_ops", type=int, help="edits per enumerated update")
-    common(check_p)
+    check_p = command("check", cmd_check, "run the law suite for one catalog entry")
+    check_p.add_argument("--bx", required=True)
+    suite_flags(check_p)
 
-    classify_p = sub.add_parser("classify", help="print a catalog entry's scheme signature")
-    classify_p.add_argument("--bx")
-    common(classify_p)
+    classify_p = command("classify", cmd_classify, "print a catalog entry's scheme signature")
+    classify_p.add_argument("--bx", required=True)
 
-    report_p = sub.add_parser("report", help="classification and law table for the whole catalog")
-    report_p.add_argument("--laws")
-    report_p.add_argument("--cap", type=int)
-    report_p.add_argument("--edit-ops", dest="edit_ops", type=int)
-    common(report_p)
-
-    return parser
+    suite_flags(command("report", cmd_report, "classification and law table for the whole catalog"))
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        config = _merge(args)
-        if config.format not in FORMATS:
-            raise _UsageError(f"unknown format {config.format!r}")
-        if config.command == "apply":
-            return cmd_apply(config)
-        if config.command == "check":
-            return cmd_check(config)
-        if config.command == "classify":
-            return cmd_classify(config)
-        return cmd_report(config)
+        args = parser.parse_args(_with_config(argv, commands))
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -34,7 +34,7 @@ import functools
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, NoReturn
+from typing import Any, Callable, NoReturn
 
 from .values import (
     ENUMERATION_CAP,
@@ -335,8 +335,18 @@ def _orient(direction: str, post_in: Value | None, post_out: Value | None) -> tu
     return post_in, post_out
 
 
+def _shown(render: Callable[[Any], str], item: Any) -> str:
+    """``item`` in the textual grammar, or its ``repr`` where the grammar
+    refuses it: a result the user's code built of something other than
+    values still makes a printable counterexample."""
+    try:
+        return render(item)
+    except (TypeError, ValueError):
+        return repr(item)
+
+
 def _render_result(result: tuple[Update, Traceability]) -> str:
-    return f"{render_update(result[0])} | {render_trace(result[1])}"
+    return f"{_shown(render_update, result[0])} | {_shown(render_trace, result[1])}"
 
 
 def _match_updates(
@@ -442,8 +452,8 @@ class _Check:
             law=self.law,
             direction=direction or self.direction,
             bx_name=self.run.bx.name,
-            update=render_update(update),
-            trace=render_trace(trace),
+            update=_shown(render_update, update),
+            trace=_shown(render_trace, trace),
             observed=observed,
             expected=expected,
             detail=detail,
@@ -466,9 +476,9 @@ class _Check:
         u_out, t_out = result
         match = _match_updates(expected_update, u_out, self.run.config, base_pre)
         if match == "no" or (expected_trace is not None and t_out != expected_trace):
-            expected_text = render_update(expected_update)
+            expected_text = _shown(render_update, expected_update)
             if expected_trace is not None:
-                expected_text += f" | {render_trace(expected_trace)}"
+                expected_text += f" | {_shown(render_trace, expected_trace)}"
             self.fail(
                 update, trace,
                 observed=_render_result(result),
@@ -738,7 +748,7 @@ def check_correctness(check: _Check, bx: Bx, direction: str) -> None:
                 u_in, trace_in,
                 observed=_render_result(result),
                 expected="an output consistent with the input's post-state",
-                detail=f"pair ({render_value(pa)}, {render_value(pb)}) is not consistent",
+                detail=f"pair ({_shown(render_value, pa)}, {_shown(render_value, pb)}) is not consistent",
             )
 
 
@@ -882,7 +892,7 @@ def check_convergence(check: _Check, bx: Bx, direction: str) -> None:
                 u_in, trace_fwd,
                 observed=_render_result(first),
                 expected=f"a round-trip fixed point within {rounds} iterations",
-                detail=f"still changing at {render_value(previous_post)}",
+                detail=f"still changing at {_shown(render_value, previous_post)}",
             )
 
 

@@ -164,14 +164,14 @@ def test_classify_maintainer(capsys):
     assert out.strip() == "S | S,S | S,S | E"
 
 
-def _run_python(*argv):
+def _run_python(*argv, cwd=None):
     src = str(Path(bxkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60, cwd=cwd)
 
 
-def _run_module(*argv):
-    return _run_python("-m", "bxkit", *argv)
+def _run_module(*argv, cwd=None):
+    return _run_python("-m", "bxkit", *argv, cwd=cwd)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -280,3 +280,55 @@ def test_check_selecting_no_law_is_a_usage_error(capsys, laws):
     code, out, _ = run_cli(capsys, "check", "--bx", "fst-lens", "--laws", laws)
     assert code == EXIT_USAGE
     assert out == ""
+
+
+def _config(tmp_path, text):
+    config = tmp_path / "config.bx"
+    config.write_text(text)
+    return str(config)
+
+
+@pytest.mark.parametrize(
+    "fields, argv",
+    [
+        ("{laws = 5}", ("check", "--bx", "fst-lens")),
+        ('{bx = "fst-lens", dir = "to", update = 5}', ("apply",)),
+        ('{bx = "fst-lens", dir = "to", update = "state{post=(2, 5)}", trace = 4}', ("apply",)),
+    ],
+    ids=["laws", "update", "trace"],
+)
+def test_config_field_of_the_wrong_type_is_a_usage_error(tmp_path, fields, argv):
+    # The field is typed and checked as the flag of the same name would be.
+    done = _run_module(*argv, "--config", _config(tmp_path, fields))
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(("error:", "usage error:"))
+
+
+def test_config_file_output_names_a_file(tmp_path):
+    done = _run_module("classify", "--bx", "fst-lens", "--config", _config(tmp_path, "{output = 7}"), cwd=tmp_path)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == ""
+    assert (tmp_path / "7").read_text() == "A | S,S | S,N | T\n"
+
+
+def test_config_field_the_subcommand_has_no_flag_for_is_ignored(capsys, tmp_path):
+    config = _config(tmp_path, '{laws = "all", help = 1, colour = "red"}')
+    code, out, _ = run_cli(capsys, "classify", "--bx", "fst-lens", "--config", config)
+    assert code == EXIT_OK
+    assert out.strip() == "A | S,S | S,N | T"
+
+
+def test_config_file_cap_is_typed_like_the_flag(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "check", "--bx", "fst-lens", "--config", _config(tmp_path, '{cap = "x"}'))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "'x'" in err
+
+
+@pytest.mark.parametrize("text", ["[1]", "{bx = [1]}"], ids=["not-a-record", "not-an-atom"])
+def test_config_file_that_is_not_a_record_of_atoms_is_a_usage_error(capsys, tmp_path, text):
+    code, out, err = run_cli(capsys, "classify", "--bx", "fst-lens", "--config", _config(tmp_path, text))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: config")

@@ -8,9 +8,19 @@ import tracemalloc
 
 import pytest
 
-from bxkit.values import CapExceeded, Seq, atom, atoms, enumerate_values, pair, pairs_of, rec
-from bxkit.scheme import BothStates, ComplementTrace, PostState, ReprMismatch
-from bxkit.frameworks import Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
+from bxkit.values import CapExceeded, Seq, atom, atoms, enumerate_values, pair, pairs_of, rec, seqs_of
+from bxkit.scheme import (
+    BothStates,
+    ComplementTrace,
+    PostState,
+    ReprMismatch,
+    StateEdits,
+    StateTrace,
+    TraceRepr,
+    UpdateRepr,
+    apply_ops,
+)
+from bxkit.frameworks import Bx, Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
 from bxkit.grammar import parse_trace, parse_update, render_value
 from bxkit.catalog import catalog, catalog_names
 import bxkit.laws
@@ -28,6 +38,7 @@ from bxkit.laws import (
     TOTALITY,
     UNDOABILITY,
     LawSuiteConfig,
+    audit_incidence,
     check_convergence,
     check_correctness,
     check_hippocraticness,
@@ -810,3 +821,79 @@ def test_a_blown_cap_still_ends_the_run():
     capped = make_maintainer("capped", key.consistency, lambda a, b: b, blow, key.domain_a, key.domain_b)
     with pytest.raises(CapExceeded):
         check_totality(capped, "from")
+
+
+def test_an_unrenderable_result_fails_the_law_instead_of_raising():
+    # A trace whose payload is a list, not a value, has no form in the
+    # grammar; the counterexample shows it by its repr.
+    edit_lens = bx("list-edit-lens")
+
+    def to(update, trace):
+        u_out, t_out = edit_lens.to_fn(update, trace)
+        if update.ops:
+            return u_out, t_out
+        return u_out, ComplementTrace(list(t_out.payload.elements))
+
+    listing = dataclasses.replace(edit_lens, name="listing-edit-lens", to_fn=to)
+    verdict = check_history_ignorance(listing, "to")
+    assert isinstance(verdict, Fails)
+    counterexample = verdict.counterexample
+    assert (counterexample.update, counterexample.trace) == ("edits[del(0, (0, 0))]", "compl{[0, 0]}")
+    assert counterexample.expected == "edits[del(0, 0)] | ComplementTrace(payload=[AtomInt(value=0)])"
+    assert run_suite(listing).failures()
+
+
+# -- pre-state-plus-edits updates ----------------------------------------------
+# No framework adapter produces them, so these transformations are built by hand.
+
+def _state_edits_mirror(name, keep_to=lambda ops: ops):
+    """Equal lists on both sides, updated by a pre-state plus edits and traced
+    by the state the call starts from, which must be the update's pre-state.
+    ``keep_to`` chooses the edits ``to`` passes on."""
+
+    def translate(keep):
+        def step(update, trace):
+            if trace.state != update.pre:
+                raise Undefined("the trace's state is not the update's pre-state")
+            ops = keep(update.ops)
+            return StateEdits(update.pre, ops), StateTrace(apply_ops(ops, update.pre))
+
+        return step
+
+    return Bx(
+        name=name,
+        upd_to=UpdateRepr.STATE_EDITS,
+        upd_from=UpdateRepr.STATE_EDITS,
+        trace_to=TraceRepr.STATE,
+        trace_from=TraceRepr.STATE,
+        consistency_kind="E",
+        consistency=lambda a, b: a == b,
+        to_fn=translate(keep_to),
+        from_fn=translate(lambda ops: ops),
+        domain_a=seqs_of(atoms(0, 1), 2),
+        domain_b=seqs_of(atoms(0, 1), 2),
+    )
+
+
+def test_a_state_edits_mirror_holds_every_law():
+    mirror = _state_edits_mirror("state-edits-mirror")
+    with pytest.raises(Undefined):
+        mirror.apply("to", StateEdits(Seq([atom(0)])), StateTrace(Seq()))
+    report = run_suite(mirror)
+    counts = {STABILITY: 7, HIPPOCRATICNESS: 7, HISTORY_IGNORANCE: 207}
+    expected = {(law, direction): Holds(counts.get(law, 37)) for law in ALL_LAWS for direction in DIRECTIONS}
+    assert report.verdicts == expected
+    assert report.meta_errors == ()
+    assert audit_incidence(mirror) == Holds(74)
+
+
+def test_a_lossy_state_edits_mirror_fails_only_history_ignorance():
+    # At one edit per update, keeping the first edit loses nothing; only the
+    # composite of two updates shows the loss.
+    lossy = _state_edits_mirror("lossy-state-edits-mirror", keep_to=lambda ops: ops[:1])
+    report = run_suite(lossy)
+    failing = [key for key, verdict in report.verdicts.items() if isinstance(verdict, Fails)]
+    assert failing == [(HISTORY_IGNORANCE, "to")]
+    counterexample = report.verdicts[HISTORY_IGNORANCE, "to"].counterexample
+    assert counterexample.update == "stateedits{pre=[], edits=[ins(0, 0), ins(0, 0)]}"
+    assert counterexample.trace == "state{[]}"

@@ -181,7 +181,6 @@ def build_parser() -> tuple[_ArgumentParser, dict[str, _ArgumentParser]]:
         p.set_defaults(run=run)
         p.add_argument("--config", help="config file in the value grammar")
         p.add_argument("--output", help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=FORMATS, default="text")
         return p
 
     def suite_flags(p: _ArgumentParser) -> None:
@@ -205,7 +204,10 @@ def build_parser() -> tuple[_ArgumentParser, dict[str, _ArgumentParser]]:
     classify_p = command("classify", cmd_classify, "print a catalog entry's scheme signature")
     classify_p.add_argument("--bx", required=True)
 
-    suite_flags(command("report", cmd_report, "classification and law table for the whole catalog"))
+    report_p = command("report", cmd_report, "classification and law table for the whole catalog")
+    suite_flags(report_p)
+    for p in (check_p, classify_p, report_p):
+        p.add_argument("--format", choices=FORMATS, default="text")
     return parser, sub.choices
 
 

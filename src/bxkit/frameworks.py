@@ -9,7 +9,7 @@ user functions into a uniform partial transformation
 ``(update, trace) -> (update, trace)`` that rejects traces that do not
 testify the consistency relation and always returns an output trace,
 synthesizing it when the classic interface would omit it as redundant.
-``Bx.apply`` checks inputs against the declared representations.
+``Bx.apply`` checks inputs and results against the declared representations.
 Partiality always surfaces as ``Undefined``, never as a crash.
 A maintainer's testimony check scans the opposite domain once per trace
 state and memoizes the answer; the memo is bounded by the two domains.
@@ -46,8 +46,6 @@ from .scheme import (
     apply_op,
     apply_ops,
     enumerate_ops,
-    trace_repr,
-    update_repr,
 )
 
 
@@ -108,17 +106,30 @@ class Bx:
         return self.apply("from", update, trace)
 
     def apply(self, direction: str, update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        """Run one direction on inputs of the declared representations; the
-        selection inlines ``input_update_repr`` and ``input_trace_repr``."""
+        """Run one direction.  The inputs and the result must be an update
+        and a trace of the declared representations; anything else raises
+        ``ReprMismatch``.  The selection inlines the ``*_repr`` methods."""
         if direction == "to":
-            fn, upd, trc = self.to_fn, self.upd_to, self.trace_from
+            fn, upd_in, trc_in, upd_out, trc_out = (
+                self.to_fn, self.upd_to, self.trace_from, self.upd_from, self.trace_to
+            )
         elif direction == "from":
-            fn, upd, trc = self.from_fn, self.upd_from, self.trace_to
+            fn, upd_in, trc_in, upd_out, trc_out = (
+                self.from_fn, self.upd_from, self.trace_to, self.upd_to, self.trace_from
+            )
         else:
             raise ValueError(f"direction must be 'to' or 'from', got {direction!r}")
-        _expect_update(update, upd)
-        _expect_trace(trace, trc)
-        return fn(update, trace)
+        if update.repr is not upd_in or trace.repr is not trc_in:
+            raise _mismatch("input", (update, trace), upd_in, trc_in)
+        result = fn(update, trace)
+        try:
+            u_out, t_out = result
+            declared = u_out.repr is upd_out and t_out.repr is trc_out
+        except (AttributeError, TypeError, ValueError):
+            declared = False
+        if not declared:
+            raise _mismatch("result", result, upd_out, trc_out)
+        return result
 
     def input_update_repr(self, direction: str) -> UpdateRepr:
         return self.upd_to if direction == "to" else self.upd_from
@@ -142,18 +153,17 @@ class Bx:
         return diff(a, b)
 
 
-def _expect_update(update: Update, repr: UpdateRepr) -> None:
-    if update_repr(update) is not repr:
-        raise ReprMismatch(
-            f"expected update representation {repr.value}, got {update_repr(update).value}"
+def _mismatch(role: str, pair, upd: UpdateRepr, trc: TraceRepr) -> ReprMismatch:
+    """The error for a call whose ``role``, its inputs or its result, is
+    not a pair of an update of representation ``upd`` and a trace of ``trc``."""
+    update, trace = pair if isinstance(pair, tuple) and len(pair) == 2 else (pair, None)
+    if getattr(update, "repr", None) is not upd:
+        return ReprMismatch(
+            f"{role}: expected update representation {upd.value}, got {type(update).__name__}"
         )
-
-
-def _expect_trace(trace: Traceability, repr: TraceRepr) -> None:
-    if trace_repr(trace) is not repr:
-        raise ReprMismatch(
-            f"expected trace representation {repr.value}, got {trace_repr(trace).value}"
-        )
+    return ReprMismatch(
+        f"{role}: expected trace representation {trc.value}, got {type(trace).__name__}"
+    )
 
 
 def _require(condition: bool, reason: str) -> None:

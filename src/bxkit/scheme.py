@@ -3,11 +3,13 @@
 Updates come in six representations: post-state only, both states, delta
 (states plus a sameness relation), edit sequence, pre-state plus edits,
 and opaque function tags.  Traceabilities come in four: none, one stored
-state, a complement, and a delta.  This module gives the representation
-types and the operators the laws are written with: pre/post projection,
-null updates, sequential composition, inversion, trace reversal and
-trace/update composition, plus endpoint-agreement checking for a
-transformation call and the default size preorder on updates.
+state, a complement, and a delta.  Each class names its representation
+in its ``repr`` class attribute; ``UPDATE_CONSTRUCTORS`` states how each
+non-opaque update representation is built.  This module gives the
+representation types and the operators the laws are written with:
+pre/post projection, null updates, sequential composition, inversion,
+trace reversal and trace/update composition, plus endpoint-agreement
+checking for a transformation call and the default size preorder on updates.
 
 A traceability value is directionless data; whether a stored state is
 the A side or the B side is decided by the call site (the direction of
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, ClassVar, Iterable, NamedTuple
 
 from .values import (
     DomainDescriptor,
@@ -78,13 +80,9 @@ class UpdateRepr(enum.Enum):
 
     @classmethod
     def from_symbol(cls, text: str) -> "UpdateRepr":
-        aliases = {"SS": cls.BOTH, "EE": cls.STATE_EDITS}
-        if text in aliases:
-            return aliases[text]
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown update representation {text!r}")
+        """The member whose value is ``text``; ``SS`` and ``EE`` spell the
+        blackboard letters.  Raises ``ValueError`` for any other text."""
+        return {"SS": cls.BOTH, "EE": cls.STATE_EDITS}.get(text) or cls(text)
 
 
 class TraceRepr(enum.Enum):
@@ -95,10 +93,7 @@ class TraceRepr(enum.Enum):
 
     @classmethod
     def from_symbol(cls, text: str) -> "TraceRepr":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown traceability representation {text!r}")
+        return cls(text)
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +250,25 @@ def enumerate_op_sequences(
 @dataclass(frozen=True)
 class Update:
     __slots__ = ()
+    repr: ClassVar[UpdateRepr]
 
 
 @dataclass(frozen=True)
 class PostState(Update):
+    repr = UpdateRepr.POST
     post: Value
 
 
 @dataclass(frozen=True)
 class BothStates(Update):
+    repr = UpdateRepr.BOTH
     pre: Value
     post: Value
 
 
 @dataclass(frozen=True)
 class DeltaUpdate(Update):
+    repr = UpdateRepr.DELTA
     pre: Value
     post: Value
     same: SamenessRelation
@@ -282,6 +281,7 @@ class DeltaUpdate(Update):
 
 @dataclass(frozen=True)
 class Edits(Update):
+    repr = UpdateRepr.EDITS
     ops: tuple[EditOp, ...]
 
     def __init__(self, ops: Iterable[EditOp] = ()):
@@ -290,6 +290,7 @@ class Edits(Update):
 
 @dataclass(frozen=True)
 class StateEdits(Update):
+    repr = UpdateRepr.STATE_EDITS
     pre: Value
     ops: tuple[EditOp, ...]
 
@@ -303,23 +304,39 @@ class StateEdits(Update):
 @dataclass(frozen=True)
 class Opaque(Update):
     """Function-valued update carrier; algebraic operators reject it."""
+    repr = UpdateRepr.OPAQUE
     tag: str
 
 
 def update_repr(u: Update) -> UpdateRepr:
-    if isinstance(u, PostState):
-        return UpdateRepr.POST
-    if isinstance(u, BothStates):
-        return UpdateRepr.BOTH
-    if isinstance(u, DeltaUpdate):
-        return UpdateRepr.DELTA
-    if isinstance(u, Edits):
-        return UpdateRepr.EDITS
-    if isinstance(u, StateEdits):
-        return UpdateRepr.STATE_EDITS
-    if isinstance(u, Opaque):
-        return UpdateRepr.OPAQUE
+    if isinstance(u, Update):
+        return u.repr
     raise TypeError(f"not an update: {u!r}")
+
+
+class UpdateConstructor(NamedTuple):
+    """How one update representation builds the update from ``pre`` by a step:
+    the post-state it ends at, or, where ``edits`` is set, the edit sequence
+    it applies.  Where ``carries_pre`` is unset, ``pre`` is ignored."""
+
+    edits: bool
+    carries_pre: bool
+    build: Callable[[Value, Any], Update]
+
+    def null(self, value: Value) -> Update:
+        """The update from ``value`` to ``value``, or the empty edit sequence."""
+        return self.build(value, () if self.edits else value)
+
+
+UPDATE_CONSTRUCTORS: dict[UpdateRepr, UpdateConstructor] = {
+    UpdateRepr.POST: UpdateConstructor(False, False, lambda pre, post: PostState(post)),
+    UpdateRepr.BOTH: UpdateConstructor(False, True, BothStates),
+    UpdateRepr.DELTA: UpdateConstructor(
+        False, True, lambda pre, post: DeltaUpdate(pre, post, diff(pre, post))
+    ),
+    UpdateRepr.EDITS: UpdateConstructor(True, False, lambda pre, ops: Edits(ops)),
+    UpdateRepr.STATE_EDITS: UpdateConstructor(True, True, StateEdits),
+}
 
 
 def delta_of(u: Update) -> Value:
@@ -348,15 +365,10 @@ def identity_update(value: Value, repr: UpdateRepr) -> Update:
     Post-state-only updates carry no pre-state, so a null update cannot
     be distinguished there; same for opaque updates.
     """
-    if repr is UpdateRepr.BOTH:
-        return BothStates(value, value)
-    if repr is UpdateRepr.DELTA:
-        return DeltaUpdate(value, value, diff(value, value))
-    if repr is UpdateRepr.EDITS:
-        return Edits(())
-    if repr is UpdateRepr.STATE_EDITS:
-        return StateEdits(value, ())
-    raise NotExpressibleError(f"null update for representation {repr.value}")
+    constructor = UPDATE_CONSTRUCTORS.get(repr)
+    if constructor is None or not (constructor.edits or constructor.carries_pre):
+        raise NotExpressibleError(f"null update for representation {repr.value}")
+    return constructor.null(value)
 
 
 def compose_updates(second: Update, first: Update) -> Update:
@@ -374,16 +386,13 @@ def compose_updates(second: Update, first: Update) -> Update:
     if r1 is UpdateRepr.OPAQUE:
         raise NotExpressibleError("composition of opaque updates")
     if r1 is UpdateRepr.EDITS:
-        assert isinstance(first, Edits) and isinstance(second, Edits)
         return Edits(first.ops + second.ops)
     if rho_of(first) != delta_of(second):
         raise SeamMismatch("post-state of first update differs from pre-state of second")
     if r1 is UpdateRepr.BOTH:
         return BothStates(delta_of(first), rho_of(second))
     if r1 is UpdateRepr.DELTA:
-        assert isinstance(first, DeltaUpdate) and isinstance(second, DeltaUpdate)
         return DeltaUpdate(first.pre, second.post, compose_relations(second.same, first.same))
-    assert isinstance(first, StateEdits) and isinstance(second, StateEdits)
     return StateEdits(first.pre, first.ops + second.ops)
 
 
@@ -407,25 +416,29 @@ def invert_update(u: Update) -> Update:
 @dataclass(frozen=True)
 class Traceability:
     __slots__ = ()
+    repr: ClassVar[TraceRepr]
 
 
 @dataclass(frozen=True)
 class NoTrace(Traceability):
-    pass
+    repr = TraceRepr.NONE
 
 
 @dataclass(frozen=True)
 class StateTrace(Traceability):
+    repr = TraceRepr.STATE
     state: Value
 
 
 @dataclass(frozen=True)
 class ComplementTrace(Traceability):
+    repr = TraceRepr.COMPLEMENT
     payload: Value
 
 
 @dataclass(frozen=True)
 class DeltaTrace(Traceability):
+    repr = TraceRepr.DELTA
     src: Value
     tgt: Value
     same: SamenessRelation
@@ -440,14 +453,8 @@ NO_TRACE = NoTrace()
 
 
 def trace_repr(t: Traceability) -> TraceRepr:
-    if isinstance(t, NoTrace):
-        return TraceRepr.NONE
-    if isinstance(t, StateTrace):
-        return TraceRepr.STATE
-    if isinstance(t, ComplementTrace):
-        return TraceRepr.COMPLEMENT
-    if isinstance(t, DeltaTrace):
-        return TraceRepr.DELTA
+    if isinstance(t, Traceability):
+        return t.repr
     raise TypeError(f"not a traceability: {t!r}")
 
 

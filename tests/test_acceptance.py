@@ -138,7 +138,6 @@ def test_criterion_3_degeneracy_for_transformation_consistency(reports):
             assert report.kind("correctness", direction) == report.kind("invertibility", direction)
             assert report.kind("hippocraticness", direction) == report.kind("stability", direction)
             checked += 1
-        assert not any("degenerate" in err for err in report.meta_errors)
     assert checked >= 10  # five transformation-valued entries, two directions
     _passed(3, f"degeneracy verified on {checked} entry-directions")
 

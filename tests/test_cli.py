@@ -78,6 +78,18 @@ def test_apply_missing_flag_exit_one(capsys):
     assert code == EXIT_USAGE
 
 
+def test_apply_has_no_format_flag(capsys):
+    # apply prints the textual forms only; --format is for check, classify and report.
+    code, out, err = run_cli(
+        capsys,
+        "apply", "--bx", "fst-lens", "--dir", "from",
+        "--update", "state{post=9}", "--trace", "state{(2, 5)}", "--format", "text",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--format" in err
+
+
 def test_apply_repr_mismatch_exit_one(capsys):
     code, _, err = run_cli(
         capsys,

@@ -430,6 +430,32 @@ def test_meta_theorems_hold_across_catalog():
         assert report.meta_errors == (), (name, report.meta_errors)
 
 
+def _tiny_partial_lens():
+    """A = B = {0, 1}, get is constantly 1, and put is defined only on
+    (0, 0) and (1, 1), where it returns 1."""
+
+    def put(b, a):
+        if b == a:
+            return atom(1)
+        raise Undefined("put is defined only where the view equals the source")
+
+    return make_lens("tiny", lambda a: atom(1), put, atoms(0, 1), atoms(0, 1))
+
+
+def test_undoability_is_entailed_only_where_totality_holds():
+    # Backward, the lens keeps stability and history ignorance but fails
+    # undoability and totality: the entailment's premise does not hold.
+    report = run_suite(_tiny_partial_lens())
+    assert report.kind(STABILITY, "from") == Verdict.HOLDS
+    assert report.kind(HISTORY_IGNORANCE, "from") == Verdict.HOLDS
+    assert report.kind(UNDOABILITY, "from") == Verdict.FAILS
+    assert report.kind(TOTALITY, "from") == Verdict.FAILS
+    assert report.meta_errors == ()
+    # Without totality in the suite the entailment is not checked either.
+    partial = LawSuiteConfig(laws=(STABILITY, HISTORY_IGNORANCE, UNDOABILITY))
+    assert run_suite(_tiny_partial_lens(), partial).meta_errors == ()
+
+
 def test_an_empty_law_selection_is_refused():
     with pytest.raises(ValueError, match="selects no law"):
         LawSuiteConfig(laws=())
@@ -798,10 +824,9 @@ def test_an_exception_of_the_users_code_is_a_replayable_counterexample():
 
 
 def test_a_result_of_the_wrong_representation_ends_the_run():
-    # Bx.apply checks the representations of its inputs only.  Round-trip
-    # laws feed a result back as an input, and a result of the wrong
-    # representation then fails that check: a fault of the transformation's
-    # declaration, not a counterexample, so it propagates.
+    # Bx.apply checks the representations of its inputs and of its result.
+    # A result of the wrong representation is a fault of the
+    # transformation's declaration, not a counterexample, so it propagates.
     key = bx("key-maintainer")
 
     def to(update, trace):
@@ -811,6 +836,29 @@ def test_a_result_of_the_wrong_representation_ends_the_run():
     wrong = dataclasses.replace(key, name="wrong-result", to_fn=to)
     with pytest.raises(ReprMismatch, match="expected update representation"):
         check_invertibility(wrong, "to")
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+@pytest.mark.parametrize("wrong", ["not-an-update", "post-state"])
+def test_every_law_ends_the_run_on_a_result_of_the_wrong_representation(law, wrong):
+    # Every law is expressible on the trigonal system in both directions,
+    # so each makes a forward call and meets the bad result.
+    trigonal = bx("trigonal-key")
+
+    def to(update, trace):
+        u_out, t_out = trigonal.to_fn(update, trace)
+        return ("not-an-update" if wrong == "not-an-update" else PostState(u_out.post)), t_out
+
+    broken = dataclasses.replace(trigonal, name="wrong-result", to_fn=to)
+    with pytest.raises(ReprMismatch, match="expected update representation"):
+        run_suite(broken, LawSuiteConfig(laws=(law,)))
+
+
+def test_a_result_with_a_trace_of_the_wrong_representation_ends_the_run():
+    mapping = make_mapping("traced-mapping", lambda a: a, lambda b: b, atoms(0, 1), atoms(0, 1))
+    traced = dataclasses.replace(mapping, to_fn=lambda update, trace: (update, StateTrace(update.post)))
+    with pytest.raises(ReprMismatch, match="expected trace representation"):
+        check_totality(traced, "to")
 
 
 def test_a_blown_cap_still_ends_the_run():

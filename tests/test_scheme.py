@@ -42,7 +42,9 @@ from bxkit.scheme import (
     StateEdits,
     StateNotRepresented,
     StateTrace,
+    Traceability,
     TraceRepr,
+    Update,
     UpdateRepr,
     apply_op,
     apply_ops,
@@ -60,9 +62,12 @@ from bxkit.scheme import (
     rho_of,
     src_of,
     tgt_of,
+    trace_repr,
     update_repr,
 )
 from bxkit.verdict import Fails, Holds, Vacuous
+import bxkit.grammar
+import bxkit.scheme
 
 
 # -- projections ---------------------------------------------------------------
@@ -433,6 +438,36 @@ def test_preorder_total_reflexive_transitive_each_representation():
     _assert_total_preorder(default_preorder(UpdateRepr.EDITS), edit_updates)
     posts = [PostState(v) for v in enumerate_values(domain)]
     _assert_total_preorder(default_preorder(UpdateRepr.POST), posts)
+
+
+def test_representation_tables_cover_each_other():
+    # A representation is one class with its tag, one row of the
+    # constructor table (updates other than opaque ones) and one grammar form.
+    for base, reprs, read in ((Update, UpdateRepr, update_repr), (Traceability, TraceRepr, trace_repr)):
+        classes = [cls for cls in base.__subclasses__() if cls.__module__ == "bxkit.scheme"]
+        tags = [cls.repr for cls in classes]
+        assert len(set(tags)) == len(tags) == len(reprs), classes
+        assert set(tags) == set(reprs)
+        for cls in classes:
+            assert cls in bxkit.grammar._FORMS, cls
+        with pytest.raises(TypeError):
+            read(atom(1))
+    constructors = bxkit.scheme.UPDATE_CONSTRUCTORS
+    assert set(constructors) == set(UpdateRepr) - {UpdateRepr.OPAQUE}
+    pre, post = seq(atom(0)), seq(atom(0), atom(1))
+    for repr, constructor in constructors.items():
+        step = (Insert(1, atom(1)),) if constructor.edits else post
+        update = constructor.build(pre, step)
+        assert update_repr(update) is repr
+        assert update_repr(constructor.null(pre)) is repr
+        assert _post_of(update, pre) == post
+
+
+def _post_of(update, pre):
+    try:
+        return rho_of(update)
+    except StateNotRepresented:
+        return apply_ops(update.ops, pre)
 
 
 def test_update_repr_tags():

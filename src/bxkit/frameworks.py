@@ -61,6 +61,16 @@ class UnknownName(Exception):
     pass
 
 
+class BoundaryMismatch(ReprMismatch):
+    """``Bx.apply``'s own check found an input or a result of ``bx`` that is
+    not of the declared representations: a fault of ``bx``'s declaration.  A
+    ``ReprMismatch`` raised inside the user's transformation is not one."""
+
+    def __init__(self, message: str, bx: "Bx"):
+        super().__init__(message)
+        self.bx = bx
+
+
 Transform = Callable[[Update, Traceability], tuple[Update, Traceability]]
 Consistency = Callable[[Value, Value], bool]
 Aligner = Callable[[Value, Value], SamenessRelation]
@@ -108,7 +118,7 @@ class Bx:
     def apply(self, direction: str, update: Update, trace: Traceability) -> tuple[Update, Traceability]:
         """Run one direction.  The inputs and the result must be an update
         and a trace of the declared representations; anything else raises
-        ``ReprMismatch``.  The selection inlines the ``*_repr`` methods."""
+        ``BoundaryMismatch``.  The selection inlines the ``*_repr`` methods."""
         if direction == "to":
             fn, upd_in, trc_in, upd_out, trc_out = (
                 self.to_fn, self.upd_to, self.trace_from, self.upd_from, self.trace_to
@@ -120,7 +130,7 @@ class Bx:
         else:
             raise ValueError(f"direction must be 'to' or 'from', got {direction!r}")
         if update.repr is not upd_in or trace.repr is not trc_in:
-            raise _mismatch("input", (update, trace), upd_in, trc_in)
+            raise _mismatch(self, "input", (update, trace), upd_in, trc_in)
         result = fn(update, trace)
         try:
             u_out, t_out = result
@@ -128,7 +138,7 @@ class Bx:
         except (AttributeError, TypeError, ValueError):
             declared = False
         if not declared:
-            raise _mismatch("result", result, upd_out, trc_out)
+            raise _mismatch(self, "result", result, upd_out, trc_out)
         return result
 
     def input_update_repr(self, direction: str) -> UpdateRepr:
@@ -153,16 +163,16 @@ class Bx:
         return diff(a, b)
 
 
-def _mismatch(role: str, pair, upd: UpdateRepr, trc: TraceRepr) -> ReprMismatch:
-    """The error for a call whose ``role``, its inputs or its result, is
-    not a pair of an update of representation ``upd`` and a trace of ``trc``."""
+def _mismatch(bx: Bx, role: str, pair, upd: UpdateRepr, trc: TraceRepr) -> BoundaryMismatch:
+    """The error for a call of ``bx`` whose ``role``, its inputs or its result,
+    is not a pair of an update of representation ``upd`` and a trace of ``trc``."""
     update, trace = pair if isinstance(pair, tuple) and len(pair) == 2 else (pair, None)
     if getattr(update, "repr", None) is not upd:
-        return ReprMismatch(
-            f"{role}: expected update representation {upd.value}, got {type(update).__name__}"
+        return BoundaryMismatch(
+            f"{role}: expected update representation {upd.value}, got {type(update).__name__}", bx
         )
-    return ReprMismatch(
-        f"{role}: expected trace representation {trc.value}, got {type(trace).__name__}"
+    return BoundaryMismatch(
+        f"{role}: expected trace representation {trc.value}, got {type(trace).__name__}", bx
     )
 
 

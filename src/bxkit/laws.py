@@ -11,7 +11,13 @@ vacuity rather than success.
 
 Each call of ``run_suite``, ``audit_incidence`` or a lone ``check_*``
 is one run: its checks share the consistent cases, input updates and
-partner rows, built on first use and dropped with the call.
+partner rows, built on first use and dropped with the call.  Two law
+bodies keep shorter-lived memos of their own.  History ignorance keeps
+its second results per check, keyed by the moved input state and the
+reversed trace, and, for state-based updates, its combined results per
+anchor, keyed by the composite update.  Least update keeps, per check,
+the (output base, input post-state, result update) triples whose scan
+of the alternatives passed.
 
 A law is a body ``(check, bx, direction)`` holding only its quantifier
 loop: it calls the transformation, counts cases and fails through its
@@ -53,7 +59,6 @@ from .scheme import (
     Edits,
     NO_TRACE,
     PostState,
-    ReprMismatch,
     SchemeError,
     StateNotRepresented,
     StateTrace,
@@ -72,7 +77,7 @@ from .scheme import (
     rho_of,
     LESS_OR_EQUAL,
 )
-from .frameworks import Bx, Undefined
+from .frameworks import BoundaryMismatch, Bx, Undefined
 from .grammar import render_trace, render_update, render_value
 from .verdict import Counterexample, Fails, Holds, NotExpressible, Vacuous, Verdict, WeaklyHolds
 
@@ -171,6 +176,9 @@ class Case:
 
 
 FREE_CASE = Case(None, None, None)
+
+# What a law body's memo returns for a key it has not met yet.
+_UNSEEN = object()
 
 
 def consistent_cases(bx: Bx, direction: str, cap: int = ENUMERATION_CAP) -> tuple[Case, ...]:
@@ -406,15 +414,20 @@ class _Check:
         undefined.  Another exception of the user's code is a counterexample,
         as in QuickCheck.  A blown enumeration cap ends the run, and so does
         a call whose input or result is not of the declared representations,
-        which ``Bx.apply`` reports: that is a fault of the transformation's
-        declaration, not a counterexample to the law."""
+        which the checked ``Bx.apply`` reports as ``BoundaryMismatch``: that is
+        a fault of the transformation's declaration, not a counterexample to
+        the law.  A ``ReprMismatch`` from inside the transformation, the
+        boundary check of another ``Bx`` it calls included, is a counterexample."""
+        bx = self.run.bx
         try:
-            return self.run.bx.apply(direction, update, trace)
+            return bx.apply(direction, update, trace)
         except Undefined:
             return None
-        except (CapExceeded, ReprMismatch):
+        except CapExceeded:
             raise
         except Exception as exc:
+            if isinstance(exc, BoundaryMismatch) and exc.bx is bx:
+                raise
             self.fail(
                 update, trace,
                 observed=f"raised {exc!r}",
@@ -671,7 +684,18 @@ def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
     # result that cannot be hashed leaves its first update to plain calls.
     groups: dict[tuple[Value | None, Traceability], list] = {}
     canon: dict = {}
-    for _, trace_in, u1, in_base, out_base, _ in check.anchored_inputs():
+    # On one anchor the combined call depends only on the composite, since
+    # the input trace is fixed there.  State-based composites repeat across
+    # first updates, so their results are kept until the next anchor starts.
+    # Edit composites are nearly all distinct and slow to hash, so they are
+    # called plainly.
+    state_based = not UPDATE_CONSTRUCTORS[bx.input_update_repr(direction)].edits
+    combined_at: dict[Update, tuple[Update, Traceability] | None] = {}
+    anchor = None
+    for case, trace_in, u1, in_base, out_base, _ in check.anchored_inputs():
+        if case is not anchor:
+            anchor = case
+            combined_at.clear()
         first = check.call(direction, u1, trace_in)
         if first is None:
             continue
@@ -703,7 +727,12 @@ def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
                 expected_u = compose_updates(out2, out1)
             except SchemeError:
                 continue
-            combined = check.call(direction, u12, trace_in)
+            if not state_based:
+                combined = check.call(direction, u12, trace_in)
+            else:
+                combined = combined_at.get(u12, _UNSEEN)
+                if combined is _UNSEEN:
+                    combined = combined_at[u12] = check.call(direction, u12, trace_in)
             if combined is None:
                 continue
             check.compare(
@@ -805,6 +834,11 @@ def check_least_update(check: _Check, bx: Bx, direction: str) -> None:
             return anchored_order.compare(lifted_result, lifted_alt) == LESS_OR_EQUAL
         return plain_order.compare(u_result, u_alt) == LESS_OR_EQUAL
 
+    # The scan below reads only the output base, the input's post-state and
+    # the result update, so a triple that passed once passes again.  A
+    # failing triple ends the check; one that cannot be hashed is scanned
+    # each time.
+    passed: set[tuple[Value | None, Value, Update]] = set()
     for _, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
         result = check.call(direction, u_in, trace_in)
         if result is None:
@@ -812,6 +846,13 @@ def check_least_update(check: _Check, bx: Bx, direction: str) -> None:
         post_in = _post(u_in, in_base)
         if post_in is None:
             continue
+        triple = (out_base, post_in, result[0])
+        try:
+            if triple in passed:
+                check.checked += 1
+                continue
+        except TypeError:
+            triple = None
         # The alternatives are the opposite direction's input updates, over the row's domain.
         partners = check.run.partners(direction, post_in)
         for alt in check.run.updates(_other(direction), out_base):
@@ -822,6 +863,8 @@ def check_least_update(check: _Check, bx: Bx, direction: str) -> None:
                     expected=f"an update no larger than {render_update(alt)}",
                     detail="a strictly smaller consistency-restoring update exists",
                 )
+        if triple is not None:
+            passed.add(triple)
         check.checked += 1
 
 

@@ -9,25 +9,40 @@ same verdict kind on every applicable catalog entry.  A disagreement
 here means the harness's trace realization or expressibility logic
 drifted from the concrete semantics.
 
-History ignorance also keeps its plain triple loop here, as the
-reference for the checker that reuses second results.
+History ignorance and least update also keep their plain loops here,
+as the references for the checkers that reuse second results, combined
+results and passed scans.
 """
 import dataclasses
 
 import pytest
 
 import bxkit.laws
-from bxkit.values import Seq, enumerate_values
-from bxkit.scheme import ComplementTrace, NoTrace, PostState, SchemeError, StateTrace, compose_updates
-from bxkit.frameworks import Undefined
+from bxkit.values import Seq, atom, atoms, enumerate_values, seqs_of
+from bxkit.scheme import (
+    LESS_OR_EQUAL,
+    BothStates,
+    ComplementTrace,
+    NoTrace,
+    PostState,
+    SchemeError,
+    StateTrace,
+    UpdateRepr,
+    compose_updates,
+    default_preorder,
+)
+from bxkit.frameworks import Undefined, make_maintainer
+from bxkit.grammar import render_update
 from bxkit.catalog import catalog, catalog_entries, catalog_names
 from bxkit.laws import (
     HISTORY_IGNORANCE,
+    LEAST_UPDATE,
     LawSuiteConfig,
     check_correctness,
     check_hippocraticness,
     check_history_ignorance,
     check_invertibility,
+    check_least_update,
     check_stability,
     check_undoability,
 )
@@ -378,17 +393,18 @@ def _loose_complements(on_null_only):
     return dataclasses.replace(lens, name="loose-edit-lens", to_fn=to)
 
 
-def _assert_matches_plain_loop(monkeypatch, bx, direction, config=None):
-    grouped = check_history_ignorance(bx, direction, config)
-    _, reason = bxkit.laws._BODIES[HISTORY_IGNORANCE]
+def _assert_matches_plain_loop(monkeypatch, bx, direction, config=None, law=HISTORY_IGNORANCE):
+    checker, plain_body = _PLAIN_LOOPS[law]
+    reusing = checker(bx, direction, config)
+    _, reason = bxkit.laws._BODIES[law]
     with monkeypatch.context() as patched:
-        patched.setitem(bxkit.laws._BODIES, HISTORY_IGNORANCE, (_plain_history_ignorance, reason))
-        plain = check_history_ignorance(bx, direction, config)
-    assert grouped.kind == plain.kind
+        patched.setitem(bxkit.laws._BODIES, law, (plain_body, reason))
+        plain = checker(bx, direction, config)
+    assert reusing.kind == plain.kind
     if plain.kind == Verdict.FAILS:
-        assert dataclasses.asdict(grouped.counterexample) == dataclasses.asdict(plain.counterexample)
-    assert grouped == plain
-    return grouped
+        assert dataclasses.asdict(reusing.counterexample) == dataclasses.asdict(plain.counterexample)
+    assert reusing == plain
+    return reusing
 
 
 @pytest.mark.parametrize("direction", ["to", "from"])
@@ -414,3 +430,89 @@ def test_history_ignorance_matches_the_plain_loop_on_unhashable_traces(monkeypat
     # group with a hashable trace meets an unhashable second result.
     verdict = _assert_matches_plain_loop(monkeypatch, _loose_complements(on_null_only), "to")
     assert verdict.kind == (Verdict.FAILS if on_null_only else Verdict.HOLDS)
+
+
+# -- least update: the plain scan of every input -----------------------------------------
+
+
+def _plain_least_update(check, bx, direction):
+    """The checker's body without reuse: every defined input scans all its
+    consistency-restoring alternatives."""
+    post = bxkit.laws._post
+    repr_out = bx.output_update_repr(direction)
+    for _, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
+        result = check.call(direction, u_in, trace_in)
+        if result is None:
+            continue
+        post_in = post(u_in, in_base)
+        if post_in is None:
+            continue
+        partners = check.run.partners(direction, post_in)
+        for alt in check.run.updates(bxkit.laws._other(direction), out_base):
+            if post(alt, out_base) not in partners:
+                continue
+            if bx.preorder is None and repr_out is UpdateRepr.POST and out_base is not None:
+                order = default_preorder(UpdateRepr.BOTH)
+                smaller = order.compare(
+                    BothStates(out_base, post(result[0], out_base)), BothStates(out_base, post(alt, out_base))
+                )
+            else:
+                smaller = (bx.preorder or default_preorder(repr_out)).compare(result[0], alt)
+            if smaller != LESS_OR_EQUAL:
+                check.fail(
+                    u_in, trace_in,
+                    observed=bxkit.laws._render_result(result),
+                    expected=f"an update no larger than {render_update(alt)}",
+                    detail="a strictly smaller consistency-restoring update exists",
+                )
+        check.checked += 1
+
+
+_PLAIN_LOOPS = {
+    HISTORY_IGNORANCE: (check_history_ignorance, _plain_history_ignorance),
+    LEAST_UPDATE: (check_least_update, _plain_least_update),
+}
+
+
+@pytest.mark.parametrize("direction", ["to", "from"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_least_update_matches_the_plain_scan(monkeypatch, name, direction):
+    _assert_matches_plain_loop(monkeypatch, catalog(name).bx, direction, law=LEAST_UPDATE)
+
+
+@pytest.mark.parametrize(
+    "name, direction",
+    [("constant-maintainer", "to"), ("constant-maintainer", "from"), ("stale-maintainer", "from")],
+)
+def test_least_update_matches_the_plain_scan_where_it_fails(monkeypatch, name, direction):
+    verdict = _assert_matches_plain_loop(monkeypatch, catalog(name).bx, direction, law=LEAST_UPDATE)
+    assert verdict.kind == Verdict.FAILS
+
+
+def _loose_resizer(trim):
+    """A maintainer of sequences at least as long as a count, whose backward
+    repair pads the old sequence to the count and, when ``trim``, cuts it to
+    the count.  Under the attached post-size order only the trimmed repair is
+    least.  Repairs to an even count are unhashable."""
+
+    def repair_a(b_post, a_pre):
+        count = b_post.value
+        elements = a_pre.elements + (atom(0),) * count
+        kept = elements[:count] if trim else elements[: max(count, len(a_pre.elements))]
+        return (_Loose if count % 2 == 0 else Seq)(kept)
+
+    resizer = make_maintainer(
+        "loose-resizer",
+        lambda a, b: len(a.elements) >= b.value,
+        lambda a_post, b_pre: b_pre,
+        repair_a,
+        seqs_of(atoms(0, 1), 2),
+        atoms(0, 1, 2),
+    )
+    return dataclasses.replace(resizer, preorder=default_preorder(UpdateRepr.POST))
+
+
+@pytest.mark.parametrize("trim", [True, False])
+def test_least_update_matches_the_plain_scan_on_unhashable_results(monkeypatch, trim):
+    verdict = _assert_matches_plain_loop(monkeypatch, _loose_resizer(trim), "from", law=LEAST_UPDATE)
+    assert verdict.kind == (Verdict.HOLDS if trim else Verdict.FAILS)

@@ -1,6 +1,7 @@
 """Law checkers: per-framework verdicts, counterexamples, weak variants,
 vacuity accounting, determinism, and the entailment meta-theorems."""
 import dataclasses
+import gc
 import hashlib
 import inspect
 import logging
@@ -12,6 +13,7 @@ from bxkit.values import CapExceeded, Seq, atom, atoms, enumerate_values, pair, 
 from bxkit.scheme import (
     BothStates,
     ComplementTrace,
+    NO_TRACE,
     PostState,
     ReprMismatch,
     StateEdits,
@@ -19,6 +21,7 @@ from bxkit.scheme import (
     TraceRepr,
     UpdateRepr,
     apply_ops,
+    compose_updates,
 )
 from bxkit.frameworks import Bx, Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
 from bxkit.grammar import parse_trace, parse_update, render_value
@@ -37,6 +40,7 @@ from bxkit.laws import (
     STABILITY,
     TOTALITY,
     UNDOABILITY,
+    FREE_CASE,
     LawSuiteConfig,
     audit_incidence,
     check_convergence,
@@ -663,12 +667,28 @@ def test_history_ignorance_calls_each_second_input_once():
     # A plain triple loop makes 4,195 (to) and 1,011 (from) calls on 1,339
     # and 225 distinct inputs; reusing second results within the check
     # leaves the first and combined calls and one call per second input.
+    # Edit composites are called plainly: keeping their results per anchor
+    # would leave 2,219 and 515 calls here, but made the depth-2 benchmark
+    # check slower and larger in every measured run.
     edit_lens = bx("list-edit-lens")
-    for direction, bound in (("to", 2399), ("from", 587)):
+    for direction, count in (("to", 2399), ("from", 587)):
         calls = []
         verdict = check_history_ignorance(_counting_calls(edit_lens, calls), direction)
         assert verdict.kind == Verdict.HOLDS
-        assert len(calls) <= bound, direction
+        assert len(calls) == count, direction
+
+
+def test_history_ignorance_calls_each_state_based_composite_once_per_anchor():
+    # 32 first calls, 32 second calls and 128 combined calls per direction
+    # without kept combined results.  A post-state composite names only its
+    # last post-state, so on each of the 8 anchors the 16 combined calls
+    # cover 4 distinct composites, and 32 combined calls remain.
+    key = bx("key-maintainer")
+    for direction in DIRECTIONS:
+        calls = []
+        verdict = check_history_ignorance(_counting_calls(key, calls), direction)
+        assert verdict == Holds(128)
+        assert len(calls) == 96, direction
 
 
 def test_history_ignorance_survives_an_unhashable_complement():
@@ -785,6 +805,54 @@ def test_a_run_keeps_no_both_states_updates_per_pre_state():
     assert _totality_peak(100) < 2.5 * _totality_peak(50)
 
 
+def _history_ignorance_peak(size):
+    """Traced peak of ``check_history_ignorance`` on a ``size``-atom
+    trigonal that relates every state to one state and repairs to it."""
+    values = atoms(*range(size))
+    zero = enumerate_values(values)[0]
+    fixed = make_trigonal(
+        "fixed", lambda a, b: b == zero, lambda u, b: zero, lambda u, a: zero, values, values
+    )
+    consistent_cases(fixed, "to")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verdict = check_history_ignorance(fixed, "to")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == Holds(size ** 3)
+    return peak
+
+
+def test_history_ignorance_keeps_combined_results_for_one_anchor():
+    # Each of the |A| anchors has |A| distinct both-states composites, so
+    # keeping their combined results for one anchor holds |A| entries, and
+    # keeping them for the whole check |A| x |A|.  Going from 24 to 36
+    # atoms multiplies the peak by about 1.5 in the first case and by
+    # about 2.25 in the second.
+    assert _history_ignorance_peak(36) < 1.9 * _history_ignorance_peak(24)
+
+
+def test_without_traces_both_states_updates_have_no_anchor():
+    # A transformation without traces is checked on one anchor with no
+    # pre-state, from which no both-states update starts: its combined
+    # results cannot pile up across anchors because there are none.
+    values = atoms(*range(4))
+    identity = make_trigonal(
+        "identity", lambda a, b: a == b, lambda u, b: u[1], lambda u, a: u[1], values, values
+    )
+
+    def echo(update, trace):
+        return BothStates(update.pre, update.post), NO_TRACE
+
+    untraced = dataclasses.replace(
+        identity, trace_to=TraceRepr.NONE, trace_from=TraceRepr.NONE, to_fn=echo, from_fn=echo
+    )
+    assert consistent_cases(untraced, "to") == (FREE_CASE,)
+    assert check_history_ignorance(untraced, "to") == Vacuous("no chained premise is defined")
+
+
 # -- exceptions of the user's code ----------------------------------------------------
 
 def _raising_maintainer():
@@ -821,6 +889,43 @@ def test_an_exception_of_the_users_code_is_a_replayable_counterexample():
         trace = parse_trace(counterexample.trace)
         with pytest.raises(KeyError):
             raising.apply("from", update, trace)
+
+
+def test_a_repr_mismatch_inside_the_users_code_is_a_replayable_counterexample():
+    # Only Bx.apply's own check of inputs and results ends the run.  The same
+    # error raised by the transformation's code is a bug in that code.
+    trigonal = bx("trigonal-key")
+
+    def to(update, trace):
+        compose_updates(PostState(update.post), update)
+        return trigonal.to_fn(update, trace)
+
+    composing = dataclasses.replace(trigonal, name="composing-trigonal", to_fn=to)
+    totality = check_totality(composing, "to")
+    assert isinstance(totality, Fails)
+    counterexample = totality.counterexample
+    assert counterexample.observed.startswith("raised ReprMismatch('cannot compose")
+    with pytest.raises(ReprMismatch, match="cannot compose"):
+        composing.apply("to", parse_update(counterexample.update), parse_trace(counterexample.trace))
+
+
+def test_a_boundary_check_of_another_bx_inside_the_users_code_is_a_counterexample():
+    # A transformation that calls another Bx, as a composed lens would, and
+    # meets that Bx's boundary check has a bug in its own code; only the
+    # checked Bx's boundary check ends the run.
+    trigonal = bx("trigonal-key")
+    key = bx("key-maintainer")
+
+    def to(update, trace):
+        key.apply("to", update, trace)
+        return trigonal.to_fn(update, trace)
+
+    composing = dataclasses.replace(trigonal, name="calling-trigonal", to_fn=to)
+    totality = check_totality(composing, "to")
+    assert isinstance(totality, Fails)
+    assert totality.counterexample.observed.startswith(
+        "raised BoundaryMismatch('input: expected update representation"
+    )
 
 
 def test_a_result_of_the_wrong_representation_ends_the_run():

@@ -397,6 +397,29 @@ def _replay(
     return replay, consistency
 
 
+def _complement_check(complement_domain: DomainDescriptor) -> Callable[[Value], None]:
+    """The membership check of a lens's complements in ``complement_domain``.
+
+    Complements found inside are remembered, so each is checked once per
+    lens; the memo holds at most the domain's values.  A complement that
+    cannot be hashed is checked on every call.
+    """
+    inside: set[Value] = set()
+
+    def check(payload: Value) -> None:
+        try:
+            if payload in inside:
+                return
+            hashable = True
+        except TypeError:
+            hashable = False
+        _require(contains(complement_domain, payload), "complement outside its domain")
+        if hashable:
+            inside.add(payload)
+
+    return check
+
+
 def make_symmetric_lens(
     name: str,
     to_fn: Callable[[Value, Value], tuple[Value, Value]],
@@ -428,14 +451,15 @@ def make_symmetric_lens(
             yield a1, b1, c1
 
     replay, consistency = _replay(seeds, successors)
+    check_complement = _complement_check(complement_domain)
 
     def to(update: PostState, trace: ComplementTrace) -> tuple[Update, Traceability]:
-        _require(contains(complement_domain, trace.payload), "complement outside its domain")
+        check_complement(trace.payload)
         b1, c1 = to_fn(update.post, trace.payload)
         return PostState(b1), ComplementTrace(c1)
 
     def from_(update: PostState, trace: ComplementTrace) -> tuple[Update, Traceability]:
-        _require(contains(complement_domain, trace.payload), "complement outside its domain")
+        check_complement(trace.payload)
         a1, c1 = from_fn(update.post, trace.payload)
         return PostState(a1), ComplementTrace(c1)
 
@@ -490,14 +514,15 @@ def make_edit_lens(
             yield a1, b1, c1
 
     replay, consistency = _replay(seeds, successors)
+    check_complement = _complement_check(complement_domain)
 
     def to(update: Edits, trace: ComplementTrace) -> tuple[Update, Traceability]:
-        _require(contains(complement_domain, trace.payload), "complement outside its domain")
+        check_complement(trace.payload)
         ops_b, c1 = translate_to(update.ops, trace.payload)
         return Edits(ops_b), ComplementTrace(c1)
 
     def from_(update: Edits, trace: ComplementTrace) -> tuple[Update, Traceability]:
-        _require(contains(complement_domain, trace.payload), "complement outside its domain")
+        check_complement(trace.payload)
         ops_a, c1 = translate_from(update.ops, trace.payload)
         return Edits(ops_a), ComplementTrace(c1)
 

@@ -279,13 +279,14 @@ class _Run:
     def _enumerate(self, repr: UpdateRepr, domain, pre: Value | None) -> tuple[Update, ...]:
         """Every update from ``pre`` that ends in ``domain``, or that applies
         at most ``edit_ops_per_update`` edits; none for opaque updates."""
-        values = enumerate_values(domain, self.config.value_cap)
         constructor = UPDATE_CONSTRUCTORS.get(repr)
         if constructor is None or (pre is None and (constructor.edits or constructor.carries_pre)):
             return ()
         if constructor.edits:
-            values = enumerate_op_sequences(pre, domain, self.config.edit_ops_per_update)
-        return tuple(constructor.build(pre, step) for step in values)
+            steps = enumerate_op_sequences(pre, domain, self.config.edit_ops_per_update)
+        else:
+            steps = enumerate_values(domain, self.config.value_cap)
+        return tuple(constructor.build(pre, step) for step in steps)
 
     def partners(self, direction: str, state: Value) -> dict[Value, None]:
         """The partner row of the input-side ``state``, scanned once per run."""

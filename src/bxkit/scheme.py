@@ -33,6 +33,7 @@ from .values import (
     compose_relations,
     diff,
     enumerate_values,
+    hash_once,
     path_valid,
 )
 from .verdict import Counterexample, Fails, Holds, Vacuous, Verdict
@@ -107,18 +108,21 @@ class EditOp:
     __slots__ = ()
 
 
+@hash_once
 @dataclass(frozen=True)
 class Insert(EditOp):
     index: int
     element: Value
 
 
+@hash_once
 @dataclass(frozen=True)
 class Delete(EditOp):
     index: int
     removed: Value
 
 
+@hash_once
 @dataclass(frozen=True)
 class ReplaceAt(EditOp):
     index: int
@@ -126,6 +130,7 @@ class ReplaceAt(EditOp):
     new: Value
 
 
+@hash_once
 @dataclass(frozen=True)
 class SetField(EditOp):
     name: str
@@ -133,6 +138,7 @@ class SetField(EditOp):
     new: Value
 
 
+@hash_once
 @dataclass(frozen=True)
 class ReplaceRoot(EditOp):
     old: Value
@@ -253,12 +259,14 @@ class Update:
     repr: ClassVar[UpdateRepr]
 
 
+@hash_once
 @dataclass(frozen=True)
 class PostState(Update):
     repr = UpdateRepr.POST
     post: Value
 
 
+@hash_once
 @dataclass(frozen=True)
 class BothStates(Update):
     repr = UpdateRepr.BOTH
@@ -266,6 +274,7 @@ class BothStates(Update):
     post: Value
 
 
+@hash_once
 @dataclass(frozen=True)
 class DeltaUpdate(Update):
     repr = UpdateRepr.DELTA
@@ -279,6 +288,7 @@ class DeltaUpdate(Update):
                 raise ValueError("delta links must address valid paths of pre/post")
 
 
+@hash_once
 @dataclass(frozen=True)
 class Edits(Update):
     repr = UpdateRepr.EDITS
@@ -288,6 +298,7 @@ class Edits(Update):
         object.__setattr__(self, "ops", tuple(ops))
 
 
+@hash_once
 @dataclass(frozen=True)
 class StateEdits(Update):
     repr = UpdateRepr.STATE_EDITS
@@ -301,6 +312,7 @@ class StateEdits(Update):
         object.__setattr__(self, "ops", ops)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Opaque(Update):
     """Function-valued update carrier; algebraic operators reject it."""
@@ -378,7 +390,7 @@ def compose_updates(second: Update, first: Update) -> Update:
     the second's.  For post-state-only updates the composite is just the
     second update; edit sequences concatenate.
     """
-    r1, r2 = update_repr(first), update_repr(second)
+    r1, r2 = first.repr, second.repr
     if r1 is not r2:
         raise ReprMismatch(f"cannot compose {r1.value} with {r2.value}")
     if r1 is UpdateRepr.POST:
@@ -419,23 +431,27 @@ class Traceability:
     repr: ClassVar[TraceRepr]
 
 
+@hash_once
 @dataclass(frozen=True)
 class NoTrace(Traceability):
     repr = TraceRepr.NONE
 
 
+@hash_once
 @dataclass(frozen=True)
 class StateTrace(Traceability):
     repr = TraceRepr.STATE
     state: Value
 
 
+@hash_once
 @dataclass(frozen=True)
 class ComplementTrace(Traceability):
     repr = TraceRepr.COMPLEMENT
     payload: Value
 
 
+@hash_once
 @dataclass(frozen=True)
 class DeltaTrace(Traceability):
     repr = TraceRepr.DELTA

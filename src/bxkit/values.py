@@ -7,6 +7,11 @@ universes of values with computable cardinality and a deterministic
 enumeration order, which is what makes bounded-exhaustive law checking
 reproducible.  ``diff`` is the alignment oracle: given two values it
 returns a partial bijection between paths of equal components.
+
+Values, and the edits, updates and traces of ``scheme.py`` built from
+them, are keyed into dicts and sets at every step of a law check, so
+each keeps its field hash after the first use (``hash_once``); equality
+and the hash value are those of the plain frozen dataclass.
 """
 from __future__ import annotations
 
@@ -43,28 +48,62 @@ class InvalidPath(Exception):
 # Values
 # ---------------------------------------------------------------------------
 
+_HASH = "_hash"
+
+
+def hash_once(cls):
+    """Make the frozen dataclass ``cls`` keep its field hash after the first use.
+
+    The hash is the one the dataclass generates, stored in the instance's
+    ``__dict__``; it is left out of pickled state, since a string's hash
+    differs between processes.  A subclass that sets ``__hash__ = None``
+    stays unhashable.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        state = self.__dict__
+        cached = state.get(_HASH)
+        if cached is None:
+            cached = state[_HASH] = field_hash(self)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop(_HASH, None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 @dataclass(frozen=True)
 class Value:
     """Base class for value constructors; all instances are immutable."""
     __slots__ = ()
 
 
+@hash_once
 @dataclass(frozen=True)
 class AtomInt(Value):
     value: int
 
 
+@hash_once
 @dataclass(frozen=True)
 class AtomStr(Value):
     value: str
 
 
+@hash_once
 @dataclass(frozen=True)
 class Pair(Value):
     left: Value
     right: Value
 
 
+@hash_once
 @dataclass(frozen=True)
 class Seq(Value):
     elements: tuple[Value, ...]
@@ -73,6 +112,7 @@ class Seq(Value):
         object.__setattr__(self, "elements", tuple(elements))
 
 
+@hash_once
 @dataclass(frozen=True)
 class Rec(Value):
     """Record with a finite field map; fields are kept sorted by name."""
@@ -92,12 +132,20 @@ class Rec(Value):
         raise KeyError(name)
 
     def has(self, name: str) -> bool:
-        return any(field_name == name for field_name, _ in self.fields)
+        for field_name, _ in self.fields:
+            if field_name == name:
+                return True
+        return False
 
     def set(self, name: str, value: Value) -> "Rec":
-        if not self.has(name):
-            raise KeyError(name)
-        return Rec(dict(self.fields) | {name: value})
+        """This record with field ``name`` replaced; the fields stay sorted."""
+        fields = self.fields
+        for i, (field_name, _) in enumerate(fields):
+            if field_name == name:
+                updated = object.__new__(Rec)
+                object.__setattr__(updated, "fields", fields[:i] + ((name, value),) + fields[i + 1:])
+                return updated
+        raise KeyError(name)
 
 
 def atom(x: int | str) -> Value:
@@ -521,16 +569,7 @@ def _lcs_matches(xs: tuple[Value, ...], ys: tuple[Value, ...]) -> list[tuple[int
 
 
 @lru_cache(maxsize=2 ** 14)  # bounded; the widest benchmark workload keeps 4,608
-def diff(pre: Value, post: Value) -> SamenessRelation:
-    """Align two values and link the paths of components that are equal.
-
-    Alignment rules: pairs align positionally, records by field name,
-    sequences by a longest common subsequence of equal elements with ties
-    broken leftmost.  A composite node is linked only when it is equal to
-    its partner, and a linked equal subtree links all descendant paths.
-    The result is the canonical sameness relation used to build delta
-    updates from state pairs.
-    """
+def _align(pre: Value, post: Value) -> SamenessRelation:
     links: list[tuple[Path, Path]] = []
 
     def link_subtree(p: Path, q: Path, v: Value) -> None:
@@ -554,3 +593,23 @@ def diff(pre: Value, post: Value) -> SamenessRelation:
 
     walk(ROOT, ROOT, pre, post)
     return SamenessRelation(links)
+
+
+def diff(pre: Value, post: Value) -> SamenessRelation:
+    """Align two values and link the paths of components that are equal.
+
+    Alignment rules: pairs align positionally, records by field name,
+    sequences by a longest common subsequence of equal elements with ties
+    broken leftmost.  A composite node is linked only when it is equal to
+    its partner, and a linked equal subtree links all descendant paths.
+    The result is the canonical sameness relation used to build delta
+    updates from state pairs.  Results are kept in a bounded cache; a pair
+    with a value that cannot be hashed is aligned on every call.
+    """
+    try:
+        return _align(pre, post)
+    except TypeError:
+        return _align.__wrapped__(pre, post)
+
+
+diff.cache_info = _align.cache_info

@@ -516,3 +516,15 @@ def _loose_resizer(trim):
 def test_least_update_matches_the_plain_scan_on_unhashable_results(monkeypatch, trim):
     verdict = _assert_matches_plain_loop(monkeypatch, _loose_resizer(trim), "from", law=LEAST_UPDATE)
     assert verdict.kind == (Verdict.HOLDS if trim else Verdict.FAILS)
+
+
+@pytest.mark.parametrize("trim", [True, False])
+def test_least_update_compares_unhashable_results_by_changed_paths(monkeypatch, trim):
+    # Without an attached order, post-state results are lifted to both-state
+    # updates and compared by their changed paths, which align them with
+    # ``diff``; an unhashable post-state is aligned without its cache.  The
+    # unhashable empty repair is not equal to the empty sequence, so it
+    # changes the root where the alternative changes nothing.
+    resizer = dataclasses.replace(_loose_resizer(trim), preorder=None)
+    verdict = _assert_matches_plain_loop(monkeypatch, resizer, "from", law=LEAST_UPDATE)
+    assert verdict.kind == Verdict.FAILS

@@ -1,11 +1,14 @@
 """Framework adapters: interface conformance, partiality, trace synthesis."""
 import pytest
 
+import bxkit.frameworks
+
 from bxkit.values import (
     GoField,
     SamenessRelation,
     atom,
     atoms,
+    contains,
     diff,
     enumerate_values,
     pair,
@@ -30,8 +33,8 @@ from bxkit.scheme import (
     TraceRepr,
     UpdateRepr,
 )
-from bxkit.frameworks import Undefined, UnknownName, make_maintainer
-from bxkit.catalog import catalog, catalog_entries, catalog_names
+from bxkit.frameworks import Undefined, UnknownName, make_maintainer, make_symmetric_lens
+from bxkit.catalog import build_list_edit_lens, catalog, catalog_entries, catalog_names
 from bxkit.laws import LawSuiteConfig, audit_incidence
 from bxkit.verdict import Fails
 
@@ -213,6 +216,39 @@ def test_maintainer_rejects_untestifying_trace():
             _reason(lambda: bx.to(PostState(rec(k=atom(1))), StateTrace(rec(k=atom(3)))))
             == "trace does not testify the consistency relation"
         )
+
+
+def _identity_symmetric_lens():
+    bit = atoms(0, 1)
+    zero = atom(0)
+    return make_symmetric_lens(
+        "identity-sync", lambda a, c: (a, c), lambda b, c: (b, c), bit, bit, bit, ((zero, zero, zero),)
+    )
+
+
+@pytest.mark.parametrize(
+    "build, update, inside, outside",
+    [
+        (_identity_symmetric_lens, PostState(atom(1)), atom(1), atom(2)),
+        (build_list_edit_lens, Edits(()), seq(atom(1)), seq(atom(2))),
+    ],
+    ids=["symmetric-lens", "edit-lens"],
+)
+def test_complement_lenses_check_each_complement_once(monkeypatch, build, update, inside, outside):
+    checked = []
+
+    def counted(domain, value):
+        checked.append(value)
+        return contains(domain, value)
+
+    monkeypatch.setattr(bxkit.frameworks, "contains", counted)
+    bx = build()
+    for call in (bx.to, bx.from_, bx.to):
+        assert call(update, ComplementTrace(inside))[1] == ComplementTrace(inside)
+    # A complement outside the domain is never remembered, so it stays outside.
+    for _ in range(2):
+        assert _reason(lambda: bx.to(update, ComplementTrace(outside))) == "complement outside its domain"
+    assert checked == [inside, outside, outside]
 
 
 def test_maintainer_scans_for_partners_once_per_trace_state():

@@ -497,6 +497,15 @@ def test_value_cap_bounds_the_consistent_case_scan():
         check_totality(bx("fst-lens"), "from", LawSuiteConfig(value_cap=4))
 
 
+@pytest.mark.parametrize("check", [check_totality, check_history_ignorance])
+def test_the_value_cap_does_not_bound_an_edit_search(check):
+    # Edit updates come from the op-sequence search from each pre-state, so
+    # the 21-value source domain of the edit lens is not enumerated for them.
+    lens = bx("list-edit-lens")
+    for direction in DIRECTIONS:
+        assert check(lens, direction, LawSuiteConfig(value_cap=10)) == check(lens, direction)
+
+
 def test_consistent_cases_feed_only_testifying_traces():
     maintainer = bx("key-maintainer")
     for case in consistent_cases(maintainer, "from"):

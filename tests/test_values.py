@@ -1,10 +1,31 @@
-"""Value model: enumeration, paths, selection, and the diff oracle."""
+"""Value model: enumeration, paths, selection, the diff oracle, and the
+hashes kept by values, edits, updates and traces."""
+import copy
+import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bxkit
+from bxkit.scheme import (
+    BothStates,
+    ComplementTrace,
+    DeltaTrace,
+    DeltaUpdate,
+    Edits,
+    NoTrace,
+    Opaque,
+    PostState,
+    StateEdits,
+    StateTrace,
+    enumerate_ops,
+)
 from bxkit.values import (
     AtomInt,
     ENUMERATION_CAP,
@@ -17,6 +38,7 @@ from bxkit.values import (
     Rec,
     SamenessRelation,
     Seq,
+    Value,
     all_paths,
     atom,
     atoms,
@@ -260,3 +282,164 @@ def test_diff_property_random(a, b):
     rel = diff(a, b)
     for src, tgt in rel.links:
         assert select(a, src) == select(b, tgt)
+
+
+# -- hashes kept after the first use -----------------------------------------
+
+_STATES = pairs_of(recs_of(name=atoms("x", "y")), seqs_of(atoms(0, "a"), 2))
+
+
+def _hashed_objects():
+    """Enumerated values with their components, every edit of them in their
+    domain, and updates and traces built from both."""
+    values = enumerate_values(_STATES)
+    parts = [select(v, p) for v in values[:4] for p in all_paths(v)]
+    ops = [
+        op
+        for v in values[:4]
+        for part, domain in ((v, _STATES), (v.left, _STATES.left), (v.right, _STATES.right))
+        for op in enumerate_ops(part, domain)
+    ]
+    pre, post = values[1], values[-1]
+    updates = [
+        PostState(post),
+        BothStates(pre, post),
+        DeltaUpdate(pre, post, diff(pre, post)),
+        Edits(ops[:2]),
+        StateEdits(pre, enumerate_ops(pre, _STATES)[:1]),
+        Opaque("f"),
+    ]
+    traces = [NoTrace(), StateTrace(pre), ComplementTrace(post), DeltaTrace(pre, post, diff(pre, post))]
+    return [*values, *parts, *ops, *updates, *traces]
+
+
+def _fields(x):
+    return tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+
+
+def _fresh(x):
+    """An object equal to ``x``, built again from fresh parts."""
+    if isinstance(x, tuple):
+        return tuple(_fresh(el) for el in x)
+    if isinstance(x, SamenessRelation):
+        return SamenessRelation(x.links)
+    if dataclasses.is_dataclass(x):
+        return type(x)(*_fresh(_fields(x)))
+    return x
+
+
+def test_every_kind_of_value_edit_update_and_trace_is_hashed_here():
+    kinds = {type(x).__name__ for x in _hashed_objects()}
+    assert kinds == {
+        "AtomInt", "AtomStr", "Pair", "Seq", "Rec",
+        "Insert", "Delete", "ReplaceAt", "SetField", "ReplaceRoot",
+        "PostState", "BothStates", "DeltaUpdate", "Edits", "StateEdits", "Opaque",
+        "NoTrace", "StateTrace", "ComplementTrace", "DeltaTrace",
+    }
+
+
+def test_a_kept_hash_is_the_field_hash_of_a_fresh_equal_object():
+    for x in _hashed_objects():
+        first = hash(x)
+        fresh = _fresh(x)
+        assert fresh == x
+        assert hash(x) == first == hash(fresh) == hash(_fields(x)), x
+
+
+def test_copies_and_replacements_hash_like_fresh_objects():
+    objects = _hashed_objects()
+    by_class: dict[type, list] = {}
+    for x in objects:
+        hash(x)
+        by_class.setdefault(type(x), []).append(x)
+    for same_class in by_class.values():
+        for x, other in zip(same_class, same_class[1:] + same_class[:1]):
+            assert hash(copy.copy(x)) == hash(copy.deepcopy(x)) == hash(_fresh(x))
+            replaced = dataclasses.replace(x, **{f.name: getattr(other, f.name) for f in dataclasses.fields(x)})
+            assert replaced == other
+            assert hash(replaced) == hash(_fresh(other))
+
+
+def test_a_subclass_that_drops_the_hash_stays_unhashable():
+    representatives = {type(x): x for x in _hashed_objects()}
+    for cls, x in representatives.items():
+        assert cls.__hash__ is not object.__hash__
+        loose = type("Loose" + cls.__name__, (cls,), {"__hash__": None})(*_fields(x))
+        with pytest.raises(TypeError):
+            hash(loose)
+        if isinstance(loose, Value):
+            holder = pair(loose, atom(0))
+            for _ in range(2):  # a failed hash is not kept
+                with pytest.raises(TypeError):
+                    hash(holder)
+
+
+_PICKLED = """
+import pickle, sys
+from bxkit.values import atom, diff, pair, rec, seq
+from bxkit.scheme import ComplementTrace, DeltaUpdate, Edits, SetField, StateEdits
+
+a = rec(name=atom("x"), tags=seq(atom("a"), atom(1)))
+b = a.set("name", atom("y"))
+objects = [
+    atom("x"), a, pair(a, atom("z")), SetField("name", atom("x"), atom("y")),
+    Edits([SetField("name", atom("x"), atom("y"))]), StateEdits(a, [SetField("name", atom("x"), atom("y"))]),
+    DeltaUpdate(a, b, diff(a, b)), ComplementTrace(seq(atom("c"))),
+]
+if sys.argv[1] == "dump":
+    for x in objects:
+        hash(x)
+    sys.stdout.buffer.write(pickle.dumps(objects))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    assert loaded == objects
+    wrong = [repr(x) for x, fresh in zip(loaded, objects) if hash(x) != hash(fresh)]
+    assert not wrong, wrong
+"""
+
+
+def test_a_pickled_hash_is_not_carried_to_another_process():
+    src = str(Path(bxkit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(stage, seed, stdin=b""):
+        env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=seed)
+        return subprocess.run(
+            [sys.executable, "-c", _PICKLED, stage], input=stdin, env=env, capture_output=True, timeout=60
+        )
+
+    dumped = run("dump", "1")
+    assert dumped.returncode == 0, dumped.stderr.decode()
+    loaded = run("load", "2", dumped.stdout)
+    assert loaded.returncode == 0, loaded.stderr.decode()
+
+
+# -- records ------------------------------------------------------------------
+
+def _dict_has(record, name):
+    return any(field_name == name for field_name, _ in record.fields)
+
+
+def _dict_set(record, name, value):
+    if not _dict_has(record, name):
+        raise KeyError(name)
+    return Rec(dict(record.fields) | {name: value})
+
+
+def test_record_has_and_set_match_their_dict_definitions():
+    records = enumerate_values(recs_of(a=atoms(0, 1), c=atoms("x"), b=seqs_of(atoms(0), 1))) + (rec(),)
+    for record in records:
+        for name in ("a", "b", "c", "d", ""):
+            assert record.has(name) == _dict_has(record, name)
+            for value in (atom(7), seq(), record):
+                try:
+                    expected = _dict_set(record, name, value)
+                except KeyError as missing:
+                    with pytest.raises(KeyError) as raised:
+                        record.set(name, value)
+                    assert raised.value.args == missing.args
+                    continue
+                got = record.set(name, value)
+                assert type(got) is Rec
+                assert got.fields == expected.fields
+                assert got == expected and hash(got) == hash(expected)

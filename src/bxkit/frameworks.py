@@ -12,7 +12,8 @@ synthesizing it when the classic interface would omit it as redundant.
 ``Bx.apply`` checks inputs and results against the declared representations.
 Partiality always surfaces as ``Undefined``, never as a crash.
 A maintainer's testimony check scans the opposite domain once per trace
-state and memoizes the answer; the memo is bounded by the two domains.
+state, and a complement lens checks each complement's membership once; both
+memos are filled through ``values.remember`` and bounded by the domains.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .values import (
     contains,
     diff,
     enumerate_values,
+    remember,
 )
 from .scheme import (
     BothStates,
@@ -287,17 +289,15 @@ def make_maintainer(
     """
     testified: dict[str, dict[Value, bool]] = {"to": {}, "from": {}}
 
+    def partnered(direction: str, state: Value) -> bool:
+        if direction == "to":
+            _require(contains(domain_b, state), "trace outside target domain")
+            return any(consistency(a, state) for a in enumerate_values(domain_a))
+        _require(contains(domain_a, state), "trace outside source domain")
+        return any(consistency(state, b) for b in enumerate_values(domain_b))
+
     def _testify(direction: str, state: Value) -> None:
-        memo = testified[direction]
-        known = memo.get(state)
-        if known is None:
-            if direction == "to":
-                _require(contains(domain_b, state), "trace outside target domain")
-                partners = (consistency(a, state) for a in enumerate_values(domain_a))
-            else:
-                _require(contains(domain_a, state), "trace outside source domain")
-                partners = (consistency(state, b) for b in enumerate_values(domain_b))
-            known = memo[state] = any(partners)
+        known = remember(testified[direction], state, partnered, direction, state)
         _require(known, "trace does not testify the consistency relation")
 
     def to(update: PostState, trace: StateTrace) -> tuple[Update, Traceability]:
@@ -401,21 +401,15 @@ def _complement_check(complement_domain: DomainDescriptor) -> Callable[[Value], 
     """The membership check of a lens's complements in ``complement_domain``.
 
     Complements found inside are remembered, so each is checked once per
-    lens; the memo holds at most the domain's values.  A complement that
-    cannot be hashed is checked on every call.
+    lens; the memo holds at most the domain's values.
     """
-    inside: set[Value] = set()
+    inside: dict[Value, None] = {}
+
+    def require_inside(payload: Value) -> None:
+        _require(contains(complement_domain, payload), "complement outside its domain")
 
     def check(payload: Value) -> None:
-        try:
-            if payload in inside:
-                return
-            hashable = True
-        except TypeError:
-            hashable = False
-        _require(contains(complement_domain, payload), "complement outside its domain")
-        if hashable:
-            inside.add(payload)
+        remember(inside, payload, require_inside, payload)
 
     return check
 

@@ -9,15 +9,14 @@ mentions is defined, so an undefined call discharges the case instead
 of failing it, and a law whose premise is never satisfied reports
 vacuity rather than success.
 
-Each call of ``run_suite``, ``audit_incidence`` or a lone ``check_*``
-is one run: its checks share the consistent cases, input updates and
-partner rows, built on first use and dropped with the call.  Two law
-bodies keep shorter-lived memos of their own.  History ignorance keeps
-its second results per check, keyed by the moved input state and the
-reversed trace, and, for state-based updates, its combined results per
-anchor, keyed by the composite update.  Least update keeps, per check,
-the (output base, input post-state, result update) triples whose scan
-of the alternatives passed.
+Every memo here is filled through ``values.remember``.  Each call of
+``run_suite``, ``audit_incidence`` or a lone ``check_*`` is one run: its
+checks share the consistent cases, input updates and partner rows.  History
+ignorance keeps its second results per check, keyed by the moved input
+state and the reversed trace, and, for state-based updates, its combined
+results per anchor, keyed by the composite update.  Least update keeps, per
+check, the sized consistency-restoring alternatives of each (output base,
+input post-state) pair.
 
 A law is a body ``(check, bx, direction)`` holding only its quantifier
 loop: it calls the transformation, counts cases and fails through its
@@ -51,6 +50,7 @@ from .values import (
     Value,
     diff,  # not called here, but bench/tracing.py hooks this name
     enumerate_values,
+    remember,
 )
 from .scheme import (
     BothStates,
@@ -75,7 +75,6 @@ from .scheme import (
     invert_trace,
     invert_update,
     rho_of,
-    LESS_OR_EQUAL,
 )
 from .frameworks import BoundaryMismatch, Bx, Undefined
 from .grammar import render_trace, render_update, render_value
@@ -177,9 +176,6 @@ class Case:
 
 FREE_CASE = Case(None, None, None)
 
-# What a law body's memo returns for a key it has not met yet.
-_UNSEEN = object()
-
 
 def consistent_cases(bx: Bx, direction: str, cap: int = ENUMERATION_CAP) -> tuple[Case, ...]:
     if bx.input_trace_repr(direction) is TraceRepr.NONE:
@@ -260,21 +256,20 @@ class _Run:
         self._rows: dict[tuple[str, Value], dict[Value, None]] = {}
 
     def cases(self, direction: str) -> tuple[Case, ...]:
-        if direction not in self._cases:
-            self._cases[direction] = consistent_cases(self.bx, direction, self.config.value_cap)
-        return self._cases[direction]
+        return remember(
+            self._cases, direction, consistent_cases, self.bx, direction, self.config.value_cap
+        )
 
     def updates(self, direction: str, pre: Value | None) -> tuple[Update, ...]:
         # Only the op-sequence searches are kept per pre-state, and post-state
         # updates once per direction; both-states and delta updates cost no
         # more to build than the loop that reads them, so they are not kept.
         repr = self.bx.input_update_repr(direction)
+        domain = self.bx.input_domain(direction)
         if repr in (UpdateRepr.BOTH, UpdateRepr.DELTA):
-            return self._enumerate(repr, self.bx.input_domain(direction), pre)
+            return self._enumerate(repr, domain, pre)
         key = (direction, None if repr is UpdateRepr.POST else pre)
-        if key not in self._updates:
-            self._updates[key] = self._enumerate(repr, self.bx.input_domain(direction), pre)
-        return self._updates[key]
+        return remember(self._updates, key, self._enumerate, repr, domain, pre)
 
     def _enumerate(self, repr: UpdateRepr, domain, pre: Value | None) -> tuple[Update, ...]:
         """Every update from ``pre`` that ends in ``domain``, or that applies
@@ -290,10 +285,9 @@ class _Run:
 
     def partners(self, direction: str, state: Value) -> dict[Value, None]:
         """The partner row of the input-side ``state``, scanned once per run."""
-        key = (direction, state)
-        if key not in self._rows:
-            self._rows[key] = _row(self.bx, direction, state, self.config.value_cap)
-        return self._rows[key]
+        return remember(
+            self._rows, (direction, state), _row, self.bx, direction, state, self.config.value_cap
+        )
 
 
 def _post(update: Update, base: Value | None) -> Value | None:
@@ -672,6 +666,10 @@ def check_undoability(check: _Check, bx: Bx, direction: str) -> None:
         )
 
 
+def _itself(value):
+    return value
+
+
 @_law(HISTORY_IGNORANCE, "no chained premise is defined")
 def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
     """Translating a composite equals composing the two translations."""
@@ -681,15 +679,15 @@ def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
     # by it, aligned with the updates, and each group is filled inline the
     # first time it is met: the calls keep the order of a plain triple loop.
     # A counterexample ends the check, so a partly filled group is never
-    # read.  ``canon`` keeps one copy of each distinct result.  A pair or a
-    # result that cannot be hashed leaves its first update to plain calls.
+    # read.  ``canon`` keeps one copy of each distinct result.  A pair that
+    # cannot be hashed gets a fresh group, filled and dropped.
     groups: dict[tuple[Value | None, Traceability], list] = {}
     canon: dict = {}
     # On one anchor the combined call depends only on the composite, since
     # the input trace is fixed there.  State-based composites repeat across
     # first updates, so their results are kept until the next anchor starts.
-    # Edit composites are nearly all distinct and slow to hash, so they are
-    # called plainly.
+    # Edit composites are nearly all distinct, and keeping their results made
+    # the depth-2 edit lens check slower and larger, so they are called plainly.
     state_based = not UPDATE_CONSTRUCTORS[bx.input_update_repr(direction)].edits
     combined_at: dict[Update, tuple[Update, Traceability] | None] = {}
     anchor = None
@@ -705,21 +703,13 @@ def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
         if trace2 is None:
             continue
         moved = _post(u1, in_base)
-        try:
-            known = groups.setdefault((moved, trace2), [])
-        except TypeError:
-            known = None
+        known = remember(groups, (moved, trace2), list)
         for i, u2 in enumerate(check.run.updates(direction, moved)):
-            if known is not None and i < len(known):
+            if i < len(known):
                 second = known[i]
             else:
                 second = check.call(direction, u2, trace2)
-                if known is not None:
-                    try:
-                        known.append(canon.setdefault(second, second))
-                    except TypeError:
-                        del groups[moved, trace2]
-                        known = None
+                known.append(remember(canon, second, _itself, second))
             if second is None:
                 continue
             out2, s2 = second
@@ -728,12 +718,10 @@ def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
                 expected_u = compose_updates(out2, out1)
             except SchemeError:
                 continue
-            if not state_based:
-                combined = check.call(direction, u12, trace_in)
+            if state_based:
+                combined = remember(combined_at, u12, check.call, direction, u12, trace_in)
             else:
-                combined = combined_at.get(u12, _UNSEEN)
-                if combined is _UNSEEN:
-                    combined = combined_at[u12] = check.call(direction, u12, trace_in)
+                combined = check.call(direction, u12, trace_in)
             if combined is None:
                 continue
             check.compare(
@@ -825,21 +813,27 @@ def check_least_update(check: _Check, bx: Bx, direction: str) -> None:
     anchored_order = default_preorder(UpdateRepr.BOTH)
     plain_order = bx.preorder or default_preorder(repr_out)
 
-    def smaller_or_equal(u_result: Update, u_alt: Update, out_base: Value | None) -> bool:
+    def size(update: Update, out_base: Value | None) -> int:
         # Post-state-only updates are compared as "fewest changed
         # components" by anchoring them at the testified pre-state,
         # unless the transformation attached its own preorder.
         if bx.preorder is None and repr_out is UpdateRepr.POST and out_base is not None:
-            lifted_result = BothStates(out_base, _post(u_result, out_base))
-            lifted_alt = BothStates(out_base, _post(u_alt, out_base))
-            return anchored_order.compare(lifted_result, lifted_alt) == LESS_OR_EQUAL
-        return plain_order.compare(u_result, u_alt) == LESS_OR_EQUAL
+            return anchored_order.size(BothStates(out_base, _post(update, out_base)))
+        return plain_order.size(update)
 
-    # The scan below reads only the output base, the input's post-state and
-    # the result update, so a triple that passed once passes again.  A
-    # failing triple ends the check; one that cannot be hashed is scanned
-    # each time.
-    passed: set[tuple[Value | None, Value, Update]] = set()
+    def restoring(out_base: Value | None, post_in: Value) -> list[tuple[Update, int]]:
+        # The alternatives are the opposite direction's input updates that
+        # end in a partner of the input's post-state, in enumeration order.
+        partners = check.run.partners(direction, post_in)
+        return [
+            (alt, size(alt, out_base))
+            for alt in check.run.updates(_other(direction), out_base)
+            if _post(alt, out_base) in partners
+        ]
+
+    # The alternatives depend only on the output base and the input's
+    # post-state, so each pair's are found and sized once per check.
+    alternatives: dict[tuple[Value | None, Value], list[tuple[Update, int]]] = {}
     for _, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
         result = check.call(direction, u_in, trace_in)
         if result is None:
@@ -847,25 +841,16 @@ def check_least_update(check: _Check, bx: Bx, direction: str) -> None:
         post_in = _post(u_in, in_base)
         if post_in is None:
             continue
-        triple = (out_base, post_in, result[0])
-        try:
-            if triple in passed:
-                check.checked += 1
-                continue
-        except TypeError:
-            triple = None
-        # The alternatives are the opposite direction's input updates, over the row's domain.
-        partners = check.run.partners(direction, post_in)
-        for alt in check.run.updates(_other(direction), out_base):
-            if _post(alt, out_base) in partners and not smaller_or_equal(result[0], alt, out_base):
+        rows = remember(alternatives, (out_base, post_in), restoring, out_base, post_in)
+        result_size = size(result[0], out_base) if rows else None
+        for alt, alt_size in rows:
+            if result_size > alt_size:
                 check.fail(
                     u_in, trace_in,
                     observed=_render_result(result),
                     expected=f"an update no larger than {render_update(alt)}",
                     detail="a strictly smaller consistency-restoring update exists",
                 )
-        if triple is not None:
-            passed.add(triple)
         check.checked += 1
 
 

@@ -11,7 +11,8 @@ returns a partial bijection between paths of equal components.
 Values, and the edits, updates and traces of ``scheme.py`` built from
 them, are keyed into dicts and sets at every step of a law check, so
 each keeps its field hash after the first use (``hash_once``); equality
-and the hash value are those of the plain frozen dataclass.
+and the hash value are those of the plain frozen dataclass.  Every memo
+of a law check or an adapter is filled through ``remember``.
 """
 from __future__ import annotations
 
@@ -76,6 +77,25 @@ def hash_once(cls):
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls
+
+
+def remember(memo: dict, key, compute, *args):
+    """``memo[key]``, filled by the first ``compute(*args)``.
+
+    Nothing is kept when ``compute`` raises, and a key that cannot be
+    hashed is computed on every use.  This is the one reuse rule of every
+    memo a law check or an adapter keeps.
+    """
+    try:
+        return memo[key]
+    except KeyError:
+        hashable = True
+    except TypeError:
+        hashable = False
+    value = compute(*args)
+    if hashable:
+        memo[key] = value
+    return value
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,11 @@ from bxkit.scheme import (
 )
 from bxkit.frameworks import Undefined, UnknownName, make_maintainer, make_symmetric_lens
 from bxkit.catalog import build_list_edit_lens, catalog, catalog_entries, catalog_names
-from bxkit.laws import LawSuiteConfig, audit_incidence
-from bxkit.verdict import Fails
+from bxkit.grammar import render_trace, render_update
+from bxkit.laws import LawSuiteConfig, audit_incidence, check_history_ignorance
+from bxkit.verdict import Fails, Verdict
+
+from test_differential import _Loose, _loose_resizer
 
 
 def test_catalog_lookup():
@@ -290,6 +293,36 @@ def test_maintainer_partner_scan_that_raised_is_not_remembered():
     with pytest.raises(RuntimeError):
         bx.to(PostState(rec(k=atom(2))), trace)
     assert bx.to(PostState(rec(k=atom(2))), trace) == (PostState(rec(k=atom(2))), StateTrace(rec(k=atom(2))))
+
+
+def test_maintainer_remembers_testimony_per_side():
+    # On shared domains, state 1 has a partner as a target but none as a source.
+    bit = atoms(0, 1)
+    bx = make_maintainer("zero-source", lambda a, b: a == atom(0), lambda a, b: b, lambda b, a: a, bit, bit)
+    one = StateTrace(atom(1))
+    for _ in range(2):
+        assert bx.to(PostState(atom(0)), one) == (PostState(atom(1)), StateTrace(atom(0)))
+        assert _reason(lambda: bx.from_(PostState(atom(0)), one)) == "trace does not testify the consistency relation"
+
+
+def test_maintainer_testifies_an_unhashable_trace_state():
+    # The testimony memo cannot key the state, so its partners are scanned
+    # on every call instead of the call raising ``TypeError``.
+    resizer = _loose_resizer(True)
+    for _ in range(2):
+        u_out, t_out = resizer.apply("from", PostState(atom(1)), StateTrace(_Loose((atom(0),))))
+        assert f"{render_update(u_out)} | {render_trace(t_out)}" == "state{post=[0]} | state{1}"
+
+
+def test_history_ignorance_fails_on_a_genuine_counterexample_through_unhashable_states():
+    # The resizer's repairs to an even count are unhashable, and the second
+    # calls take them as trace states.
+    verdict = check_history_ignorance(_loose_resizer(True), "from")
+    assert verdict.kind == Verdict.FAILS
+    found = verdict.counterexample
+    assert (found.update, found.trace, found.observed, found.expected) == (
+        "state{post=1}", "state{[1]}", "state{post=[1]} | state{1}", "state{post=[0]} | state{1}"
+    )
 
 
 # -- trigonal -----------------------------------------------------------------------

@@ -12,7 +12,7 @@ grades = []
 for name, entry in catalog_entries().items():
     report = run_suite(entry.bx)
     rows.append((name, classify(entry.bx), report))
-    grades.append((name, entry.framework, well_behaved(entry.bx, report)))
+    grades.append((name, entry.framework, well_behaved(report)))
 
 print(render_report(rows))
 print()

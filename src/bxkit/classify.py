@@ -125,7 +125,7 @@ VERY_WELL_BEHAVED = "very-well-behaved"
 NOT_WELL_BEHAVED = "not-well-behaved"
 
 
-def well_behaved(bx: Bx, report: "LawReport") -> str:
+def well_behaved(report: "LawReport") -> str:
     """Classify a transformation from its law report.
 
     Well-behaved means at least stable and correct.  Where stability is

@@ -151,7 +151,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for name, entry in catalog_entries().items():
         report = run_suite(entry.bx, suite)
         signature = classify(entry.bx)
-        rows.append((name, signature, report, well_behaved(entry.bx, report)))
+        rows.append((name, signature, report, well_behaved(report)))
     if args.format == "value-grammar":
         machine_rows = [
             Rec(

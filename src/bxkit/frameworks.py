@@ -18,7 +18,7 @@ memos are filled through ``values.remember`` and bounded by the domains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .values import (
     DomainDescriptor,
@@ -79,6 +79,26 @@ Aligner = Callable[[Value, Value], SamenessRelation]
 Triple = tuple[Value, Value, Value]
 
 
+class Arrow(NamedTuple):
+    """One direction of a ``Bx``: ``to`` runs from the A side to the B side,
+    ``from`` back; ``back`` names the opposite direction."""
+
+    name: str
+    back: str
+    fn: Transform
+    upd_in: UpdateRepr
+    upd_out: UpdateRepr
+    trace_in: TraceRepr
+    trace_out: TraceRepr
+    domain_in: DomainDescriptor
+    domain_out: DomainDescriptor
+
+    def pair(self, x, y):
+        """Order an (input side, output side) pair as an (A, B) pair; being its
+        own inverse, it also reads an (A, B) anchor's (input, output) ends."""
+        return (x, y) if self.name == "to" else (y, x)
+
+
 @dataclass(eq=False)
 class Bx:
     """A named bidirectional transformation over finite domains.
@@ -86,7 +106,10 @@ class Bx:
     ``upd_to``/``trace_to`` describe the forward-direction update and
     trace representations (source-side updates, traces produced by the
     forward run and consumed by the backward one); ``upd_from`` and
-    ``trace_from`` are their duals.
+    ``trace_from`` are their duals.  ``arrows`` holds each direction as
+    one ``Arrow``, built from these fields once: ``arrows["to"]`` reads
+    ``trace_from`` traces and produces ``trace_to`` ones, ``arrows["from"]``
+    the reverse.  ``apply`` runs a direction by its name.
     """
 
     name: str
@@ -104,6 +127,19 @@ class Bx:
     preorder: UpdatePreorder | None = None
     align: Aligner | None = None
     replay: tuple[Triple, ...] = field(default_factory=tuple)
+    arrows: dict[str, Arrow] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.arrows = {
+            "to": Arrow(
+                "to", "from", self.to_fn, self.upd_to, self.upd_from,
+                self.trace_from, self.trace_to, self.domain_a, self.domain_b,
+            ),
+            "from": Arrow(
+                "from", "to", self.from_fn, self.upd_from, self.upd_to,
+                self.trace_to, self.trace_from, self.domain_b, self.domain_a,
+            ),
+        }
 
     @property
     def symmetry(self) -> str:
@@ -117,47 +153,29 @@ class Bx:
     def from_(self, update: Update, trace: Traceability) -> tuple[Update, Traceability]:
         return self.apply("from", update, trace)
 
+    def arrow(self, direction: str) -> Arrow:
+        """The arrow named ``direction``; any other name is a ``ValueError``."""
+        try:
+            return self.arrows[direction]
+        except KeyError:
+            raise ValueError(f"direction must be 'to' or 'from', got {direction!r}") from None
+
     def apply(self, direction: str, update: Update, trace: Traceability) -> tuple[Update, Traceability]:
-        """Run one direction.  The inputs and the result must be an update
-        and a trace of the declared representations; anything else raises
-        ``BoundaryMismatch``.  The selection inlines the ``*_repr`` methods."""
-        if direction == "to":
-            fn, upd_in, trc_in, upd_out, trc_out = (
-                self.to_fn, self.upd_to, self.trace_from, self.upd_from, self.trace_to
-            )
-        elif direction == "from":
-            fn, upd_in, trc_in, upd_out, trc_out = (
-                self.from_fn, self.upd_from, self.trace_to, self.upd_to, self.trace_from
-            )
-        else:
-            raise ValueError(f"direction must be 'to' or 'from', got {direction!r}")
-        if update.repr is not upd_in or trace.repr is not trc_in:
-            raise _mismatch(self, "input", (update, trace), upd_in, trc_in)
-        result = fn(update, trace)
+        """Run the arrow named ``direction``.  The inputs and the result must
+        be an update and a trace of the arrow's representations; anything
+        else raises ``BoundaryMismatch``."""
+        arrow = self.arrow(direction)
+        if update.repr is not arrow.upd_in or trace.repr is not arrow.trace_in:
+            raise _mismatch(self, "input", (update, trace), arrow.upd_in, arrow.trace_in)
+        result = arrow.fn(update, trace)
         try:
             u_out, t_out = result
-            declared = u_out.repr is upd_out and t_out.repr is trc_out
+            declared = u_out.repr is arrow.upd_out and t_out.repr is arrow.trace_out
         except (AttributeError, TypeError, ValueError):
             declared = False
         if not declared:
-            raise _mismatch(self, "result", result, upd_out, trc_out)
+            raise _mismatch(self, "result", result, arrow.upd_out, arrow.trace_out)
         return result
-
-    def input_update_repr(self, direction: str) -> UpdateRepr:
-        return self.upd_to if direction == "to" else self.upd_from
-
-    def output_update_repr(self, direction: str) -> UpdateRepr:
-        return self.upd_from if direction == "to" else self.upd_to
-
-    def input_trace_repr(self, direction: str) -> TraceRepr:
-        # "to" consumes the backward trace, "from" the forward one.
-        return self.trace_from if direction == "to" else self.trace_to
-
-    def input_domain(self, direction: str) -> DomainDescriptor:
-        return self.domain_a if direction == "to" else self.domain_b
-
-    def output_domain(self, direction: str) -> DomainDescriptor:
-        return self.domain_b if direction == "to" else self.domain_a
 
     def default_align(self, a: Value, b: Value) -> SamenessRelation:
         if self.align is not None:

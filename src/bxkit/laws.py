@@ -18,10 +18,12 @@ results per anchor, keyed by the composite update.  Least update keeps, per
 check, the sized consistency-restoring alternatives of each (output base,
 input post-state) pair.
 
-A law is a body ``(check, bx, direction)`` holding only its quantifier
-loop: it calls the transformation, counts cases and fails through its
-``_Check``.  ``_check_on``, behind ``CHECKERS`` and every ``check_*``,
-applies ``_DEGENERATES``, then ``_inexpressible``, then runs the body.
+A law is a body ``(check, bx, arrow)`` holding only its quantifier loop
+over ``arrow``, the record in ``bx.arrows`` of the direction checked: it
+calls the transformation, counts cases and fails through its ``_Check``.
+``_check_on``, behind ``CHECKERS`` and every ``check_*``, looks the arrow
+up by its name, applies ``_DEGENERATES``, then ``_inexpressible``, then
+runs the body.
 
 Expressibility is decided from the representations alone, in
 ``_inexpressible`` and nowhere else.  A law that needs a null update,
@@ -76,7 +78,7 @@ from .scheme import (
     invert_update,
     rho_of,
 )
-from .frameworks import BoundaryMismatch, Bx, Undefined
+from .frameworks import Arrow, BoundaryMismatch, Bx, Undefined
 from .grammar import render_trace, render_update, render_value
 from .verdict import Counterexample, Fails, Holds, NotExpressible, Vacuous, Verdict, WeaklyHolds
 
@@ -146,10 +148,6 @@ class LawSuiteConfig:
             raise ValueError("nonsensical law suite configuration")
 
 
-def _other(direction: str) -> str:
-    return "from" if direction == "to" else "to"
-
-
 # ---------------------------------------------------------------------------
 # Input enumeration
 # ---------------------------------------------------------------------------
@@ -166,40 +164,35 @@ class Case:
     b: Value | None
     c: Value | None
 
-    def end(self, side: str) -> Value | None:
-        return self.a if side == "to" else self.b
-
-    def with_end(self, side: str, value: Value | None) -> Case:
-        """The anchor with its ``side`` end moved to ``value``."""
-        return Case(value, self.b, self.c) if side == "to" else Case(self.a, value, self.c)
-
 
 FREE_CASE = Case(None, None, None)
 
 
 def consistent_cases(bx: Bx, direction: str, cap: int = ENUMERATION_CAP) -> tuple[Case, ...]:
-    if bx.input_trace_repr(direction) is TraceRepr.NONE:
+    if bx.arrow(direction).trace_in is TraceRepr.NONE:
         return (FREE_CASE,)
     if bx.consistency_kind == "I":
         return tuple(Case(a, b, c) for a, b, c in bx.replay)
+    to = bx.arrows["to"]
     return tuple(
-        Case(a, b, None) for a in enumerate_values(bx.domain_a, cap) for b in _row(bx, "to", a, cap)
+        Case(a, b, None) for a in enumerate_values(bx.domain_a, cap) for b in _row(bx, to, a, cap)
     )
 
 
-def _row(bx: Bx, direction: str, state: Value, cap: int) -> dict[Value, None]:
-    """The output-side values consistent with ``state``, in enumeration order."""
-    opposite = enumerate_values(bx.output_domain(direction), cap)
-    return {x: None for x in opposite if bx.consistency(*_orient(direction, state, x))}
+def _row(bx: Bx, arrow: Arrow, state: Value, cap: int) -> dict[Value, None]:
+    """The output-side values consistent with the input-side ``state``, in
+    enumeration order."""
+    opposite = enumerate_values(arrow.domain_out, cap)
+    return {x: None for x in opposite if bx.consistency(*arrow.pair(state, x))}
 
 
-def _realize_arrow(bx: Bx, arrow: str, case: Case) -> Traceability | None:
-    """Build the trace instance for one arrow of a testifying pair.
+def _realize_arrow(bx: Bx, arrow: Arrow, case: Case) -> Traceability | None:
+    """Build the trace that ``arrow`` produces on a testifying pair.
 
-    The forward arrow runs source to target (stored state is the A side),
-    the backward arrow the reverse.
+    A stored state is the arrow's input end; a delta runs from its input
+    end to its output end.
     """
-    repr = bx.trace_to if arrow == "to" else bx.trace_from
+    repr = arrow.trace_out
     if repr is TraceRepr.NONE:
         return NO_TRACE
     if case.a is None or case.b is None:
@@ -207,33 +200,24 @@ def _realize_arrow(bx: Bx, arrow: str, case: Case) -> Traceability | None:
             return ComplementTrace(case.c)
         return None
     if repr is TraceRepr.STATE:
-        return StateTrace(case.a if arrow == "to" else case.b)
+        return StateTrace(arrow.pair(case.a, case.b)[0])
     if repr is TraceRepr.COMPLEMENT:
         return ComplementTrace(case.c) if case.c is not None else None
     rel = bx.default_align(case.a, case.b)
-    if arrow == "to":
+    if arrow.name == "to":
         return DeltaTrace(case.a, case.b, rel)
     return DeltaTrace(case.b, case.a, rel.invert())
 
 
-def _input_trace(bx: Bx, direction: str, case: Case) -> Traceability | None:
-    return _realize_arrow(bx, _other(direction), case)
-
-
-def _reverse_trace(
-    bx: Bx,
-    direction: str,
-    trace: Traceability,
-    post_out: Value | None,
-) -> Traceability | None:
-    """Reverse the trace produced by a call in ``direction`` into the
-    representation of the opposite arrow.
+def _reverse_trace(arrow: Arrow, trace: Traceability, post_out: Value | None) -> Traceability | None:
+    """Reverse the trace produced by a call of ``arrow`` into the
+    representation that its opposite produces, which ``arrow`` reads.
 
     A stored-state trace of the opposite arrow stores that arrow's
     source, which is the output-side post-state of the call; complements
     are their own reversal.
     """
-    repr = bx.input_trace_repr(direction)
+    repr = arrow.trace_in
     if repr is TraceRepr.NONE:
         return NO_TRACE
     if repr is TraceRepr.STATE:
@@ -251,24 +235,25 @@ class _Run:
     def __init__(self, bx: Bx, config: LawSuiteConfig | None):
         self.bx = bx
         self.config = config or LawSuiteConfig()
+        # The memos are keyed by the arrow's name: a key holding the record
+        # would hash all of its fields on every lookup.
         self._cases: dict[str, tuple[Case, ...]] = {}
         self._updates: dict[tuple[str, Value | None], tuple[Update, ...]] = {}
         self._rows: dict[tuple[str, Value], dict[Value, None]] = {}
 
-    def cases(self, direction: str) -> tuple[Case, ...]:
+    def cases(self, arrow: Arrow) -> tuple[Case, ...]:
         return remember(
-            self._cases, direction, consistent_cases, self.bx, direction, self.config.value_cap
+            self._cases, arrow.name, consistent_cases, self.bx, arrow.name, self.config.value_cap
         )
 
-    def updates(self, direction: str, pre: Value | None) -> tuple[Update, ...]:
+    def updates(self, arrow: Arrow, pre: Value | None) -> tuple[Update, ...]:
         # Only the op-sequence searches are kept per pre-state, and post-state
         # updates once per direction; both-states and delta updates cost no
         # more to build than the loop that reads them, so they are not kept.
-        repr = self.bx.input_update_repr(direction)
-        domain = self.bx.input_domain(direction)
+        repr, domain = arrow.upd_in, arrow.domain_in
         if repr in (UpdateRepr.BOTH, UpdateRepr.DELTA):
             return self._enumerate(repr, domain, pre)
-        key = (direction, None if repr is UpdateRepr.POST else pre)
+        key = (arrow.name, None if repr is UpdateRepr.POST else pre)
         return remember(self._updates, key, self._enumerate, repr, domain, pre)
 
     def _enumerate(self, repr: UpdateRepr, domain, pre: Value | None) -> tuple[Update, ...]:
@@ -283,10 +268,10 @@ class _Run:
             steps = enumerate_values(domain, self.config.value_cap)
         return tuple(constructor.build(pre, step) for step in steps)
 
-    def partners(self, direction: str, state: Value) -> dict[Value, None]:
+    def partners(self, arrow: Arrow, state: Value) -> dict[Value, None]:
         """The partner row of the input-side ``state``, scanned once per run."""
         return remember(
-            self._rows, (direction, state), _row, self.bx, direction, state, self.config.value_cap
+            self._rows, (arrow.name, state), _row, self.bx, arrow, state, self.config.value_cap
         )
 
 
@@ -317,13 +302,6 @@ def _undo(repr: UpdateRepr, update: Update, pre: Value | None) -> Update | None:
     if repr is UpdateRepr.POST:
         return PostState(pre) if pre is not None else None
     return invert_update(update)
-
-
-def _orient(direction: str, post_in: Value | None, post_out: Value | None) -> tuple[Value | None, Value | None]:
-    """Order the input-side and output-side states of a call as an (A, B) pair."""
-    if direction == "from":
-        return post_out, post_in
-    return post_in, post_out
 
 
 def _shown(render: Callable[[Any], str], item: Any) -> str:
@@ -366,13 +344,13 @@ class _Stop(Exception):
 
 
 class _Check:
-    """One law checked in one direction of a run: the body's only way into
+    """One law checked on one arrow of a run: the body's only way into
     the transformation, its case count, and its first failure."""
 
-    def __init__(self, run: _Run, law: str, direction: str, vacuous_reason: str):
+    def __init__(self, run: _Run, law: str, arrow: Arrow, vacuous_reason: str):
         self.run = run
         self.law = law
-        self.direction = direction
+        self.arrow = arrow
         self.vacuous_reason = vacuous_reason
         self.checked = 0
         self.weak_variant = ""
@@ -380,11 +358,12 @@ class _Check:
     def anchored_cases(self):
         """Yield ``(case, input trace, input base, output base)`` for every
         consistent anchor whose input trace is realizable."""
-        bx, direction = self.run.bx, self.direction
-        for case in self.run.cases(direction):
-            trace_in = _input_trace(bx, direction, case)
+        bx, arrow = self.run.bx, self.arrow
+        back = bx.arrows[arrow.back]
+        for case in self.run.cases(arrow):
+            trace_in = _realize_arrow(bx, back, case)
             if trace_in is not None:
-                yield case, trace_in, case.end(direction), case.end(_other(direction))
+                yield (case, trace_in, *arrow.pair(case.a, case.b))
 
     def anchored_inputs(self, round_trip: bool = False):
         """Yield ``(case, input trace, update, input base, output base,
@@ -398,13 +377,13 @@ class _Check:
         for case, trace_in, in_base, out_base in self.anchored_cases():
             trace_back = None
             if round_trip:
-                trace_back = _input_trace(self.run.bx, _other(self.direction), case)
+                trace_back = _realize_arrow(self.run.bx, self.arrow, case)
                 if trace_back is None:
                     continue
-            for update in self.run.updates(self.direction, in_base):
+            for update in self.run.updates(self.arrow, in_base):
                 yield case, trace_in, update, in_base, out_base, trace_back
 
-    def call(self, direction: str, update: Update, trace: Traceability):
+    def call(self, arrow: Arrow, update: Update, trace: Traceability):
         """The checkers' only call into the transformation; ``None`` when
         undefined.  Another exception of the user's code is a counterexample,
         as in QuickCheck.  A blown enumeration cap ends the run, and so does
@@ -415,7 +394,7 @@ class _Check:
         boundary check of another ``Bx`` it calls included, is a counterexample."""
         bx = self.run.bx
         try:
-            return bx.apply(direction, update, trace)
+            return bx.apply(arrow.name, update, trace)
         except Undefined:
             return None
         except CapExceeded:
@@ -427,7 +406,7 @@ class _Check:
                 update, trace,
                 observed=f"raised {exc!r}",
                 expected="a result, or Undefined",
-                direction=direction,
+                arrow=arrow,
             )
 
     def weakly(self, variant: str) -> None:
@@ -441,13 +420,13 @@ class _Check:
         observed: str,
         expected: str,
         detail: str = "",
-        direction: str | None = None,
+        arrow: Arrow | None = None,
     ) -> NoReturn:
         """Stop the check with the call ``(update, trace)`` as its
-        counterexample; ``direction`` defaults to the check's own."""
+        counterexample; ``arrow`` defaults to the check's own."""
         counterexample = Counterexample(
             law=self.law,
-            direction=direction or self.direction,
+            direction=(arrow or self.arrow).name,
             bx_name=self.run.bx.name,
             update=_shown(render_update, update),
             trace=_shown(render_trace, trace),
@@ -466,7 +445,7 @@ class _Check:
         expected_trace: Traceability | None,
         base_pre: Value | None,
         detail: str = "",
-        direction: str | None = None,
+        arrow: Arrow | None = None,
     ) -> None:
         """Compare the result of the call ``(update, trace)`` against the
         law's stated result: a match is counted, a mismatch fails."""
@@ -481,7 +460,7 @@ class _Check:
                 observed=_render_result(result),
                 expected=expected_text,
                 detail=detail,
-                direction=direction,
+                arrow=arrow,
             )
         if match == "weak":
             self.weakly("post-state equality")
@@ -496,20 +475,18 @@ class _Check:
         return Holds(self.checked)
 
 
-def _inexpressible(bx: Bx, law: str, direction: str) -> str | None:
-    """Why ``law`` cannot be stated in ``direction`` with the framework's
-    own representations, or ``None`` when it can.  The rules are tried in
+def _inexpressible(bx: Bx, law: str, arrow: Arrow) -> str | None:
+    """Why ``law`` cannot be stated on ``arrow`` with the framework's own
+    representations, or ``None`` when it can.  The rules are tried in
     order; the first that applies gives the reason."""
-    repr_in = bx.input_update_repr(direction)
-    trace_in = bx.input_trace_repr(direction)
-    trace_out = bx.input_trace_repr(_other(direction))
+    repr_in, trace_in, trace_out = arrow.upd_in, arrow.trace_in, arrow.trace_out
     carrying = (TraceRepr.STATE, TraceRepr.DELTA)
     # The pre-state of the input update is recoverable from the framework's
     # own data when the input trace carries both endpoints, or when the
     # consistency relation is the forward transformation and the trace
     # stores the opposite source.
     pre_recoverable = trace_in is TraceRepr.DELTA or (
-        direction == "from" and trace_in is TraceRepr.STATE and bx.consistency_kind == "T"
+        arrow.name == "from" and trace_in is TraceRepr.STATE and bx.consistency_kind == "T"
     )
     if repr_in is UpdateRepr.OPAQUE and law not in (TOTALITY, SAFETY):
         return "function-valued updates are excluded from law checking"
@@ -524,7 +501,7 @@ def _inexpressible(bx: Bx, law: str, direction: str) -> str | None:
             return "a consistency-preserving update cannot be recognized under an implicit relation"
         if trace_in is TraceRepr.NONE:
             return "no testifying pair is available to anchor the null update"
-    if law == LEAST_UPDATE and bx.output_update_repr(direction) is UpdateRepr.OPAQUE:
+    if law == LEAST_UPDATE and arrow.upd_out is UpdateRepr.OPAQUE:
         return "no preorder is available for function-valued updates"
     return None
 
@@ -546,22 +523,24 @@ _DEGENERATES = {
 def _check_on(run: _Run, direction: str, law: str) -> Verdict:
     """Check ``law`` in ``direction`` on ``run``: reduce a degenerate law,
     decide expressibility and whether any anchor exists, then run the body
-    and build the verdict."""
+    and build the verdict.  A ``direction`` that names no arrow is a
+    ``ValueError``."""
+    arrow = run.bx.arrow(direction)
     _log("%s: %s/%s started", run.bx.name, law, direction)
     started = time.perf_counter()
     named = label = law
     if run.bx.consistency_kind == "T" and law in _DEGENERATES:
         law, label = _DEGENERATES[law]
-    reason = _inexpressible(run.bx, law, direction)
+    reason = _inexpressible(run.bx, law, arrow)
     if reason is not None:
         verdict = NotExpressible(reason)
-    elif not run.cases(direction):
+    elif not run.cases(arrow):
         verdict = Vacuous("no consistent pair exists on the declared domains")
     else:
         body, vacuous_reason = _BODIES[law]
-        check = _Check(run, label, direction, vacuous_reason)
+        check = _Check(run, label, arrow, vacuous_reason)
         try:
-            body(check, run.bx, direction)
+            body(check, run.bx, arrow)
             verdict = check.verdict()
         except _Stop as stop:
             verdict = stop.args[0]
@@ -571,7 +550,7 @@ def _check_on(run: _Run, direction: str, law: str) -> Verdict:
 
 
 # Each law's body and the reason it is vacuous, registered below.
-_BODIES: dict[str, tuple[Callable[[_Check, Bx, str], None], str]] = {}
+_BODIES: dict[str, tuple[Callable[[_Check, Bx, Arrow], None], str]] = {}
 # ``run_suite`` dispatches each law of the suite through its entry here.
 CHECKERS: dict[str, Callable[[_Run, str], Verdict]] = {
     law: functools.partial(_check_on, law=law) for law in ALL_LAWS
@@ -583,7 +562,7 @@ def _law(law: str, vacuous_reason: str):
     which makes a run per call.  ``vacuous_reason`` is reported when no
     case is checked."""
 
-    def register(body: Callable[[_Check, Bx, str], None]):
+    def register(body: Callable[[_Check, Bx, Arrow], None]):
         _BODIES[law] = body, vacuous_reason
 
         def check(bx: Bx, direction: str, config: LawSuiteConfig | None = None) -> Verdict:
@@ -597,20 +576,19 @@ def _law(law: str, vacuous_reason: str):
 
 
 @_law(STABILITY, "the transformation is undefined on every null input")
-def check_stability(check: _Check, bx: Bx, direction: str) -> None:
+def check_stability(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Null updates must translate to null updates, leaving the trace reversed."""
-    repr_in = bx.input_update_repr(direction)
     for case, trace_in, in_base, out_base in check.anchored_cases():
-        u_id = _null(repr_in, in_base)
+        u_id = _null(arrow.upd_in, in_base)
         if u_id is None:
             continue
-        result = check.call(direction, u_id, trace_in)
+        result = check.call(arrow, u_id, trace_in)
         if result is None:
             continue
-        expected_u = _null(bx.output_update_repr(direction), out_base)
+        expected_u = _null(arrow.upd_out, out_base)
         if expected_u is None:
             continue
-        expected_t = _realize_arrow(bx, direction, case)
+        expected_t = _realize_arrow(bx, arrow, case)
         check.compare(
             u_id, trace_in, result, expected_u, expected_t, out_base,
             detail="null update was not preserved",
@@ -618,48 +596,46 @@ def check_stability(check: _Check, bx: Bx, direction: str) -> None:
 
 
 @_law(INVERTIBILITY, "no premise call is defined")
-def check_invertibility(check: _Check, bx: Bx, direction: str) -> None:
+def check_invertibility(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """A translated update round-trips through the opposite transformation."""
-    back = _other(direction)
+    back = bx.arrows[arrow.back]
     for _, trace_in, u_in, in_base, out_base, trace_back in check.anchored_inputs(round_trip=True):
-        premise = check.call(direction, u_in, trace_in)
+        premise = check.call(arrow, u_in, trace_in)
         if premise is None:
             continue
         u_mid, t_mid = premise
         conclusion = check.call(back, u_mid, trace_back)
         if conclusion is None:
             continue  # conclusion undefined: discharged
-        expected_t = _reverse_trace(bx, direction, t_mid, _post(u_mid, out_base))
+        expected_t = _reverse_trace(arrow, t_mid, _post(u_mid, out_base))
         check.compare(
             u_mid, trace_back, conclusion, u_in, expected_t, in_base,
             detail="round trip did not restore the translated update",
-            direction=back,
+            arrow=back,
         )
 
 
 @_law(UNDOABILITY, "no premise call is defined")
-def check_undoability(check: _Check, bx: Bx, direction: str) -> None:
+def check_undoability(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Re-applying the transformation with the inverted update undoes it."""
-    repr_in = bx.input_update_repr(direction)
-    repr_out = bx.output_update_repr(direction)
     for case, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
-        premise = check.call(direction, u_in, trace_in)
+        premise = check.call(arrow, u_in, trace_in)
         if premise is None:
             continue
         u_mid, t_mid = premise
-        u_inv = _undo(repr_in, u_in, in_base)
+        u_inv = _undo(arrow.upd_in, u_in, in_base)
         if u_inv is None:
             continue
-        trace_undo = _reverse_trace(bx, direction, t_mid, _post(u_mid, out_base))
+        trace_undo = _reverse_trace(arrow, t_mid, _post(u_mid, out_base))
         if trace_undo is None:
             continue
-        undo = check.call(direction, u_inv, trace_undo)
+        undo = check.call(arrow, u_inv, trace_undo)
         if undo is None:
             continue
-        expected_u = _undo(repr_out, u_mid, out_base)
+        expected_u = _undo(arrow.upd_out, u_mid, out_base)
         if expected_u is None:
             continue
-        expected_t = _realize_arrow(bx, direction, case)
+        expected_t = _realize_arrow(bx, arrow, case)
         check.compare(
             u_inv, trace_undo, undo, expected_u, expected_t, out_base,
             detail="inverse update did not restore the original state",
@@ -671,7 +647,7 @@ def _itself(value):
 
 
 @_law(HISTORY_IGNORANCE, "no chained premise is defined")
-def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
+def check_history_ignorance(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Translating a composite equals composing the two translations."""
     # The second calls after a first update depend only on where it left the
     # input side, which fixes their updates, and on the trace it returned.
@@ -688,27 +664,27 @@ def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
     # first updates, so their results are kept until the next anchor starts.
     # Edit composites are nearly all distinct, and keeping their results made
     # the depth-2 edit lens check slower and larger, so they are called plainly.
-    state_based = not UPDATE_CONSTRUCTORS[bx.input_update_repr(direction)].edits
+    state_based = not UPDATE_CONSTRUCTORS[arrow.upd_in].edits
     combined_at: dict[Update, tuple[Update, Traceability] | None] = {}
     anchor = None
     for case, trace_in, u1, in_base, out_base, _ in check.anchored_inputs():
         if case is not anchor:
             anchor = case
             combined_at.clear()
-        first = check.call(direction, u1, trace_in)
+        first = check.call(arrow, u1, trace_in)
         if first is None:
             continue
         out1, s1 = first
-        trace2 = _reverse_trace(bx, direction, s1, _post(out1, out_base))
+        trace2 = _reverse_trace(arrow, s1, _post(out1, out_base))
         if trace2 is None:
             continue
         moved = _post(u1, in_base)
         known = remember(groups, (moved, trace2), list)
-        for i, u2 in enumerate(check.run.updates(direction, moved)):
+        for i, u2 in enumerate(check.run.updates(arrow, moved)):
             if i < len(known):
                 second = known[i]
             else:
-                second = check.call(direction, u2, trace2)
+                second = check.call(arrow, u2, trace2)
                 known.append(remember(canon, second, _itself, second))
             if second is None:
                 continue
@@ -719,9 +695,9 @@ def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
             except SchemeError:
                 continue
             if state_based:
-                combined = remember(combined_at, u12, check.call, direction, u12, trace_in)
+                combined = remember(combined_at, u12, check.call, arrow, u12, trace_in)
             else:
-                combined = check.call(direction, u12, trace_in)
+                combined = check.call(arrow, u12, trace_in)
             if combined is None:
                 continue
             check.compare(
@@ -731,24 +707,24 @@ def check_history_ignorance(check: _Check, bx: Bx, direction: str) -> None:
 
 
 @_law(CORRECTNESS, "the transformation is undefined everywhere")
-def check_correctness(check: _Check, bx: Bx, direction: str) -> None:
+def check_correctness(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Every defined result restores the consistency relation.
 
     When the consistency relation is the forward transformation itself,
     correctness degenerates into invertibility and is checked as such.
     """
     for _, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
-        result = check.call(direction, u_in, trace_in)
+        result = check.call(arrow, u_in, trace_in)
         if result is None:
             continue
         post_in = _post(u_in, in_base)
         post_out = _post(result[0], out_base)
         if post_in is None or post_out is None:
             continue
-        pa, pb = _orient(direction, post_in, post_out)
+        pa, pb = arrow.pair(post_in, post_out)
         if bx.consistency(pa, pb):
             check.checked += 1
-        elif check.run.config.weak_variants and not check.run.partners(direction, post_in):
+        elif check.run.config.weak_variants and not check.run.partners(arrow, post_in):
             check.weakly("inconsistent result allowed: no consistent counterpart exists")
         else:
             check.fail(
@@ -777,22 +753,23 @@ def check_hippocraticness(
     return _check_on(_Run(bx, config), direction, law)
 
 
-def _hippocraticness(check: _Check, bx: Bx, direction: str, literal: bool = False) -> None:
+def _hippocraticness(check: _Check, bx: Bx, arrow: Arrow, literal: bool = False) -> None:
     for case, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
         post_in = _post(u_in, in_base)
         if post_in is None:
             continue
-        if not literal and not bx.consistency(*_orient(direction, post_in, out_base)):
+        moved = arrow.pair(post_in, out_base)
+        if not literal and not bx.consistency(*moved):
             continue
-        result = check.call(direction, u_in, trace_in)
+        result = check.call(arrow, u_in, trace_in)
         if result is None:
             continue
-        expected_u = _null(bx.output_update_repr(direction), out_base)
+        expected_u = _null(arrow.upd_out, out_base)
         if expected_u is None:
             continue
         # An ignored update moves the anchor's input end to its
         # post-state; the output trace must testify the moved anchor.
-        expected_t = _realize_arrow(bx, direction, case.with_end(direction, post_in))
+        expected_t = _realize_arrow(bx, arrow, Case(*moved, case.c))
         check.compare(
             u_in, trace_in, result, expected_u, expected_t, out_base,
             detail="a consistency-preserving update was not ignored",
@@ -807,9 +784,9 @@ for _name, _body in ((HIPPOCRATICNESS, _hippocraticness), (HIPPOCRATICNESS_LITER
 
 
 @_law(LEAST_UPDATE, "the transformation is undefined everywhere")
-def check_least_update(check: _Check, bx: Bx, direction: str) -> None:
+def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """The returned update is minimal among all consistency-restoring ones."""
-    repr_out = bx.output_update_repr(direction)
+    repr_out, back = arrow.upd_out, bx.arrows[arrow.back]
     anchored_order = default_preorder(UpdateRepr.BOTH)
     plain_order = bx.preorder or default_preorder(repr_out)
 
@@ -824,10 +801,10 @@ def check_least_update(check: _Check, bx: Bx, direction: str) -> None:
     def restoring(out_base: Value | None, post_in: Value) -> list[tuple[Update, int]]:
         # The alternatives are the opposite direction's input updates that
         # end in a partner of the input's post-state, in enumeration order.
-        partners = check.run.partners(direction, post_in)
+        partners = check.run.partners(arrow, post_in)
         return [
             (alt, size(alt, out_base))
-            for alt in check.run.updates(_other(direction), out_base)
+            for alt in check.run.updates(back, out_base)
             if _post(alt, out_base) in partners
         ]
 
@@ -835,7 +812,7 @@ def check_least_update(check: _Check, bx: Bx, direction: str) -> None:
     # post-state, so each pair's are found and sized once per check.
     alternatives: dict[tuple[Value | None, Value], list[tuple[Update, int]]] = {}
     for _, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
-        result = check.call(direction, u_in, trace_in)
+        result = check.call(arrow, u_in, trace_in)
         if result is None:
             continue
         post_in = _post(u_in, in_base)
@@ -855,22 +832,22 @@ def check_least_update(check: _Check, bx: Bx, direction: str) -> None:
 
 
 @_law(TOTALITY, "no inputs to enumerate")
-def check_totality(check: _Check, bx: Bx, direction: str) -> None:
+def check_totality(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Defined on every enumerated update paired with a testifying trace."""
     for _, trace_in, u_in, _, _, _ in check.anchored_inputs():
-        if check.call(direction, u_in, trace_in) is None:
+        if check.call(arrow, u_in, trace_in) is None:
             check.fail(u_in, trace_in, observed="undefined", expected="a defined result")
         check.checked += 1
 
 
 @_law(SAFETY, "no inputs to enumerate")
-def check_safety(check: _Check, bx: Bx, direction: str) -> None:
+def check_safety(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Defined at least on inputs whose post-state has a consistent counterpart."""
     for _, trace_in, u_in, in_base, _, _ in check.anchored_inputs():
         post_in = _post(u_in, in_base)
         if post_in is None:
             continue
-        if check.run.partners(direction, post_in) and check.call(direction, u_in, trace_in) is None:
+        if check.run.partners(arrow, post_in) and check.call(arrow, u_in, trace_in) is None:
             check.fail(
                 u_in, trace_in,
                 observed="undefined",
@@ -880,12 +857,12 @@ def check_safety(check: _Check, bx: Bx, direction: str) -> None:
 
 
 @_law(CONVERGENCE, "no premise call is defined")
-def check_convergence(check: _Check, bx: Bx, direction: str) -> None:
+def check_convergence(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Round-tripping reaches a fixed point on post-states within two passes."""
-    back = _other(direction)
+    back = bx.arrows[arrow.back]
     rounds = check.run.config.max_convergence_rounds
     for _, trace_fwd, u_in, _, out_base, trace_back in check.anchored_inputs(round_trip=True):
-        first = check.call(direction, u_in, trace_fwd)
+        first = check.call(arrow, u_in, trace_fwd)
         if first is None:
             continue
         current = first[0]
@@ -896,7 +873,7 @@ def check_convergence(check: _Check, bx: Bx, direction: str) -> None:
             bounce = check.call(back, current, trace_back)
             if bounce is None:
                 break  # a round trip is undefined: discharged
-            again = check.call(direction, bounce[0], trace_fwd)
+            again = check.call(arrow, bounce[0], trace_fwd)
             if again is None:
                 break
             current = again[0]
@@ -1036,15 +1013,15 @@ def _meta_checks(bx: Bx, verdicts: dict[tuple[str, str], Verdict]) -> list[str]:
 def audit_incidence(bx: Bx, config: LawSuiteConfig | None = None) -> Verdict:
     """Run every enumerated defined call and check endpoint agreement."""
     # One check spans both directions, so it counts every audited call.
-    check = _Check(_Run(bx, config), "incidence", "to", "no defined invocation to audit")
+    check = _Check(_Run(bx, config), "incidence", bx.arrows["to"], "no defined invocation to audit")
     try:
-        for direction in DIRECTIONS:
-            check.direction = direction
+        for arrow in bx.arrows.values():
+            check.arrow = arrow
             for _, trace_in, u_in, _, _, _ in check.anchored_inputs():
-                result = check.call(direction, u_in, trace_in)
+                result = check.call(arrow, u_in, trace_in)
                 if result is None:
                     continue
-                verdict = check_incidence(u_in, trace_in, result[0], result[1], direction)
+                verdict = check_incidence(u_in, trace_in, result[0], result[1], arrow.name)
                 if isinstance(verdict, Fails):
                     return Fails(dataclasses.replace(verdict.counterexample, bx_name=bx.name))
                 check.checked += 1

@@ -40,7 +40,7 @@ from bxkit.laws import (
     consistent_cases,
     run_suite,
     _Run,
-    _input_trace,
+    _realize_arrow,
 )
 from bxkit.verdict import Fails, Verdict
 
@@ -310,13 +310,13 @@ def test_criterion_8_round_trip_serialization():
             for v in enumerate_values(domain):
                 assert parse_value(render_value(v)) == v
                 checked += 1
-        for direction in ("to", "from"):
+        for direction, arrow in bx.arrows.items():
             for case in consistent_cases(bx, direction):
-                trace = _input_trace(bx, direction, case)
+                trace = _realize_arrow(bx, bx.arrows[arrow.back], case)
                 if trace is not None:
                     assert parse_trace(render_trace(trace)) == trace
                     checked += 1
-                for update in run.updates(direction, case.end(direction)):
+                for update in run.updates(arrow, arrow.pair(case.a, case.b)[0]):
                     assert parse_update(render_update(update)) == update
                     checked += 1
                     if trace is None:

@@ -40,6 +40,22 @@ def test_signature_golden_set():
         assert got == GOLDEN_SIGNATURES[entry.framework], entry.bx.name
 
 
+def test_the_arrows_mirror_each_other_and_the_signature():
+    for name, entry in catalog_entries().items():
+        arrows = entry.bx.arrows
+        to, from_ = arrows["to"], arrows["from"]
+        assert (to.name, from_.name) == ("to", "from"), name
+        assert arrows[to.back] is from_ and arrows[from_.back] is to, name
+        assert to.trace_in is from_.trace_out and to.trace_out is from_.trace_in, name
+        assert to.upd_in is from_.upd_out and to.upd_out is from_.upd_in, name
+        assert to.domain_in is from_.domain_out and to.domain_out is from_.domain_in, name
+        assert to.pair("in", "out") == ("in", "out") and from_.pair("in", "out") == ("out", "in"), name
+        sig = classify(entry.bx)
+        assert (sig.upd_to, sig.upd_from, sig.trace_to, sig.trace_from) == (
+            to.upd_in, from_.upd_in, to.trace_out, from_.trace_out
+        ), name
+
+
 def test_symmetry_is_derived_not_declared():
     sig = classify(catalog("fst-lens").bx)
     assert sig.symmetry == "A"
@@ -95,7 +111,7 @@ def test_render_report_empty_is_header_only():
 def test_well_behaved_grades():
     def grade(name):
         entry = catalog(name)
-        return well_behaved(entry.bx, run_suite(entry.bx))
+        return well_behaved(run_suite(entry.bx))
 
     assert grade("fst-lens") == VERY_WELL_BEHAVED
     assert grade("key-maintainer") == WELL_BEHAVED

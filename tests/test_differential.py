@@ -343,18 +343,18 @@ def test_every_transformation_valued_entry_keeps_degeneracy():
 # -- history ignorance: the plain triple loop ------------------------------------------
 
 
-def _plain_history_ignorance(check, bx, direction):
+def _plain_history_ignorance(check, bx, arrow):
     """The checker's body without reuse: every second call is made."""
     for _, trace_in, u1, in_base, out_base, _ in check.anchored_inputs():
-        first = check.call(direction, u1, trace_in)
+        first = check.call(arrow, u1, trace_in)
         if first is None:
             continue
         out1, s1 = first
-        trace2 = bxkit.laws._reverse_trace(bx, direction, s1, bxkit.laws._post(out1, out_base))
+        trace2 = bxkit.laws._reverse_trace(arrow, s1, bxkit.laws._post(out1, out_base))
         if trace2 is None:
             continue
-        for u2 in check.run.updates(direction, bxkit.laws._post(u1, in_base)):
-            second = check.call(direction, u2, trace2)
+        for u2 in check.run.updates(arrow, bxkit.laws._post(u1, in_base)):
+            second = check.call(arrow, u2, trace2)
             if second is None:
                 continue
             out2, s2 = second
@@ -363,7 +363,7 @@ def _plain_history_ignorance(check, bx, direction):
                 expected_u = compose_updates(out2, out1)
             except SchemeError:
                 continue
-            combined = check.call(direction, u12, trace_in)
+            combined = check.call(arrow, u12, trace_in)
             if combined is None:
                 continue
             check.compare(
@@ -435,20 +435,20 @@ def test_history_ignorance_matches_the_plain_loop_on_unhashable_traces(monkeypat
 # -- least update: the plain scan of every input -----------------------------------------
 
 
-def _plain_least_update(check, bx, direction):
+def _plain_least_update(check, bx, arrow):
     """The checker's body without reuse: every defined input scans all its
     consistency-restoring alternatives."""
     post = bxkit.laws._post
-    repr_out = bx.output_update_repr(direction)
+    repr_out = arrow.upd_out
     for _, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
-        result = check.call(direction, u_in, trace_in)
+        result = check.call(arrow, u_in, trace_in)
         if result is None:
             continue
         post_in = post(u_in, in_base)
         if post_in is None:
             continue
-        partners = check.run.partners(direction, post_in)
-        for alt in check.run.updates(bxkit.laws._other(direction), out_base):
+        partners = check.run.partners(arrow, post_in)
+        for alt in check.run.updates(bx.arrows[arrow.back], out_base):
             if post(alt, out_base) not in partners:
                 continue
             if bx.preorder is None and repr_out is UpdateRepr.POST and out_base is not None:

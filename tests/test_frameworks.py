@@ -132,7 +132,7 @@ _TRACE_OF = {
 def test_repr_mismatch_is_reported(name, direction):
     assert set(_UPDATE_OF) == set(UpdateRepr) and set(_TRACE_OF) == set(TraceRepr)
     bx = catalog(name).bx
-    upd, trace = bx.input_update_repr(direction), bx.input_trace_repr(direction)
+    upd, trace = bx.arrows[direction].upd_in, bx.arrows[direction].trace_in
     for other, update in _UPDATE_OF.items():
         if other is not upd:
             with pytest.raises(ReprMismatch, match="expected update representation"):

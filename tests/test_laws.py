@@ -465,6 +465,16 @@ def test_an_empty_law_selection_is_refused():
         LawSuiteConfig(laws=())
 
 
+def test_an_unknown_direction_is_refused():
+    # A direction that names no arrow is the caller's error, not a verdict
+    # on the transformation.
+    calls = [getattr(bxkit.laws, f"check_{law}") for law in ALL_LAWS]
+    calls += [consistent_cases, lambda lens, direction: lens.apply(direction, PostState(atom(1)), NO_TRACE)]
+    for call in calls:
+        with pytest.raises(ValueError, match="direction must be 'to' or 'from'"):
+            call(bx("fst-lens"), "sideways")
+
+
 def test_the_literal_reading_is_not_selectable():
     # It is reported beside hippocraticness, and read back under its name.
     with pytest.raises(ValueError, match="hippocraticness_literal"):

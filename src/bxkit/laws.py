@@ -16,7 +16,7 @@ ignorance keeps its second results per check, keyed by the moved input
 state and the reversed trace, and, for state-based updates, its combined
 results per anchor, keyed by the composite update.  Least update keeps, per
 check, the sized consistency-restoring alternatives of each (output base,
-input post-state) pair.
+input post-state) pair; state-based ones are built from the partner row.
 
 A law is a body ``(check, bx, arrow)`` holding only its quantifier loop
 over ``arrow``, the record in ``bx.arrows`` of the direction checked: it
@@ -787,26 +787,45 @@ for _name, _body in ((HIPPOCRATICNESS, _hippocraticness), (HIPPOCRATICNESS_LITER
 def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """The returned update is minimal among all consistency-restoring ones."""
     repr_out, back = arrow.upd_out, bx.arrows[arrow.back]
+    constructor = UPDATE_CONSTRUCTORS[repr_out]
     anchored_order = default_preorder(UpdateRepr.BOTH)
-    plain_order = bx.preorder or default_preorder(repr_out)
+    plain_order = default_preorder(repr_out)
 
-    def size(update: Update, out_base: Value | None) -> int:
+    def size(update: Update, out_base: Value | None, u_in: Update, trace_in: Traceability) -> int:
         # Post-state-only updates are compared as "fewest changed
         # components" by anchoring them at the testified pre-state,
-        # unless the transformation attached its own preorder.
-        if bx.preorder is None and repr_out is UpdateRepr.POST and out_base is not None:
+        # unless the transformation attached its own preorder.  That is
+        # user code: what it raises fails the input being checked.
+        if bx.preorder is not None:
+            try:
+                return bx.preorder.size(update)
+            except CapExceeded:
+                raise
+            except Exception as exc:
+                check.fail(
+                    u_in, trace_in, observed=f"raised {exc!r}", expected="a size under the preorder"
+                )
+        if repr_out is UpdateRepr.POST and out_base is not None:
             return anchored_order.size(BothStates(out_base, _post(update, out_base)))
         return plain_order.size(update)
 
-    def restoring(out_base: Value | None, post_in: Value) -> list[tuple[Update, int]]:
+    def restoring(
+        out_base: Value | None, post_in: Value, u_in: Update, trace_in: Traceability
+    ) -> list[tuple[Update, int]]:
         # The alternatives are the opposite direction's input updates that
         # end in a partner of the input's post-state, in enumeration order.
+        # A state-based update is built from the state it ends in, so those
+        # are built from the partner row; edit updates are scanned for.
         partners = check.run.partners(arrow, post_in)
-        return [
-            (alt, size(alt, out_base))
-            for alt in check.run.updates(back, out_base)
-            if _post(alt, out_base) in partners
-        ]
+        if constructor.edits:
+            alts = [
+                alt for alt in check.run.updates(back, out_base) if _post(alt, out_base) in partners
+            ]
+        elif out_base is None and constructor.carries_pre:
+            alts = []
+        else:
+            alts = [constructor.build(out_base, p) for p in partners]
+        return [(alt, size(alt, out_base, u_in, trace_in)) for alt in alts]
 
     # The alternatives depend only on the output base and the input's
     # post-state, so each pair's are found and sized once per check.
@@ -818,8 +837,10 @@ def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
         post_in = _post(u_in, in_base)
         if post_in is None:
             continue
-        rows = remember(alternatives, (out_base, post_in), restoring, out_base, post_in)
-        result_size = size(result[0], out_base) if rows else None
+        rows = remember(
+            alternatives, (out_base, post_in), restoring, out_base, post_in, u_in, trace_in
+        )
+        result_size = size(result[0], out_base, u_in, trace_in) if rows else None
         for alt, alt_size in rows:
             if result_size > alt_size:
                 check.fail(

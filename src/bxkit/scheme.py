@@ -29,11 +29,12 @@ from .values import (
     SamenessRelation,
     Seq,
     Value,
-    all_paths,
     compose_relations,
     diff,
+    diff_size,
     enumerate_values,
     hash_once,
+    node_count,
     path_valid,
 )
 from .verdict import Counterexample, Fails, Holds, Vacuous, Verdict
@@ -607,31 +608,34 @@ class UpdatePreorder:
     """A total preorder on updates of one representation, given by a size."""
 
     name: str
-    size: "callable"
+    size: Callable[[Update], int]
 
     def compare(self, u1: Update, u2: Update) -> str:
         return LESS_OR_EQUAL if self.size(u1) <= self.size(u2) else GREATER
 
 
 def _changed_paths_both(u: BothStates) -> int:
-    return len(all_paths(u.post)) - len(diff(u.pre, u.post))
+    return node_count(u.post) - diff_size(u.pre, u.post)
 
 
 def _changed_paths_delta(u: DeltaUpdate) -> int:
-    return len(all_paths(u.post)) - len(u.same.targets())
+    # A sameness relation is a partial bijection: one link per linked target.
+    return node_count(u.post) - len(u.same)
 
 
 def _post_size(u: PostState) -> int:
-    return len(all_paths(u.post))
+    return node_count(u.post)
 
 
 def default_preorder(repr: UpdateRepr) -> UpdatePreorder:
     """The default "fewest changed components" preorder.
 
     Both-state updates count post-state paths not aligned to an equal
-    pre-state component; delta updates use their carried relation; edit
-    updates compare sequence length.  Post-state-only updates fall back
-    to comparing post-state size, since no pre-state is available.
+    pre-state component; delta updates count those their carried relation
+    leaves unlinked; edit updates compare sequence length.  Post-state-only
+    updates fall back to comparing post-state size, since no pre-state is
+    available.  Every size is counted (``node_count``, ``diff_size``): no
+    path, alignment or cache entry is built.
     """
     if repr is UpdateRepr.BOTH:
         return UpdatePreorder("changed-paths", _changed_paths_both)

@@ -6,7 +6,10 @@ component of a value is addressable by a path.  Finite domains describe
 universes of values with computable cardinality and a deterministic
 enumeration order, which is what makes bounded-exhaustive law checking
 reproducible.  ``diff`` is the alignment oracle: given two values it
-returns a partial bijection between paths of equal components.
+returns a partial bijection between paths of equal components, kept in a
+bounded cache for delta updates, delta traces and aligners.  Sizing an
+update needs only counts, so ``node_count`` and ``diff_size`` count the
+paths of a value and the links of its alignment without building either.
 
 Values, and the edits, updates and traces of ``scheme.py`` built from
 them, are keyed into dicts and sets at every step of a law check, so
@@ -588,7 +591,7 @@ def _lcs_matches(xs: tuple[Value, ...], ys: tuple[Value, ...]) -> list[tuple[int
     return matches
 
 
-@lru_cache(maxsize=2 ** 14)  # bounded; the widest benchmark workload keeps 4,608
+@lru_cache(maxsize=2 ** 14)  # bounded; the catalog report keeps 32 alignments
 def _align(pre: Value, post: Value) -> SamenessRelation:
     links: list[tuple[Path, Path]] = []
 
@@ -633,3 +636,29 @@ def diff(pre: Value, post: Value) -> SamenessRelation:
 
 
 diff.cache_info = _align.cache_info
+
+
+def node_count(value: Value) -> int:
+    """The number of paths of ``value``, ``len(all_paths(value))``, counted."""
+    if isinstance(value, Pair):
+        return 1 + node_count(value.left) + node_count(value.right)
+    if isinstance(value, Seq):
+        return 1 + sum(map(node_count, value.elements))
+    if isinstance(value, Rec):
+        return 1 + sum(node_count(fv) for _, fv in value.fields)
+    return 1
+
+
+def diff_size(pre: Value, post: Value) -> int:
+    """``len(diff(pre, post))``, counted along the same alignment rules;
+    nothing is built or cached."""
+    if pre == post:
+        return node_count(pre)
+    if isinstance(pre, Pair) and isinstance(post, Pair):
+        return diff_size(pre.left, post.left) + diff_size(pre.right, post.right)
+    if isinstance(pre, Rec) and isinstance(post, Rec):
+        return sum(diff_size(fv, post.get(name)) for name, fv in pre.fields if post.has(name))
+    if isinstance(pre, Seq) and isinstance(post, Seq):
+        xs = pre.elements
+        return sum(node_count(xs[i]) for i, _ in _lcs_matches(xs, post.elements))
+    return 0

@@ -521,8 +521,8 @@ def test_least_update_matches_the_plain_scan_on_unhashable_results(monkeypatch, 
 @pytest.mark.parametrize("trim", [True, False])
 def test_least_update_compares_unhashable_results_by_changed_paths(monkeypatch, trim):
     # Without an attached order, post-state results are lifted to both-state
-    # updates and compared by their changed paths, which align them with
-    # ``diff``; an unhashable post-state is aligned without its cache.  The
+    # updates and compared by their changed paths, counted by ``diff_size``
+    # along ``diff``'s alignment rules, which needs no hash.  The
     # unhashable empty repair is not equal to the empty sequence, so it
     # changes the root where the alternative changes nothing.
     resizer = dataclasses.replace(_loose_resizer(trim), preorder=None)

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from bxkit.values import CapExceeded, Seq, atom, atoms, enumerate_values, pair, pairs_of, rec, seqs_of
+from bxkit.values import CapExceeded, Seq, atom, atoms, diff, enumerate_values, pair, pairs_of, rec, seqs_of
 from bxkit.scheme import (
     BothStates,
     ComplementTrace,
@@ -19,12 +19,13 @@ from bxkit.scheme import (
     StateEdits,
     StateTrace,
     TraceRepr,
+    UpdatePreorder,
     UpdateRepr,
     apply_ops,
     compose_updates,
 )
 from bxkit.frameworks import Bx, Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
-from bxkit.grammar import parse_trace, parse_update, render_value
+from bxkit.grammar import parse_trace, parse_update, render_trace, render_update, render_value
 from bxkit.catalog import catalog, catalog_names
 import bxkit.laws
 from bxkit.laws import (
@@ -36,6 +37,7 @@ from bxkit.laws import (
     HIPPOCRATICNESS_LITERAL,
     HISTORY_IGNORANCE,
     INVERTIBILITY,
+    LEAST_UPDATE,
     SAFETY,
     STABILITY,
     TOTALITY,
@@ -618,7 +620,6 @@ def test_edit_lens_pinned_verdicts_stable_at_depth_two():
 
 def test_attached_preorder_overrides_the_default():
     # under an everything-is-equal order, even a resetting repair is minimal
-    from bxkit.scheme import UpdatePreorder
     from bxkit.values import AtomInt, rec as record
 
     def resetting(b_post, a_pre):
@@ -784,6 +785,71 @@ def test_least_update_scans_rows_not_pairs():
         calls.clear()
         assert isinstance(check_least_update(counted, direction), Holds)
         assert len(calls) <= 2 * pairs, direction
+
+
+def test_least_update_sizes_updates_without_aligning_them():
+    # The default preorders count paths and alignment links; no alignment
+    # is built, so ``diff`` is not consulted and its cache does not grow.
+    key = bx("key-maintainer")
+    for direction in DIRECTIONS:
+        before = diff.cache_info()
+        assert isinstance(check_least_update(key, direction), Holds)
+        after = diff.cache_info()
+        assert after.currsize == before.currsize, direction
+        assert after.hits + after.misses == before.hits + before.misses, direction
+
+
+def test_least_update_builds_state_based_alternatives_from_the_partner_row(monkeypatch):
+    # The projection lens of the wide benchmark, narrowed: each view value
+    # has two sources, so two of the eight source updates restore
+    # consistency, and they are built from the row instead of being found
+    # among every update of the opposite direction.
+    lens = make_lens(
+        "first-projection",
+        lambda source: source.left,
+        lambda target, source: pair(target, source.right),
+        pairs_of(atoms(0, 1, 2, 3), atoms(0, 1)),
+        atoms(0, 1, 2, 3),
+    )
+    enumerated = []
+    original = bxkit.laws._Run.updates
+
+    def updates(run, arrow, pre):
+        enumerated.append(arrow.name)
+        return original(run, arrow, pre)
+
+    monkeypatch.setattr(bxkit.laws._Run, "updates", updates)
+    for direction in DIRECTIONS:
+        enumerated.clear()
+        assert isinstance(check_least_update(lens, direction), Holds)
+        assert enumerated and set(enumerated) == {direction}
+
+
+def _raising_preorder(error):
+    def size(update):
+        raise error
+
+    return dataclasses.replace(bx("key-maintainer"), preorder=UpdatePreorder("raising", size))
+
+
+def test_an_attached_preorder_that_raises_fails_least_update():
+    raising = _raising_preorder(KeyError("missing"))
+    run = bxkit.laws._Run(raising, None)
+    for direction in DIRECTIONS:
+        check = bxkit.laws._Check(run, LEAST_UPDATE, raising.arrows[direction], "")
+        _, trace_in, u_in, _, _, _ = next(check.anchored_inputs())
+        verdict = check_least_update(raising, direction)
+        assert isinstance(verdict, Fails), direction
+        c = verdict.counterexample
+        assert (c.law, c.direction, c.observed) == (LEAST_UPDATE, direction, "raised KeyError('missing')")
+        assert (c.update, c.trace) == (render_update(u_in), render_trace(trace_in))
+    report = run_suite(raising)
+    assert [report.kind(LEAST_UPDATE, d) for d in DIRECTIONS] == [Verdict.FAILS, Verdict.FAILS]
+
+
+def test_an_attached_preorder_that_blows_the_cap_ends_the_run():
+    with pytest.raises(CapExceeded):
+        check_least_update(_raising_preorder(CapExceeded(10, 1)), "to")
 
 
 def test_public_checkers_keep_their_signatures():

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import bxkit
 from bxkit.scheme import (
     BothStates,
+    UpdateRepr,
+    default_preorder,
     ComplementTrace,
     DeltaTrace,
     DeltaUpdate,
@@ -47,8 +49,10 @@ from bxkit.values import (
     compose_relations,
     contains,
     diff,
+    diff_size,
     enumerate_values,
     identity_relation,
+    node_count,
     pair,
     pairs_of,
     rec,
@@ -282,6 +286,54 @@ def test_diff_property_random(a, b):
     rel = diff(a, b)
     for src, tgt in rel.links:
         assert select(a, src) == select(b, tgt)
+
+
+# -- counting without building: node_count and diff_size ---------------------
+
+class _Loose(Seq):
+    """A sequence that cannot be hashed, so ``diff`` aligns it uncached."""
+
+    __hash__ = None
+
+
+def _counted_values():
+    """Values of several shapes: pairs, records with different field sets,
+    sequences up to length 3, atoms, nested mixes, and unhashable copies."""
+    domains = (
+        atoms(0, "a"),
+        pairs_of(atoms(0, 1), seqs_of(atoms(0, 1), 1)),
+        recs_of(k=atoms(1, 2), u=atoms(7)),
+        recs_of(k=atoms(1, 2), v=atoms(7)),
+        seqs_of(atoms(0, 1), 3),
+        seqs_of(pairs_of(atoms(0, 1), atoms(0)), 2),
+        recs_of(k=seqs_of(atoms(0), 2), u=pairs_of(atoms(0, 1), atoms(0))),
+    )
+    values = [v for domain in domains for v in enumerate_values(domain)]
+    loose = [_Loose(v.elements) for v in values if isinstance(v, Seq) and len(v.elements) > 1]
+    return values + loose + [pair(x, atom(0)) for x in loose[:3]]
+
+
+def test_counting_matches_the_paths_and_alignments_it_replaces():
+    values = _counted_values()
+    assert any(isinstance(v, _Loose) for v in values)
+    for x in values:
+        assert node_count(x) == len(all_paths(x))
+        for y in values:
+            assert diff_size(x, y) == len(diff(x, y)), (x, y)
+
+
+def test_default_preorders_match_their_path_definitions():
+    both = default_preorder(UpdateRepr.BOTH).size
+    delta = default_preorder(UpdateRepr.DELTA).size
+    post = default_preorder(UpdateRepr.POST).size
+    values = _counted_values()
+    for x in values:
+        assert post(PostState(x)) == len(all_paths(x))
+        for y in values:
+            aligned = diff(x, y)
+            assert both(BothStates(x, y)) == len(all_paths(y)) - len(aligned)
+            for same in (aligned, SamenessRelation()):
+                assert delta(DeltaUpdate(x, y, same)) == len(all_paths(y)) - len(same.targets())
 
 
 # -- hashes kept after the first use -----------------------------------------

@@ -4,8 +4,10 @@ import dataclasses
 import gc
 import hashlib
 import inspect
+import itertools
 import logging
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +26,7 @@ from bxkit.scheme import (
     apply_ops,
     compose_updates,
 )
-from bxkit.frameworks import Bx, Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
+from bxkit.frameworks import Arrow, Bx, Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
 from bxkit.grammar import parse_trace, parse_update, render_trace, render_update, render_value
 from bxkit.catalog import catalog, catalog_names
 import bxkit.laws
@@ -1135,3 +1137,51 @@ def test_a_lossy_state_edits_mirror_fails_only_history_ignorance():
     counterexample = report.verdicts[HISTORY_IGNORANCE, "to"].counterexample
     assert counterexample.update == "stateedits{pre=[], edits=[ins(0, 0), ins(0, 0)]}"
     assert counterexample.trace == "state{[]}"
+
+
+# -- expressibility against the rules as stated by representation name --------
+
+
+def _inexpressible_by_name(kind, law, arrow):
+    """The seven expressibility rules written over representation names, in
+    their order, with their reasons; ``kind`` is the consistency kind."""
+    repr_in, trace_in, trace_out = arrow.upd_in, arrow.trace_in, arrow.trace_out
+    carrying = (TraceRepr.STATE, TraceRepr.DELTA)
+    pre_recoverable = trace_in is TraceRepr.DELTA or (
+        arrow.name == "from" and trace_in is TraceRepr.STATE and kind == "T"
+    )
+    if repr_in is UpdateRepr.OPAQUE and law not in (TOTALITY, SAFETY):
+        return "function-valued updates are excluded from law checking"
+    if law == STABILITY and repr_in is UpdateRepr.POST and not pre_recoverable:
+        return "a null update cannot be identified: no pre-state is recoverable"
+    if law in (INVERTIBILITY, CONVERGENCE) and trace_in is TraceRepr.NONE and trace_out in carrying:
+        return "the reversed trace is not representable for the opposite direction"
+    if law == UNDOABILITY and repr_in is UpdateRepr.POST and trace_in not in carrying:
+        return "update inversion is not representable without a state-carrying trace"
+    if law in (HIPPOCRATICNESS, HIPPOCRATICNESS_LITERAL):
+        if kind == "I" and repr_in is not UpdateRepr.EDITS:
+            return "a consistency-preserving update cannot be recognized under an implicit relation"
+        if trace_in is TraceRepr.NONE:
+            return "no testifying pair is available to anchor the null update"
+    if law == LEAST_UPDATE and arrow.upd_out is UpdateRepr.OPAQUE:
+        return "no preorder is available for function-valued updates"
+    return None
+
+
+def test_expressibility_agrees_with_the_rules_by_name_on_every_representation():
+    # Every law, every pair of update and of trace representations, every
+    # consistency kind and both directions: far more combinations than the
+    # catalog's entries reach.
+    domain = atoms(0)
+    checked = 0
+    for kind in ("T", "E", "I"):
+        stub = SimpleNamespace(consistency_kind=kind)
+        for upd_in, upd_out in itertools.product(UpdateRepr, repeat=2):
+            for trace_in, trace_out in itertools.product(TraceRepr, repeat=2):
+                for name, back in (("to", "from"), ("from", "to")):
+                    arrow = Arrow(name, back, None, upd_in, upd_out, trace_in, trace_out, domain, domain)
+                    for law in ALL_LAWS + (HIPPOCRATICNESS_LITERAL,):
+                        expected = _inexpressible_by_name(kind, law, arrow)
+                        assert bxkit.laws._inexpressible(stub, law, arrow) == expected, (kind, law, arrow)
+                        checked += 1
+    assert checked == 38016

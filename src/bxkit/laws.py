@@ -25,14 +25,14 @@ calls the transformation, counts cases and fails through its ``_Check``.
 up by its name, applies ``_DEGENERATES``, then ``_inexpressible``, then
 runs the body.
 
-Expressibility is decided from the representations alone, in
-``_inexpressible`` and nowhere else.  A law that needs a null update,
-an update inverse, or a reversed trace that the framework's own data
-cannot represent is reported as not expressible, which reproduces the
-classic per-framework folklore: mappings cannot state stability,
-undoability, or hippocraticness; lenses can state them backward but not
-forward; maintainers recover undoability and hippocraticness by
-quantifying over consistent pairs while stability stays out of reach.
+Expressibility is decided in ``_inexpressible`` alone, from what the
+representations' classes can do.  A law that needs a null update, an
+update inverse, or a reversed trace that the framework's own data cannot
+represent is reported as not expressible, which reproduces the classic
+per-framework folklore: mappings cannot state stability, undoability, or
+hippocraticness; lenses can state them backward but not forward;
+maintainers recover undoability and hippocraticness by quantifying over
+consistent pairs while stability stays out of reach.
 """
 from __future__ import annotations
 
@@ -55,28 +55,15 @@ from .values import (
     remember,
 )
 from .scheme import (
-    BothStates,
-    ComplementTrace,
-    DeltaTrace,
-    Edits,
-    NO_TRACE,
-    PostState,
     SchemeError,
-    StateNotRepresented,
-    StateTrace,
+    TRACE_CLASSES,
     Traceability,
-    TraceRepr,
     Update,
-    UPDATE_CONSTRUCTORS,
+    UPDATE_CLASSES,
     UpdateRepr,
-    apply_ops,
     check_incidence,
     compose_updates,
-    default_preorder,
     enumerate_op_sequences,
-    invert_trace,
-    invert_update,
-    rho_of,
 )
 from .frameworks import Arrow, BoundaryMismatch, Bx, Undefined
 from .grammar import render_trace, render_update, render_value
@@ -169,7 +156,7 @@ FREE_CASE = Case(None, None, None)
 
 
 def consistent_cases(bx: Bx, direction: str, cap: int = ENUMERATION_CAP) -> tuple[Case, ...]:
-    if bx.arrow(direction).trace_in is TraceRepr.NONE:
+    if not TRACE_CLASSES[bx.arrow(direction).trace_in].anchored:
         return (FREE_CASE,)
     if bx.consistency_kind == "I":
         return tuple(Case(a, b, c) for a, b, c in bx.replay)
@@ -187,46 +174,22 @@ def _row(bx: Bx, arrow: Arrow, state: Value, cap: int) -> dict[Value, None]:
 
 
 def _realize_arrow(bx: Bx, arrow: Arrow, case: Case) -> Traceability | None:
-    """Build the trace that ``arrow`` produces on a testifying pair.
+    """Build the trace that ``arrow`` produces on a testifying pair: a stored
+    state is the arrow's input end; a delta runs from its input end to its
+    output end."""
 
-    A stored state is the arrow's input end; a delta runs from its input
-    end to its output end.
-    """
-    repr = arrow.trace_out
-    if repr is TraceRepr.NONE:
-        return NO_TRACE
-    if case.a is None or case.b is None:
-        if repr is TraceRepr.COMPLEMENT and case.c is not None:
-            return ComplementTrace(case.c)
-        return None
-    if repr is TraceRepr.STATE:
-        return StateTrace(arrow.pair(case.a, case.b)[0])
-    if repr is TraceRepr.COMPLEMENT:
-        return ComplementTrace(case.c) if case.c is not None else None
-    rel = bx.default_align(case.a, case.b)
-    if arrow.name == "to":
-        return DeltaTrace(case.a, case.b, rel)
-    return DeltaTrace(case.b, case.a, rel.invert())
+    def align():
+        rel = bx.default_align(case.a, case.b)
+        return rel if arrow.name == "to" else rel.invert()
+
+    ends = None if case.a is None or case.b is None else arrow.pair(case.a, case.b)
+    return TRACE_CLASSES[arrow.trace_out].testifying(ends, case.c, align)
 
 
 def _reverse_trace(arrow: Arrow, trace: Traceability, post_out: Value | None) -> Traceability | None:
-    """Reverse the trace produced by a call of ``arrow`` into the
-    representation that its opposite produces, which ``arrow`` reads.
-
-    A stored-state trace of the opposite arrow stores that arrow's
-    source, which is the output-side post-state of the call; complements
-    are their own reversal.
-    """
-    repr = arrow.trace_in
-    if repr is TraceRepr.NONE:
-        return NO_TRACE
-    if repr is TraceRepr.STATE:
-        return StateTrace(post_out) if post_out is not None else None
-    if repr is TraceRepr.COMPLEMENT:
-        return trace if isinstance(trace, ComplementTrace) else None
-    if isinstance(trace, DeltaTrace):
-        return invert_trace(trace)
-    return None
+    """Reverse the trace produced by a call of ``arrow``, whose output-side
+    post-state is ``post_out``, into the representation ``arrow`` reads."""
+    return TRACE_CLASSES[arrow.trace_in].reversing(trace, post_out)
 
 
 class _Run:
@@ -250,58 +213,28 @@ class _Run:
         # Only the op-sequence searches are kept per pre-state, and post-state
         # updates once per direction; both-states and delta updates cost no
         # more to build than the loop that reads them, so they are not kept.
-        repr, domain = arrow.upd_in, arrow.domain_in
-        if repr in (UpdateRepr.BOTH, UpdateRepr.DELTA):
-            return self._enumerate(repr, domain, pre)
-        key = (arrow.name, None if repr is UpdateRepr.POST else pre)
-        return remember(self._updates, key, self._enumerate, repr, domain, pre)
+        built, domain = UPDATE_CLASSES[arrow.upd_in], arrow.domain_in
+        if built.carries_pre and not built.edits:
+            return self._enumerate(built, domain, pre)
+        key = (arrow.name, pre if built.edits else None)
+        return remember(self._updates, key, self._enumerate, built, domain, pre)
 
-    def _enumerate(self, repr: UpdateRepr, domain, pre: Value | None) -> tuple[Update, ...]:
+    def _enumerate(self, built: type[Update], domain, pre: Value | None) -> tuple[Update, ...]:
         """Every update from ``pre`` that ends in ``domain``, or that applies
         at most ``edit_ops_per_update`` edits; none for opaque updates."""
-        constructor = UPDATE_CONSTRUCTORS.get(repr)
-        if constructor is None or (pre is None and (constructor.edits or constructor.carries_pre)):
+        if not built.algebraic or (pre is None and (built.edits or built.carries_pre)):
             return ()
-        if constructor.edits:
+        if built.edits:
             steps = enumerate_op_sequences(pre, domain, self.config.edit_ops_per_update)
         else:
             steps = enumerate_values(domain, self.config.value_cap)
-        return tuple(constructor.build(pre, step) for step in steps)
+        return tuple(built.build(pre, step) for step in steps)
 
     def partners(self, arrow: Arrow, state: Value) -> dict[Value, None]:
         """The partner row of the input-side ``state``, scanned once per run."""
         return remember(
             self._rows, (arrow.name, state), _row, self.bx, arrow, state, self.config.value_cap
         )
-
-
-def _post(update: Update, base: Value | None) -> Value | None:
-    try:
-        return rho_of(update)
-    except StateNotRepresented:
-        if isinstance(update, Edits) and base is not None:
-            try:
-                return apply_ops(update.ops, base)
-            except SchemeError:
-                return None
-        return None
-
-
-def _null(repr: UpdateRepr, value: Value | None) -> Update | None:
-    """The update from ``value`` to ``value``, or the empty edit sequence;
-    ``None`` for opaque updates and where an unknown ``value`` is needed."""
-    constructor = UPDATE_CONSTRUCTORS.get(repr)
-    if constructor is None or (value is None and (constructor.carries_pre or not constructor.edits)):
-        return None
-    return constructor.null(value)
-
-
-def _undo(repr: UpdateRepr, update: Update, pre: Value | None) -> Update | None:
-    """The update that reverts ``update``; a post-state-only update
-    reverts by naming the pre-state again."""
-    if repr is UpdateRepr.POST:
-        return PostState(pre) if pre is not None else None
-    return invert_update(update)
 
 
 def _shown(render: Callable[[Any], str], item: Any) -> str:
@@ -329,8 +262,8 @@ def _match_updates(
         return "strict"
     if not config.weak_variants:
         return "no"
-    pe = _post(expected, base_pre)
-    pa = _post(actual, base_pre)
+    pe = expected.post_state(base_pre)
+    pa = actual.post_state(base_pre)
     if pe is None or pa is None:
         return "no"
     if config.normalizer is not None:
@@ -477,31 +410,32 @@ class _Check:
 
 def _inexpressible(bx: Bx, law: str, arrow: Arrow) -> str | None:
     """Why ``law`` cannot be stated on ``arrow`` with the framework's own
-    representations, or ``None`` when it can.  The rules are tried in
-    order; the first that applies gives the reason."""
-    repr_in, trace_in, trace_out = arrow.upd_in, arrow.trace_in, arrow.trace_out
-    carrying = (TraceRepr.STATE, TraceRepr.DELTA)
+    representations, or ``None`` when it can, read from what their classes
+    can do.  The rules are tried in order; the first that applies gives
+    the reason."""
+    update_in = UPDATE_CLASSES[arrow.upd_in]
+    trace_in, trace_out = TRACE_CLASSES[arrow.trace_in], TRACE_CLASSES[arrow.trace_out]
     # The pre-state of the input update is recoverable from the framework's
     # own data when the input trace carries both endpoints, or when the
     # consistency relation is the forward transformation and the trace
     # stores the opposite source.
-    pre_recoverable = trace_in is TraceRepr.DELTA or (
-        arrow.name == "from" and trace_in is TraceRepr.STATE and bx.consistency_kind == "T"
+    pre_recoverable = trace_in.carries_both or (
+        arrow.name == "from" and trace_in.carries_state and bx.consistency_kind == "T"
     )
-    if repr_in is UpdateRepr.OPAQUE and law not in (TOTALITY, SAFETY):
+    if not update_in.algebraic and law not in (TOTALITY, SAFETY):
         return "function-valued updates are excluded from law checking"
-    if law == STABILITY and repr_in is UpdateRepr.POST and not pre_recoverable:
+    if law == STABILITY and not update_in.identifiable and not pre_recoverable:
         return "a null update cannot be identified: no pre-state is recoverable"
-    if law in (INVERTIBILITY, CONVERGENCE) and trace_in is TraceRepr.NONE and trace_out in carrying:
+    if law in (INVERTIBILITY, CONVERGENCE) and not trace_in.anchored and trace_out.carries_state:
         return "the reversed trace is not representable for the opposite direction"
-    if law == UNDOABILITY and repr_in is UpdateRepr.POST and trace_in not in carrying:
+    if law == UNDOABILITY and not update_in.invertible and not trace_in.carries_state:
         return "update inversion is not representable without a state-carrying trace"
     if law in (HIPPOCRATICNESS, HIPPOCRATICNESS_LITERAL):
-        if bx.consistency_kind == "I" and repr_in is not UpdateRepr.EDITS:
+        if bx.consistency_kind == "I" and (update_in.carries_pre or not update_in.edits):
             return "a consistency-preserving update cannot be recognized under an implicit relation"
-        if trace_in is TraceRepr.NONE:
+        if not trace_in.anchored:
             return "no testifying pair is available to anchor the null update"
-    if law == LEAST_UPDATE and arrow.upd_out is UpdateRepr.OPAQUE:
+    if law == LEAST_UPDATE and not UPDATE_CLASSES[arrow.upd_out].algebraic:
         return "no preorder is available for function-valued updates"
     return None
 
@@ -579,13 +513,13 @@ def _law(law: str, vacuous_reason: str):
 def check_stability(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Null updates must translate to null updates, leaving the trace reversed."""
     for case, trace_in, in_base, out_base in check.anchored_cases():
-        u_id = _null(arrow.upd_in, in_base)
+        u_id = UPDATE_CLASSES[arrow.upd_in].null(in_base)
         if u_id is None:
             continue
         result = check.call(arrow, u_id, trace_in)
         if result is None:
             continue
-        expected_u = _null(arrow.upd_out, out_base)
+        expected_u = UPDATE_CLASSES[arrow.upd_out].null(out_base)
         if expected_u is None:
             continue
         expected_t = _realize_arrow(bx, arrow, case)
@@ -607,7 +541,7 @@ def check_invertibility(check: _Check, bx: Bx, arrow: Arrow) -> None:
         conclusion = check.call(back, u_mid, trace_back)
         if conclusion is None:
             continue  # conclusion undefined: discharged
-        expected_t = _reverse_trace(arrow, t_mid, _post(u_mid, out_base))
+        expected_t = _reverse_trace(arrow, t_mid, u_mid.post_state(out_base))
         check.compare(
             u_mid, trace_back, conclusion, u_in, expected_t, in_base,
             detail="round trip did not restore the translated update",
@@ -623,16 +557,16 @@ def check_undoability(check: _Check, bx: Bx, arrow: Arrow) -> None:
         if premise is None:
             continue
         u_mid, t_mid = premise
-        u_inv = _undo(arrow.upd_in, u_in, in_base)
+        u_inv = u_in.inverse(in_base)
         if u_inv is None:
             continue
-        trace_undo = _reverse_trace(arrow, t_mid, _post(u_mid, out_base))
+        trace_undo = _reverse_trace(arrow, t_mid, u_mid.post_state(out_base))
         if trace_undo is None:
             continue
         undo = check.call(arrow, u_inv, trace_undo)
         if undo is None:
             continue
-        expected_u = _undo(arrow.upd_out, u_mid, out_base)
+        expected_u = u_mid.inverse(out_base)
         if expected_u is None:
             continue
         expected_t = _realize_arrow(bx, arrow, case)
@@ -664,7 +598,7 @@ def check_history_ignorance(check: _Check, bx: Bx, arrow: Arrow) -> None:
     # first updates, so their results are kept until the next anchor starts.
     # Edit composites are nearly all distinct, and keeping their results made
     # the depth-2 edit lens check slower and larger, so they are called plainly.
-    state_based = not UPDATE_CONSTRUCTORS[arrow.upd_in].edits
+    state_based = not UPDATE_CLASSES[arrow.upd_in].edits
     combined_at: dict[Update, tuple[Update, Traceability] | None] = {}
     anchor = None
     for case, trace_in, u1, in_base, out_base, _ in check.anchored_inputs():
@@ -675,10 +609,10 @@ def check_history_ignorance(check: _Check, bx: Bx, arrow: Arrow) -> None:
         if first is None:
             continue
         out1, s1 = first
-        trace2 = _reverse_trace(arrow, s1, _post(out1, out_base))
+        trace2 = _reverse_trace(arrow, s1, out1.post_state(out_base))
         if trace2 is None:
             continue
-        moved = _post(u1, in_base)
+        moved = u1.post_state(in_base)
         known = remember(groups, (moved, trace2), list)
         for i, u2 in enumerate(check.run.updates(arrow, moved)):
             if i < len(known):
@@ -717,8 +651,8 @@ def check_correctness(check: _Check, bx: Bx, arrow: Arrow) -> None:
         result = check.call(arrow, u_in, trace_in)
         if result is None:
             continue
-        post_in = _post(u_in, in_base)
-        post_out = _post(result[0], out_base)
+        post_in = u_in.post_state(in_base)
+        post_out = result[0].post_state(out_base)
         if post_in is None or post_out is None:
             continue
         pa, pb = arrow.pair(post_in, post_out)
@@ -755,7 +689,7 @@ def check_hippocraticness(
 
 def _hippocraticness(check: _Check, bx: Bx, arrow: Arrow, literal: bool = False) -> None:
     for case, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
-        post_in = _post(u_in, in_base)
+        post_in = u_in.post_state(in_base)
         if post_in is None:
             continue
         moved = arrow.pair(post_in, out_base)
@@ -764,7 +698,7 @@ def _hippocraticness(check: _Check, bx: Bx, arrow: Arrow, literal: bool = False)
         result = check.call(arrow, u_in, trace_in)
         if result is None:
             continue
-        expected_u = _null(arrow.upd_out, out_base)
+        expected_u = UPDATE_CLASSES[arrow.upd_out].null(out_base)
         if expected_u is None:
             continue
         # An ignored update moves the anchor's input end to its
@@ -786,28 +720,22 @@ for _name, _body in ((HIPPOCRATICNESS, _hippocraticness), (HIPPOCRATICNESS_LITER
 @_law(LEAST_UPDATE, "the transformation is undefined everywhere")
 def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """The returned update is minimal among all consistency-restoring ones."""
-    repr_out, back = arrow.upd_out, bx.arrows[arrow.back]
-    constructor = UPDATE_CONSTRUCTORS[repr_out]
-    anchored_order = default_preorder(UpdateRepr.BOTH)
-    plain_order = default_preorder(repr_out)
+    built, back = UPDATE_CLASSES[arrow.upd_out], bx.arrows[arrow.back]
 
     def size(update: Update, out_base: Value | None, u_in: Update, trace_in: Traceability) -> int:
-        # Post-state-only updates are compared as "fewest changed
-        # components" by anchoring them at the testified pre-state,
-        # unless the transformation attached its own preorder.  That is
-        # user code: what it raises fails the input being checked.
-        if bx.preorder is not None:
-            try:
-                return bx.preorder.size(update)
-            except CapExceeded:
-                raise
-            except Exception as exc:
-                check.fail(
-                    u_in, trace_in, observed=f"raised {exc!r}", expected="a size under the preorder"
-                )
-        if repr_out is UpdateRepr.POST and out_base is not None:
-            return anchored_order.size(BothStates(out_base, _post(update, out_base)))
-        return plain_order.size(update)
+        # The class's default preorder, anchored at the testified pre-state,
+        # unless the transformation attached its own.  That is user code:
+        # what it raises fails the input being checked.
+        if bx.preorder is None:
+            return update.size(out_base)
+        try:
+            return bx.preorder.size(update)
+        except CapExceeded:
+            raise
+        except Exception as exc:
+            check.fail(
+                u_in, trace_in, observed=f"raised {exc!r}", expected="a size under the preorder"
+            )
 
     def restoring(
         out_base: Value | None, post_in: Value, u_in: Update, trace_in: Traceability
@@ -817,14 +745,14 @@ def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
         # A state-based update is built from the state it ends in, so those
         # are built from the partner row; edit updates are scanned for.
         partners = check.run.partners(arrow, post_in)
-        if constructor.edits:
+        if built.edits:
             alts = [
-                alt for alt in check.run.updates(back, out_base) if _post(alt, out_base) in partners
+                alt for alt in check.run.updates(back, out_base) if alt.post_state(out_base) in partners
             ]
-        elif out_base is None and constructor.carries_pre:
+        elif out_base is None and built.carries_pre:
             alts = []
         else:
-            alts = [constructor.build(out_base, p) for p in partners]
+            alts = [built.build(out_base, p) for p in partners]
         return [(alt, size(alt, out_base, u_in, trace_in)) for alt in alts]
 
     # The alternatives depend only on the output base and the input's
@@ -834,7 +762,7 @@ def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
         result = check.call(arrow, u_in, trace_in)
         if result is None:
             continue
-        post_in = _post(u_in, in_base)
+        post_in = u_in.post_state(in_base)
         if post_in is None:
             continue
         rows = remember(
@@ -865,7 +793,7 @@ def check_totality(check: _Check, bx: Bx, arrow: Arrow) -> None:
 def check_safety(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Defined at least on inputs whose post-state has a consistent counterpart."""
     for _, trace_in, u_in, in_base, _, _ in check.anchored_inputs():
-        post_in = _post(u_in, in_base)
+        post_in = u_in.post_state(in_base)
         if post_in is None:
             continue
         if check.run.partners(arrow, post_in) and check.call(arrow, u_in, trace_in) is None:
@@ -887,7 +815,7 @@ def check_convergence(check: _Check, bx: Bx, arrow: Arrow) -> None:
         if first is None:
             continue
         current = first[0]
-        previous_post = _post(current, out_base)
+        previous_post = current.post_state(out_base)
         if previous_post is None:
             continue
         for _ in range(rounds):
@@ -898,7 +826,7 @@ def check_convergence(check: _Check, bx: Bx, arrow: Arrow) -> None:
             if again is None:
                 break
             current = again[0]
-            next_post = _post(current, out_base)
+            next_post = current.post_state(out_base)
             if next_post == previous_post:
                 check.checked += 1
                 break

@@ -4,12 +4,14 @@ Updates come in six representations: post-state only, both states, delta
 (states plus a sameness relation), edit sequence, pre-state plus edits,
 and opaque function tags.  Traceabilities come in four: none, one stored
 state, a complement, and a delta.  Each class names its representation
-in its ``repr`` class attribute; ``UPDATE_CONSTRUCTORS`` states how each
-non-opaque update representation is built.  This module gives the
-representation types and the operators the laws are written with:
-pre/post projection, null updates, sequential composition, inversion,
-trace reversal and trace/update composition, plus endpoint-agreement
-checking for a transformation call and the default size preorder on updates.
+in ``repr``, states what it can do in class attributes, and carries the
+operators the laws are written with: an update its construction, null
+update, pre/post projection, composition, inversion and default-preorder
+size; a trace its endpoints, reversal and extension by an update; an edit
+its application and inverse.  ``UPDATE_CLASSES`` and ``TRACE_CLASSES``
+map each representation to its class.  The module functions are the
+public forms of the operators, which raise where a method answers
+``None``, plus endpoint agreement for a call and the size preorder.
 
 A traceability value is directionless data; whether a stored state is
 the A side or the B side is decided by the call site (the direction of
@@ -18,8 +20,8 @@ the transformation it was passed to or returned from).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterable, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, ClassVar, Iterable
 
 from .values import (
     DomainDescriptor,
@@ -108,6 +110,20 @@ class EditOp:
     pre-state (the displaced value) to be locally invertible."""
     __slots__ = ()
 
+    def inverse(self) -> "EditOp":
+        """The edit that undoes this one; by default ``old`` and ``new`` swap."""
+        return replace(self, old=self.new, new=self.old)
+
+
+def _spliced(value: Value, index: int, old: tuple, new: tuple, what: str) -> Seq:
+    """The sequence ``value`` with its elements ``old`` at ``index`` replaced
+    by the elements ``new``."""
+    end = index + len(old)
+    els = value.elements if isinstance(value, Seq) else None
+    if els is None or not 0 <= index <= end <= len(els) or els[index:end] != old:
+        raise EditUnapplicable(f"{what} at {index}")
+    return Seq(els[:index] + new + els[end:])
+
 
 @hash_once
 @dataclass(frozen=True)
@@ -115,12 +131,24 @@ class Insert(EditOp):
     index: int
     element: Value
 
+    def apply(self, value: Value) -> Value:
+        return _spliced(value, self.index, (), (self.element,), "insert")
+
+    def inverse(self) -> EditOp:
+        return Delete(self.index, self.element)
+
 
 @hash_once
 @dataclass(frozen=True)
 class Delete(EditOp):
     index: int
     removed: Value
+
+    def apply(self, value: Value) -> Value:
+        return _spliced(value, self.index, (self.removed,), (), "delete")
+
+    def inverse(self) -> EditOp:
+        return Insert(self.index, self.removed)
 
 
 @hash_once
@@ -130,6 +158,9 @@ class ReplaceAt(EditOp):
     old: Value
     new: Value
 
+    def apply(self, value: Value) -> Value:
+        return _spliced(value, self.index, (self.old,), (self.new,), "replace")
+
 
 @hash_once
 @dataclass(frozen=True)
@@ -138,6 +169,11 @@ class SetField(EditOp):
     old: Value
     new: Value
 
+    def apply(self, value: Value) -> Value:
+        if not isinstance(value, Rec) or not value.has(self.name) or value.get(self.name) != self.old:
+            raise EditUnapplicable(f"set field {self.name}")
+        return value.set(self.name, self.new)
+
 
 @hash_once
 @dataclass(frozen=True)
@@ -145,61 +181,25 @@ class ReplaceRoot(EditOp):
     old: Value
     new: Value
 
+    def apply(self, value: Value) -> Value:
+        if value != self.old:
+            raise EditUnapplicable("root replacement old value mismatch")
+        return self.new
+
 
 def invert_op(op: EditOp) -> EditOp:
-    if isinstance(op, Insert):
-        return Delete(op.index, op.element)
-    if isinstance(op, Delete):
-        return Insert(op.index, op.removed)
-    if isinstance(op, ReplaceAt):
-        return ReplaceAt(op.index, op.new, op.old)
-    if isinstance(op, SetField):
-        return SetField(op.name, op.new, op.old)
-    if isinstance(op, ReplaceRoot):
-        return ReplaceRoot(op.new, op.old)
-    raise TypeError(f"unknown edit op {op!r}")
+    return op.inverse()
 
 
 def apply_op(op: EditOp, value: Value) -> Value:
     """Apply one edit; raises EditUnapplicable when the precondition fails."""
-    if isinstance(op, Insert):
-        if not isinstance(value, Seq) or not 0 <= op.index <= len(value.elements):
-            raise EditUnapplicable(f"insert at {op.index}")
-        els = value.elements
-        return Seq(els[: op.index] + (op.element,) + els[op.index:])
-    if isinstance(op, Delete):
-        if (
-            not isinstance(value, Seq)
-            or not 0 <= op.index < len(value.elements)
-            or value.elements[op.index] != op.removed
-        ):
-            raise EditUnapplicable(f"delete at {op.index}")
-        els = value.elements
-        return Seq(els[: op.index] + els[op.index + 1:])
-    if isinstance(op, ReplaceAt):
-        if (
-            not isinstance(value, Seq)
-            or not 0 <= op.index < len(value.elements)
-            or value.elements[op.index] != op.old
-        ):
-            raise EditUnapplicable(f"replace at {op.index}")
-        els = value.elements
-        return Seq(els[: op.index] + (op.new,) + els[op.index + 1:])
-    if isinstance(op, SetField):
-        if not isinstance(value, Rec) or not value.has(op.name) or value.get(op.name) != op.old:
-            raise EditUnapplicable(f"set field {op.name}")
-        return value.set(op.name, op.new)
-    if isinstance(op, ReplaceRoot):
-        if value != op.old:
-            raise EditUnapplicable("root replacement old value mismatch")
-        return op.new
-    raise TypeError(f"unknown edit op {op!r}")
+    return op.apply(value)
 
 
 def apply_ops(ops: Iterable[EditOp], value: Value) -> Value:
     current = value
     for op in ops:
-        current = apply_op(op, current)
+        current = op.apply(current)
     return current
 
 
@@ -245,7 +245,7 @@ def enumerate_op_sequences(
             for op in enumerate_ops(state, domain):
                 extended = ops + (op,)
                 out.append(extended)
-                next_frontier.append((extended, apply_op(op, state)))
+                next_frontier.append((extended, op.apply(state)))
         frontier = next_frontier
     return tuple(out)
 
@@ -256,29 +256,105 @@ def enumerate_op_sequences(
 
 @dataclass(frozen=True)
 class Update:
+    """An update and its algebra.  The readers, ``null`` and ``inverse``
+    answer ``None`` where the update has no such state or operator; ``size``
+    counts the default preorder, named ``order``, and by default counts edits."""
+
     __slots__ = ()
     repr: ClassVar[UpdateRepr]
+    algebraic: ClassVar[bool] = True  # function-valued updates have no operator
+    edits: ClassVar[bool] = False  # built by an edit sequence, not by its post-state
+    carries_pre: ClassVar[bool] = False
+    invertible: ClassVar[bool] = False
+    identifiable: ClassVar[bool] = False  # a null update is told from the others
+    order: ClassVar[str] = "edit-count"
+
+    @classmethod
+    def build(cls, pre: Value, step: Any) -> "Update":
+        """The update from ``pre`` by ``step``: the post-state it ends at or,
+        where ``edits`` is set, the edit sequence it applies.  Where
+        ``carries_pre`` is unset, ``pre`` is ignored."""
+        return cls(pre, step) if cls.carries_pre else cls(step)
+
+    @classmethod
+    def null(cls, value: Value | None) -> "Update | None":
+        """The update from ``value`` to ``value``, or the empty edit sequence;
+        ``None`` for opaque updates and where an unknown ``value`` is needed."""
+        if not cls.algebraic or (value is None and (cls.carries_pre or not cls.edits)):
+            return None
+        return cls.build(value, () if cls.edits else value)
+
+    def pre_state(self) -> Value | None:
+        return self.pre if self.carries_pre else None
+
+    def post_state(self, base: Value | None = None) -> Value | None:
+        """The post-state.  Edits reach it from the pre-state or, where they
+        carry none, from ``base``; there is none where an edit does not apply."""
+        if not self.edits:
+            return self.post if self.algebraic else None
+        start = self.pre if self.carries_pre else base
+        try:
+            return None if start is None else apply_ops(self.ops, start)
+        except SchemeError:
+            return None
+
+    def then(self, second: "Update") -> "Update":
+        """This update followed by ``second``, an update of the same class
+        that starts where this one ends."""
+        if not self.algebraic:
+            raise NotExpressibleError("composition of opaque updates")
+        return self.build(self.pre_state(), self.ops + second.ops if self.edits else second.post)
+
+    def inverse(self, base: Value | None = None) -> "Update | None":
+        """The update that reverts this one; ``base`` is its pre-state, which
+        a post-state update reverts to by naming it again."""
+        if not self.algebraic:
+            return None
+        if self.edits:
+            return self.build(self.post_state(), (op.inverse() for op in reversed(self.ops)))
+        return self.build(self.post, self.pre)
+
+    def size(self, base: Value | None = None) -> int:
+        return len(self.ops)
 
 
 @hash_once
 @dataclass(frozen=True)
 class PostState(Update):
     repr = UpdateRepr.POST
+    order = "post-size"
     post: Value
+
+    def then(self, second: Update) -> Update:
+        return second
+
+    def inverse(self, base: Value | None = None) -> Update | None:
+        return None if base is None else PostState(base)
+
+    def size(self, base: Value | None = None) -> int:
+        # Anchored at ``base``, the paths not aligned to an equal component of it.
+        return node_count(self.post) - (0 if base is None else diff_size(base, self.post))
 
 
 @hash_once
 @dataclass(frozen=True)
 class BothStates(Update):
     repr = UpdateRepr.BOTH
+    carries_pre = invertible = identifiable = True
+    order = "changed-paths"
     pre: Value
     post: Value
+
+    def size(self, base: Value | None = None) -> int:
+        return node_count(self.post) - diff_size(self.pre, self.post)
 
 
 @hash_once
 @dataclass(frozen=True)
 class DeltaUpdate(Update):
     repr = UpdateRepr.DELTA
+    carries_pre = invertible = identifiable = True
+    order = "unlinked-paths"
     pre: Value
     post: Value
     same: SamenessRelation
@@ -288,21 +364,40 @@ class DeltaUpdate(Update):
             if not path_valid(self.pre, src) or not path_valid(self.post, tgt):
                 raise ValueError("delta links must address valid paths of pre/post")
 
+    @classmethod
+    def build(cls, pre: Value, post: Value) -> Update:
+        return cls(pre, post, diff(pre, post))
+
+    def then(self, second: Update) -> Update:
+        return DeltaUpdate(self.pre, second.post, compose_relations(second.same, self.same))
+
+    def inverse(self, base: Value | None = None) -> Update:
+        return DeltaUpdate(self.post, self.pre, self.same.invert())
+
+    def size(self, base: Value | None = None) -> int:
+        # A sameness relation is a partial bijection: one link per linked target.
+        return node_count(self.post) - len(self.same)
+
 
 @hash_once
 @dataclass(frozen=True)
 class Edits(Update):
     repr = UpdateRepr.EDITS
+    edits = invertible = identifiable = True
     ops: tuple[EditOp, ...]
 
     def __init__(self, ops: Iterable[EditOp] = ()):
         object.__setattr__(self, "ops", tuple(ops))
+
+    def then(self, second: Update) -> Update:
+        return Edits(self.ops + second.ops)
 
 
 @hash_once
 @dataclass(frozen=True)
 class StateEdits(Update):
     repr = UpdateRepr.STATE_EDITS
+    edits = carries_pre = invertible = identifiable = True
     pre: Value
     ops: tuple[EditOp, ...]
 
@@ -318,7 +413,20 @@ class StateEdits(Update):
 class Opaque(Update):
     """Function-valued update carrier; algebraic operators reject it."""
     repr = UpdateRepr.OPAQUE
+    algebraic = False
     tag: str
+
+
+UPDATE_CLASSES = {cls.repr: cls for cls in Update.__subclasses__()}
+# The update classes that ``build`` an update from a pre-state by a step.
+UPDATE_CONSTRUCTORS = {repr: cls for repr, cls in UPDATE_CLASSES.items() if cls.algebraic}
+
+
+def _answer(answer, error: type[SchemeError], what: str):
+    """``answer``, or ``error(what)`` raised where it is ``None``."""
+    if answer is None:
+        raise error(what)
+    return answer
 
 
 def update_repr(u: Update) -> UpdateRepr:
@@ -327,49 +435,16 @@ def update_repr(u: Update) -> UpdateRepr:
     raise TypeError(f"not an update: {u!r}")
 
 
-class UpdateConstructor(NamedTuple):
-    """How one update representation builds the update from ``pre`` by a step:
-    the post-state it ends at, or, where ``edits`` is set, the edit sequence
-    it applies.  Where ``carries_pre`` is unset, ``pre`` is ignored."""
-
-    edits: bool
-    carries_pre: bool
-    build: Callable[[Value, Any], Update]
-
-    def null(self, value: Value) -> Update:
-        """The update from ``value`` to ``value``, or the empty edit sequence."""
-        return self.build(value, () if self.edits else value)
-
-
-UPDATE_CONSTRUCTORS: dict[UpdateRepr, UpdateConstructor] = {
-    UpdateRepr.POST: UpdateConstructor(False, False, lambda pre, post: PostState(post)),
-    UpdateRepr.BOTH: UpdateConstructor(False, True, BothStates),
-    UpdateRepr.DELTA: UpdateConstructor(
-        False, True, lambda pre, post: DeltaUpdate(pre, post, diff(pre, post))
-    ),
-    UpdateRepr.EDITS: UpdateConstructor(True, False, lambda pre, ops: Edits(ops)),
-    UpdateRepr.STATE_EDITS: UpdateConstructor(True, True, StateEdits),
-}
-
-
 def delta_of(u: Update) -> Value:
     """Pre-state of an update; undefined for post-only, edit-only and
     opaque representations (recover it through a traceability instead)."""
-    if isinstance(u, (BothStates, DeltaUpdate, StateEdits)):
-        return u.pre
-    raise StateNotRepresented("pre")
+    return _answer(u.pre_state(), StateNotRepresented, "pre")
 
 
 def rho_of(u: Update) -> Value:
     """Post-state of an update; for pre-state plus edits it is computed
     by applying the edits."""
-    if isinstance(u, PostState):
-        return u.post
-    if isinstance(u, (BothStates, DeltaUpdate)):
-        return u.post
-    if isinstance(u, StateEdits):
-        return apply_ops(u.ops, u.pre)
-    raise StateNotRepresented("post")
+    return _answer(u.post_state(), StateNotRepresented, "post")
 
 
 def identity_update(value: Value, repr: UpdateRepr) -> Update:
@@ -378,10 +453,9 @@ def identity_update(value: Value, repr: UpdateRepr) -> Update:
     Post-state-only updates carry no pre-state, so a null update cannot
     be distinguished there; same for opaque updates.
     """
-    constructor = UPDATE_CONSTRUCTORS.get(repr)
-    if constructor is None or not (constructor.edits or constructor.carries_pre):
-        raise NotExpressibleError(f"null update for representation {repr.value}")
-    return constructor.null(value)
+    cls = UPDATE_CLASSES[repr]
+    null = cls.null(value) if cls.identifiable else None
+    return _answer(null, NotExpressibleError, f"null update for representation {repr.value}")
 
 
 def compose_updates(second: Update, first: Update) -> Update:
@@ -391,35 +465,16 @@ def compose_updates(second: Update, first: Update) -> Update:
     the second's.  For post-state-only updates the composite is just the
     second update; edit sequences concatenate.
     """
-    r1, r2 = first.repr, second.repr
-    if r1 is not r2:
-        raise ReprMismatch(f"cannot compose {r1.value} with {r2.value}")
-    if r1 is UpdateRepr.POST:
-        return second
-    if r1 is UpdateRepr.OPAQUE:
-        raise NotExpressibleError("composition of opaque updates")
-    if r1 is UpdateRepr.EDITS:
-        return Edits(first.ops + second.ops)
-    if rho_of(first) != delta_of(second):
+    if first.repr is not second.repr:
+        raise ReprMismatch(f"cannot compose {first.repr.value} with {second.repr.value}")
+    if first.carries_pre and first.post_state() != second.pre_state():
         raise SeamMismatch("post-state of first update differs from pre-state of second")
-    if r1 is UpdateRepr.BOTH:
-        return BothStates(delta_of(first), rho_of(second))
-    if r1 is UpdateRepr.DELTA:
-        return DeltaUpdate(first.pre, second.post, compose_relations(second.same, first.same))
-    return StateEdits(first.pre, first.ops + second.ops)
+    return first.then(second)
 
 
 def invert_update(u: Update) -> Update:
     """Swap the endpoints of an update; an involution where defined."""
-    if isinstance(u, BothStates):
-        return BothStates(u.post, u.pre)
-    if isinstance(u, DeltaUpdate):
-        return DeltaUpdate(u.post, u.pre, u.same.invert())
-    if isinstance(u, Edits):
-        return Edits(tuple(invert_op(op) for op in reversed(u.ops)))
-    if isinstance(u, StateEdits):
-        return StateEdits(rho_of(u), tuple(invert_op(op) for op in reversed(u.ops)))
-    raise NotExpressibleError(f"inversion for representation {update_repr(u).value}")
+    return _answer(u.inverse(), NotExpressibleError, f"inversion for representation {u.repr.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +483,70 @@ def invert_update(u: Update) -> Update:
 
 @dataclass(frozen=True)
 class Traceability:
+    """A trace and its operators.  ``source`` and ``target`` answer ``None``
+    for an endpoint the trace does not carry; ``testifying`` builds the
+    trace a call produces on an anchor, ``reversing`` the one that the
+    opposite call reads after it."""
+
     __slots__ = ()
     repr: ClassVar[TraceRepr]
+    anchored: ClassVar[bool] = True  # a none-trace stands for no testifying pair
+    carries_state: ClassVar[bool] = False
+    carries_both: ClassVar[bool] = False
+
+    @classmethod
+    def reversing(cls, trace: "Traceability", source: Value | None) -> "Traceability | None":
+        """``trace`` reversed into this class, ``None`` where it cannot be; a
+        stored state holds ``source``, the output-side post-state of the call."""
+        return trace.reversed() if isinstance(trace, cls) else None
+
+    def source(self) -> Value | None:
+        return None
+
+    def target(self) -> Value | None:
+        return None
+
+    def reversed(self) -> "Traceability":
+        return self
+
+    def extended(self, update: Update) -> "Traceability":
+        """This trace with ``update`` on its target side; a stored state keeps
+        its source."""
+        if not self.carries_state:
+            raise NotExpressibleError(f"trace/update composition for representation {self.repr.value}")
+        return self
 
 
 @hash_once
 @dataclass(frozen=True)
 class NoTrace(Traceability):
     repr = TraceRepr.NONE
+    anchored = False
+
+    @classmethod
+    def testifying(cls, *anchor) -> Traceability:
+        return NO_TRACE
+
+    reversing = testifying
 
 
 @hash_once
 @dataclass(frozen=True)
 class StateTrace(Traceability):
     repr = TraceRepr.STATE
+    carries_state = True
     state: Value
+
+    @classmethod
+    def testifying(cls, ends, complement, align) -> Traceability | None:
+        return None if ends is None else cls(ends[0])
+
+    @classmethod
+    def reversing(cls, trace: Traceability, source: Value | None) -> Traceability | None:
+        return None if source is None else cls(source)
+
+    def source(self) -> Value:
+        return self.state
 
 
 @hash_once
@@ -451,11 +555,16 @@ class ComplementTrace(Traceability):
     repr = TraceRepr.COMPLEMENT
     payload: Value
 
+    @classmethod
+    def testifying(cls, ends, complement, align) -> Traceability | None:
+        return None if complement is None else cls(complement)
+
 
 @hash_once
 @dataclass(frozen=True)
 class DeltaTrace(Traceability):
     repr = TraceRepr.DELTA
+    carries_state = carries_both = True
     src: Value
     tgt: Value
     same: SamenessRelation
@@ -465,8 +574,30 @@ class DeltaTrace(Traceability):
             if not path_valid(self.src, s) or not path_valid(self.tgt, t):
                 raise ValueError("trace links must address valid paths of src/tgt")
 
+    @classmethod
+    def testifying(cls, ends, complement, align) -> Traceability | None:
+        return None if ends is None else cls(*ends, align())
+
+    def source(self) -> Value:
+        return self.src
+
+    def target(self) -> Value:
+        return self.tgt
+
+    def reversed(self) -> Traceability:
+        return DeltaTrace(self.tgt, self.src, self.same.invert())
+
+    def extended(self, update: Update) -> Traceability:
+        update_pre = update.pre_state()
+        if update_pre is not None and update_pre != self.tgt:
+            raise SeamMismatch("update pre-state differs from trace target")
+        new_tgt = rho_of(update)  # may raise StateNotRepresented for edit-only
+        step = update.same if isinstance(update, DeltaUpdate) else diff(self.tgt, new_tgt)
+        return DeltaTrace(self.src, new_tgt, compose_relations(step, self.same))
+
 
 NO_TRACE = NoTrace()
+TRACE_CLASSES = {cls.repr: cls for cls in Traceability.__subclasses__()}
 
 
 def trace_repr(t: Traceability) -> TraceRepr:
@@ -479,69 +610,29 @@ def src_of(t: Traceability) -> Value:
     """Source endpoint of a trace, read in the trace's own direction.
     A stored-state trace holds exactly its source; the opposite endpoint
     must be recovered through the endpoint-agreement conditions."""
-    if isinstance(t, StateTrace):
-        return t.state
-    if isinstance(t, DeltaTrace):
-        return t.src
-    raise StateNotRepresented("src")
+    return _answer(t.source(), StateNotRepresented, "src")
 
 
 def tgt_of(t: Traceability) -> Value:
-    if isinstance(t, DeltaTrace):
-        return t.tgt
-    raise StateNotRepresented("tgt")
+    return _answer(t.target(), StateNotRepresented, "tgt")
 
 
 def invert_trace(t: Traceability) -> Traceability:
     """Reverse a trace's direction.  Complements are symmetric; a stored
     state keeps its payload and is reinterpreted by the caller."""
-    if isinstance(t, (NoTrace, StateTrace, ComplementTrace)):
-        return t
-    if isinstance(t, DeltaTrace):
-        return DeltaTrace(t.tgt, t.src, t.same.invert())
-    raise TypeError(f"not a traceability: {t!r}")
+    return t.reversed()
 
 
 def compose_trace_update(update: Update, trace: Traceability) -> Traceability:
-    """Extend a trace with an update on its target side.
-
-    The stored-state case keeps its payload (the source endpoint is
-    untouched); the delta case advances the target endpoint and composes
-    the relations.  There is no definition for the none or complement
-    representations.
-    """
-    if isinstance(trace, (NoTrace, ComplementTrace)):
-        raise NotExpressibleError(
-            f"trace/update composition for representation {trace_repr(trace).value}"
-        )
-    if isinstance(trace, StateTrace):
-        return trace
-    assert isinstance(trace, DeltaTrace)
-    try:
-        update_pre = delta_of(update)
-    except StateNotRepresented:
-        update_pre = None
-    if update_pre is not None and update_pre != trace.tgt:
-        raise SeamMismatch("update pre-state differs from trace target")
-    if isinstance(update, DeltaUpdate):
-        step = update.same
-        new_tgt = update.post
-    else:
-        new_tgt = rho_of(update)  # may raise StateNotRepresented for edit-only
-        step = diff(trace.tgt, new_tgt)
-    return DeltaTrace(trace.src, new_tgt, compose_relations(step, trace.same))
+    """Extend a trace with an update on its target side: a stored state is
+    kept, a delta advances its target endpoint and composes the relations;
+    none and complement traces have no extension."""
+    return trace.extended(update)
 
 
 # ---------------------------------------------------------------------------
 # Endpoint agreement after a transformation call
 # ---------------------------------------------------------------------------
-
-def _try(thunk):
-    try:
-        return thunk()
-    except StateNotRepresented:
-        return None
-
 
 def check_incidence(
     u_in: Update,
@@ -564,10 +655,10 @@ def check_incidence(
     # The four equations read identically in both directions because a
     # trace's src/tgt accessors are already relative to its own arrow.
     conditions = [
-        ("pre(in-update) = tgt(in-trace)", _try(lambda: delta_of(u_in)), _try(lambda: tgt_of(t_in))),
-        ("pre(out-update) = src(in-trace)", _try(lambda: delta_of(u_out)), _try(lambda: src_of(t_in))),
-        ("post(in-update) = src(out-trace)", _try(lambda: rho_of(u_in)), _try(lambda: src_of(t_out))),
-        ("post(out-update) = tgt(out-trace)", _try(lambda: rho_of(u_out)), _try(lambda: tgt_of(t_out))),
+        ("pre(in-update) = tgt(in-trace)", u_in.pre_state(), t_in.target()),
+        ("pre(out-update) = src(in-trace)", u_out.pre_state(), t_in.source()),
+        ("post(in-update) = src(out-trace)", u_in.post_state(), t_out.source()),
+        ("post(out-update) = tgt(out-trace)", u_out.post_state(), t_out.target()),
     ]
 
     checked = 0
@@ -614,35 +705,13 @@ class UpdatePreorder:
         return LESS_OR_EQUAL if self.size(u1) <= self.size(u2) else GREATER
 
 
-def _changed_paths_both(u: BothStates) -> int:
-    return node_count(u.post) - diff_size(u.pre, u.post)
-
-
-def _changed_paths_delta(u: DeltaUpdate) -> int:
-    # A sameness relation is a partial bijection: one link per linked target.
-    return node_count(u.post) - len(u.same)
-
-
-def _post_size(u: PostState) -> int:
-    return node_count(u.post)
-
-
 def default_preorder(repr: UpdateRepr) -> UpdatePreorder:
-    """The default "fewest changed components" preorder.
-
-    Both-state updates count post-state paths not aligned to an equal
-    pre-state component; delta updates count those their carried relation
-    leaves unlinked; edit updates compare sequence length.  Post-state-only
-    updates fall back to comparing post-state size, since no pre-state is
-    available.  Every size is counted (``node_count``, ``diff_size``): no
-    path, alignment or cache entry is built.
-    """
-    if repr is UpdateRepr.BOTH:
-        return UpdatePreorder("changed-paths", _changed_paths_both)
-    if repr is UpdateRepr.DELTA:
-        return UpdatePreorder("unlinked-paths", _changed_paths_delta)
-    if repr in (UpdateRepr.EDITS, UpdateRepr.STATE_EDITS):
-        return UpdatePreorder("edit-count", lambda u: len(u.ops))
-    if repr is UpdateRepr.POST:
-        return UpdatePreorder("post-size", _post_size)
-    raise NotExpressibleError("no preorder for opaque updates")
+    """The default "fewest changed components" preorder, the ``size`` of the
+    representation's class: post-state paths not aligned to an equal
+    pre-state component (both states) or not linked (delta), edit count,
+    or post-state size where no pre-state is available.  Sizes are counted
+    (``node_count``, ``diff_size``): no path, alignment or cache entry is built."""
+    cls = UPDATE_CLASSES[repr]
+    if not cls.algebraic:
+        raise NotExpressibleError("no preorder for opaque updates")
+    return UpdatePreorder(cls.order, cls.size)

@@ -334,12 +334,6 @@ class SamenessRelation:
     def invert(self) -> "SamenessRelation":
         return SamenessRelation((tgt, src) for src, tgt in self.links)
 
-    def sources(self) -> frozenset[Path]:
-        return frozenset(src for src, _ in self.links)
-
-    def targets(self) -> frozenset[Path]:
-        return frozenset(tgt for _, tgt in self.links)
-
     def sorted_links(self) -> tuple[tuple[Path, Path], ...]:
         return tuple(sorted(self.links, key=lambda l: (path_key(l[0]), path_key(l[1]))))
 

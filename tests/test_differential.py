@@ -350,10 +350,10 @@ def _plain_history_ignorance(check, bx, arrow):
         if first is None:
             continue
         out1, s1 = first
-        trace2 = bxkit.laws._reverse_trace(arrow, s1, bxkit.laws._post(out1, out_base))
+        trace2 = bxkit.laws._reverse_trace(arrow, s1, out1.post_state(out_base))
         if trace2 is None:
             continue
-        for u2 in check.run.updates(arrow, bxkit.laws._post(u1, in_base)):
+        for u2 in check.run.updates(arrow, u1.post_state(in_base)):
             second = check.call(arrow, u2, trace2)
             if second is None:
                 continue
@@ -438,7 +438,7 @@ def test_history_ignorance_matches_the_plain_loop_on_unhashable_traces(monkeypat
 def _plain_least_update(check, bx, arrow):
     """The checker's body without reuse: every defined input scans all its
     consistency-restoring alternatives."""
-    post = bxkit.laws._post
+    post = lambda update, base: update.post_state(base)
     repr_out = arrow.upd_out
     for _, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
         result = check.call(arrow, u_in, trace_in)

@@ -11,11 +11,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from bxkit.values import CapExceeded, Seq, atom, atoms, diff, enumerate_values, pair, pairs_of, rec, seqs_of
+from bxkit.values import CapExceeded, SamenessRelation, Seq, atom, atoms, diff, enumerate_values, pair, pairs_of, rec, seqs_of
 from bxkit.scheme import (
     BothStates,
     ComplementTrace,
+    DeltaTrace,
     NO_TRACE,
+    Opaque,
     PostState,
     ReprMismatch,
     StateEdits,
@@ -1185,3 +1187,23 @@ def test_expressibility_agrees_with_the_rules_by_name_on_every_representation():
                         assert bxkit.laws._inexpressible(stub, law, arrow) == expected, (kind, law, arrow)
                         checked += 1
     assert checked == 38016
+
+
+def test_undoability_discharges_an_input_whose_result_has_no_inverse():
+    # The forward results are function-valued, so the expected reverting
+    # update does not exist; the input is discharged instead of ending the run.
+    bx = Bx(
+        name="opaque-results",
+        upd_to=UpdateRepr.BOTH,
+        upd_from=UpdateRepr.OPAQUE,
+        trace_to=TraceRepr.DELTA,
+        trace_from=TraceRepr.DELTA,
+        consistency_kind="E",
+        consistency=lambda a, b: True,
+        to_fn=lambda u, t: (Opaque("f"), DeltaTrace(u.post, t.src, SamenessRelation())),
+        from_fn=lambda u, t: (BothStates(t.src, t.src), t),
+        domain_a=atoms(0, 1),
+        domain_b=atoms(0),
+    )
+    assert check_undoability(bx, "to") == Vacuous("no premise call is defined")
+    assert run_suite(bx).kind(UNDOABILITY, "to") == Verdict.VACUOUS

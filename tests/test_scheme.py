@@ -37,6 +37,7 @@ from bxkit.scheme import (
     ReplaceAt,
     ReplaceRoot,
     ReprMismatch,
+    SchemeError,
     SeamMismatch,
     SetField,
     StateEdits,
@@ -461,6 +462,29 @@ def test_representation_tables_cover_each_other():
         assert update_repr(update) is repr
         assert update_repr(constructor.null(pre)) is repr
         assert _post_of(update, pre) == post
+    # Each class's declared capabilities agree with its operators on a sample.
+    updates = [cls.build(pre, (Insert(1, atom(1)),) if cls.edits else post) for cls in constructors.values()]
+    for update in updates + [Opaque("f")]:
+        cls = type(update)
+        assert cls.carries_pre == _answers(delta_of, update), cls
+        assert cls.invertible == _answers(invert_update, update), cls
+        assert cls.identifiable == _answers(identity_update, pre, cls.repr), cls
+        assert cls.algebraic == _answers(default_preorder, cls.repr), cls
+    traces = [NO_TRACE, StateTrace(pre), ComplementTrace(pre), DeltaTrace(pre, post, diff(pre, post))]
+    assert {trace.repr for trace in traces} == set(TraceRepr)
+    for trace in traces:
+        cls = type(trace)
+        assert cls.carries_state == _answers(src_of, trace), cls
+        assert cls.carries_both == _answers(tgt_of, trace), cls
+        assert cls.anchored == (cls.testifying(None, None, None) is None), cls
+
+
+def _answers(operator, *args) -> bool:
+    try:
+        operator(*args)
+    except SchemeError:
+        return False
+    return True
 
 
 def _post_of(update, pre):

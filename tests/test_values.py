@@ -333,7 +333,7 @@ def test_default_preorders_match_their_path_definitions():
             aligned = diff(x, y)
             assert both(BothStates(x, y)) == len(all_paths(y)) - len(aligned)
             for same in (aligned, SamenessRelation()):
-                assert delta(DeltaUpdate(x, y, same)) == len(all_paths(y)) - len(same.targets())
+                assert delta(DeltaUpdate(x, y, same)) == len(all_paths(y)) - len({t for _, t in same.links})
 
 
 # -- hashes kept after the first use -----------------------------------------

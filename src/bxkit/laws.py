@@ -213,22 +213,22 @@ class _Run:
         # Only the op-sequence searches are kept per pre-state, and post-state
         # updates once per direction; both-states and delta updates cost no
         # more to build than the loop that reads them, so they are not kept.
-        built, domain = UPDATE_CLASSES[arrow.upd_in], arrow.domain_in
-        if built.carries_pre and not built.edits:
-            return self._enumerate(built, domain, pre)
-        key = (arrow.name, pre if built.edits else None)
-        return remember(self._updates, key, self._enumerate, built, domain, pre)
+        in_class, domain = UPDATE_CLASSES[arrow.upd_in], arrow.domain_in
+        if in_class.carries_pre and not in_class.edits:
+            return self._enumerate(in_class, domain, pre)
+        key = (arrow.name, pre if in_class.edits else None)
+        return remember(self._updates, key, self._enumerate, in_class, domain, pre)
 
-    def _enumerate(self, built: type[Update], domain, pre: Value | None) -> tuple[Update, ...]:
+    def _enumerate(self, cls: type[Update], domain, pre: Value | None) -> tuple[Update, ...]:
         """Every update from ``pre`` that ends in ``domain``, or that applies
         at most ``edit_ops_per_update`` edits; none for opaque updates."""
-        if not built.algebraic or (pre is None and (built.edits or built.carries_pre)):
+        if not cls.algebraic or (pre is None and (cls.edits or cls.carries_pre)):
             return ()
-        if built.edits:
+        if cls.edits:
             steps = enumerate_op_sequences(pre, domain, self.config.edit_ops_per_update)
         else:
             steps = enumerate_values(domain, self.config.value_cap)
-        return tuple(built.build(pre, step) for step in steps)
+        return tuple(cls.build(pre, step) for step in steps)
 
     def partners(self, arrow: Arrow, state: Value) -> dict[Value, None]:
         """The partner row of the input-side ``state``, scanned once per run."""
@@ -720,7 +720,7 @@ for _name, _body in ((HIPPOCRATICNESS, _hippocraticness), (HIPPOCRATICNESS_LITER
 @_law(LEAST_UPDATE, "the transformation is undefined everywhere")
 def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """The returned update is minimal among all consistency-restoring ones."""
-    built, back = UPDATE_CLASSES[arrow.upd_out], bx.arrows[arrow.back]
+    out_class, back = UPDATE_CLASSES[arrow.upd_out], bx.arrows[arrow.back]
 
     def size(update: Update, out_base: Value | None, u_in: Update, trace_in: Traceability) -> int:
         # The class's default preorder, anchored at the testified pre-state,
@@ -745,14 +745,14 @@ def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
         # A state-based update is built from the state it ends in, so those
         # are built from the partner row; edit updates are scanned for.
         partners = check.run.partners(arrow, post_in)
-        if built.edits:
+        if out_class.edits:
             alts = [
                 alt for alt in check.run.updates(back, out_base) if alt.post_state(out_base) in partners
             ]
-        elif out_base is None and built.carries_pre:
+        elif out_base is None and out_class.carries_pre:
             alts = []
         else:
-            alts = [built.build(out_base, p) for p in partners]
+            alts = [out_class.build(out_base, p) for p in partners]
         return [(alt, size(alt, out_base, u_in, trace_in)) for alt in alts]
 
     # The alternatives depend only on the output base and the input's

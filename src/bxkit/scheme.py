@@ -258,7 +258,7 @@ def enumerate_op_sequences(
 class Update:
     """An update and its algebra.  The readers, ``null`` and ``inverse``
     answer ``None`` where the update has no such state or operator; ``size``
-    counts the default preorder, named ``order``, and by default counts edits."""
+    measures the default preorder named ``order``, by default in edits."""
 
     __slots__ = ()
     repr: ClassVar[UpdateRepr]
@@ -390,6 +390,7 @@ class Edits(Update):
         object.__setattr__(self, "ops", tuple(ops))
 
     def then(self, second: Update) -> Update:
+        # Built directly: history ignorance composes edit sequences most often.
         return Edits(self.ops + second.ops)
 
 

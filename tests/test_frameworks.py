@@ -1,5 +1,7 @@
 """Framework adapters: interface conformance, partiality, trace synthesis."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bxkit.frameworks
 
@@ -15,6 +17,7 @@ from bxkit.values import (
     rec,
     recs_of,
     seq,
+    seqs_of,
 )
 from bxkit.scheme import (
     BothStates,
@@ -22,6 +25,7 @@ from bxkit.scheme import (
     Delete,
     DeltaTrace,
     DeltaUpdate,
+    EditUnapplicable,
     Edits,
     Insert,
     NO_TRACE,
@@ -33,7 +37,7 @@ from bxkit.scheme import (
     TraceRepr,
     UpdateRepr,
 )
-from bxkit.frameworks import Undefined, UnknownName, make_maintainer, make_symmetric_lens
+from bxkit.frameworks import Undefined, UnknownName, make_edit_lens, make_maintainer, make_symmetric_lens
 from bxkit.catalog import build_list_edit_lens, catalog, catalog_entries, catalog_names
 from bxkit.grammar import render_trace, render_update
 from bxkit.laws import LawSuiteConfig, audit_incidence, check_history_ignorance
@@ -187,15 +191,51 @@ def _reason(call):
     return raised.value.reason
 
 
+_A0, _B0 = rec(k=atom(1), u=atom(7)), rec(k=atom(1), v=atom(7))
+_P0, _R0 = rec(p=atom(0), q=atom(1)), rec(r=atom(0), s=atom(1))
+_P1, _R1 = rec(p=atom(1), q=atom(1)), rec(r=atom(1), s=atom(1))
+
+
+def _delta(pre, post):
+    return DeltaUpdate(pre, post, diff(pre, post))
+
+
+def _delta_trace(src, tgt):
+    return DeltaTrace(src, tgt, diff(src, tgt))
+
+
+# Each direction's reasons for refusing a trace, by entry; ids name the
+# entry where it is not the maintainer.
+_REFUSED = [
+    ("key-maintainer", "to", PostState(rec(k=atom(2), u=atom(8))), StateTrace(atom(5)), "trace outside target domain"),
+    ("key-maintainer", "from", PostState(rec(k=atom(2), v=atom(8))), StateTrace(atom(5)), "trace outside source domain"),
+    ("trigonal-key", "to", BothStates(_A0, _A0), StateTrace(atom(5)), "trace outside target domain"),
+    ("trigonal-key", "from", BothStates(_B0, _B0), StateTrace(atom(5)), "trace outside source domain"),
+    ("trigonal-key", "to", BothStates(_A0, _A0), StateTrace(rec(k=atom(2), v=atom(7))),
+     "trace state does not match the update's pre-state"),
+    ("trigonal-key", "from", BothStates(_B0, _B0), StateTrace(rec(k=atom(2), u=atom(7))),
+     "trace state does not match the update's pre-state"),
+    ("rename-sync", "to", _delta(_P0, _P0), _delta_trace(_R0, _P1), "update pre-state differs from trace target"),
+    ("rename-sync", "from", _delta(_R0, _R0), _delta_trace(_P0, _R1), "update pre-state differs from trace target"),
+    ("rename-sync", "to", _delta(_P0, _P0), _delta_trace(_R1, _P0), "trace does not testify the consistency relation"),
+    ("rename-sync", "from", _delta(_R0, _R0), _delta_trace(_P1, _R0), "trace does not testify the consistency relation"),
+]
+
+
 @pytest.mark.parametrize(
-    "direction, reason",
-    [("to", "trace outside target domain"), ("from", "trace outside source domain")],
+    "name, direction, update, trace, reason",
+    [
+        pytest.param(
+            name, direction, update, trace, reason,
+            id=f"{direction}-{reason}" if name == "key-maintainer" else f"{name}-{direction}-{reason}",
+        )
+        for name, direction, update, trace, reason in _REFUSED
+    ],
 )
-def test_maintainer_rejects_trace_outside_its_domain(direction, reason):
-    bx = catalog("key-maintainer").bx
-    post = rec(k=atom(2), v=atom(8)) if direction == "from" else rec(k=atom(2), u=atom(8))
+def test_maintainer_rejects_trace_outside_its_domain(name, direction, update, trace, reason):
+    bx = catalog(name).bx
     for _ in range(2):
-        assert _reason(lambda: bx.apply(direction, PostState(post), StateTrace(atom(5)))) == reason
+        assert _reason(lambda: bx.apply(direction, update, trace)) == reason
 
 
 def _same_key(a, b):
@@ -381,6 +421,61 @@ def test_pair_sync_replay_closure_covers_all_matching_pairs():
     assert len(bx.replay) == 8
 
 
+@st.composite
+def _tabulated_symmetric_lenses(draw):
+    """A symmetric lens whose directions are partial tables ``(state,
+    complement) -> (state, complement)``, with its seeds and both tables."""
+    domain_a, domain_b = atoms(0, 1, 2), atoms(0, 1)
+    complement_domain = draw(st.sampled_from((atoms(0, 1), atoms(0, 1, 2))))
+    a_values, b_values, c_values = (enumerate_values(d) for d in (domain_a, domain_b, complement_domain))
+
+    def table(inputs, outputs):
+        rows = [(y, c) for y in outputs for c in c_values]
+        return {(x, c): draw(st.sampled_from(rows)) for x in inputs for c in c_values if draw(st.booleans())}
+
+    def lookup(rows):
+        def run(x, c):
+            try:
+                return rows[x, c]
+            except KeyError:
+                raise Undefined("no table entry") from None
+
+        return run
+
+    to_table, from_table = table(a_values, b_values), table(b_values, a_values)
+    triples = st.tuples(*(st.sampled_from(values) for values in (a_values, b_values, c_values)))
+    seeds = tuple(draw(st.lists(triples, min_size=1, max_size=2)))
+    bx = make_symmetric_lens(
+        "tabulated", lookup(to_table), lookup(from_table), domain_a, domain_b, complement_domain, seeds
+    )
+    return bx, seeds, to_table, from_table
+
+
+def _closure(seeds, to_table, from_table):
+    # A step from any triple reads only its complement, so iterate over
+    # the complements reached until no triple is added.
+    reached = set(seeds)
+    while True:
+        complements = {c for _, _, c in reached}
+        grown = reached | {(a, b, c1) for (a, c), (b, c1) in to_table.items() if c in complements}
+        grown |= {(a, b, c1) for (b, c), (a, c1) in from_table.items() if c in complements}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_tabulated_symmetric_lenses())
+def test_symmetric_lens_replay_is_the_closure_of_its_seeds(drawn):
+    bx, seeds, to_table, from_table = drawn
+    closure = _closure(seeds, to_table, from_table)
+    assert len(bx.replay) == len(closure) and set(bx.replay) == closure
+    pairs = {(a, b) for a, b, _ in closure}
+    for a in enumerate_values(bx.domain_a):
+        for b in enumerate_values(bx.domain_b):
+            assert bx.consistency(a, b) == ((a, b) in pairs), (a, b)
+
+
 # -- edit lens --------------------------------------------------------------------------
 
 def test_edit_lens_insert_translation_example():
@@ -408,6 +503,17 @@ def test_edit_lens_fresh_backward_insert_undefined():
     bx = catalog("list-edit-lens").bx
     with pytest.raises(Undefined):
         bx.from_(Edits([Insert(0, atom(1))]), ComplementTrace(seq()))
+
+
+def test_edit_lens_build_raises_where_a_translated_edit_does_not_apply():
+    # Inserting into the empty source translates to a delete from the empty target.
+    lists = seqs_of(atoms(1), 1)
+
+    def translate(ops, c):
+        return (Delete(0, atom(1)),), c
+
+    with pytest.raises(EditUnapplicable, match="delete at 0"):
+        make_edit_lens("unapplicable", translate, translate, lists, lists, atoms(0), ((seq(), seq(), atom(0)),))
 
 
 def test_edit_lens_replay_coherence():

@@ -9,6 +9,10 @@ user functions into a uniform partial transformation
 ``(update, trace) -> (update, trace)`` that rejects traces that do not
 testify the consistency relation and always returns an output trace,
 synthesizing it when the classic interface would omit it as redundant.
+Every factory but the lens's states one direction: a closure factory builds
+each arrow from its direction's name and user function, and ``_oriented``
+turns the arrow's (input, output) sides into the (A, B) sides.  The symmetric
+and edit lenses share one core, ``_complement_lens``.
 ``Bx.apply`` checks inputs and results against the declared representations.
 Partiality always surfaces as ``Undefined``, never as a crash.
 A maintainer's testimony check scans the opposite domain once per trace
@@ -18,7 +22,8 @@ memos are filled through ``values.remember`` and bounded by the domains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from operator import attrgetter
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .values import (
     DomainDescriptor,
@@ -45,7 +50,6 @@ from .scheme import (
     Update,
     UpdatePreorder,
     UpdateRepr,
-    apply_op,
     apply_ops,
     enumerate_ops,
 )
@@ -79,6 +83,13 @@ Aligner = Callable[[Value, Value], SamenessRelation]
 Triple = tuple[Value, Value, Value]
 
 
+def _oriented(direction: str, x, y) -> tuple:
+    """Order the (input side, output side) pair of the arrow named ``direction``
+    as an (A, B) pair; being its own inverse, it also reads an (A, B) pair's
+    (input, output) ends."""
+    return (x, y) if direction == "to" else (y, x)
+
+
 class Arrow(NamedTuple):
     """One direction of a ``Bx``: ``to`` runs from the A side to the B side,
     ``from`` back; ``back`` names the opposite direction."""
@@ -94,9 +105,8 @@ class Arrow(NamedTuple):
     domain_out: DomainDescriptor
 
     def pair(self, x, y):
-        """Order an (input side, output side) pair as an (A, B) pair; being its
-        own inverse, it also reads an (A, B) anchor's (input, output) ends."""
-        return (x, y) if self.name == "to" else (y, x)
+        """``_oriented`` for this arrow: (input, output) to (A, B), and back."""
+        return _oriented(self.name, x, y)
 
 
 @dataclass(eq=False)
@@ -213,6 +223,38 @@ def _graph_of(forward: Callable[[Value], Value]) -> Consistency:
     return consistency
 
 
+def _symmetric(
+    name: str,
+    upd: UpdateRepr,
+    trace: TraceRepr,
+    consistency_kind: str,
+    consistency: Consistency,
+    arrow: Callable[[str, Callable], Transform],
+    to_fn: Callable,
+    from_fn: Callable,
+    domain_a: DomainDescriptor,
+    domain_b: DomainDescriptor,
+    **extra,
+) -> Bx:
+    """The ``Bx`` whose directions share the update representation ``upd`` and
+    the trace representation ``trace``; ``arrow(direction, fn)`` builds the
+    function of each direction around the user's ``fn``."""
+    return Bx(
+        name=name,
+        upd_to=upd,
+        upd_from=upd,
+        trace_to=trace,
+        trace_from=trace,
+        consistency_kind=consistency_kind,
+        consistency=consistency,
+        to_fn=arrow("to", to_fn),
+        from_fn=arrow("from", from_fn),
+        domain_a=domain_a,
+        domain_b=domain_b,
+        **extra,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Mappings and lenses (consistency is the forward transformation)
 # ---------------------------------------------------------------------------
@@ -226,24 +268,14 @@ def make_mapping(
 ) -> Bx:
     """State-to-state mapping with no traceability on either side."""
 
-    def to(update: PostState, trace: Traceability) -> tuple[Update, Traceability]:
-        return PostState(to_fn(update.post)), NO_TRACE
+    def arrow(direction: str, fn: Callable[[Value], Value]) -> Transform:
+        def run(update: PostState, trace: Traceability) -> tuple[Update, Traceability]:
+            return PostState(fn(update.post)), NO_TRACE
 
-    def from_(update: PostState, trace: Traceability) -> tuple[Update, Traceability]:
-        return PostState(from_fn(update.post)), NO_TRACE
+        return run
 
-    return Bx(
-        name=name,
-        upd_to=UpdateRepr.POST,
-        upd_from=UpdateRepr.POST,
-        trace_to=TraceRepr.NONE,
-        trace_from=TraceRepr.NONE,
-        consistency_kind="T",
-        consistency=_graph_of(to_fn),
-        to_fn=to,
-        from_fn=from_,
-        domain_a=domain_a,
-        domain_b=domain_b,
+    return _symmetric(
+        name, UpdateRepr.POST, TraceRepr.NONE, "T", _graph_of(to_fn), arrow, to_fn, from_fn, domain_a, domain_b
     )
 
 
@@ -305,41 +337,25 @@ def make_maintainer(
     in a per-side memo.  Only members of the state's own domain are
     remembered, so the memos hold at most |A| + |B| entries.
     """
-    testified: dict[str, dict[Value, bool]] = {"to": {}, "from": {}}
 
-    def partnered(direction: str, state: Value) -> bool:
-        if direction == "to":
-            _require(contains(domain_b, state), "trace outside target domain")
-            return any(consistency(a, state) for a in enumerate_values(domain_a))
-        _require(contains(domain_a, state), "trace outside source domain")
-        return any(consistency(state, b) for b in enumerate_values(domain_b))
+    def arrow(direction: str, repair: Callable[[Value, Value], Value]) -> Transform:
+        scanned, within = _oriented(direction, domain_a, domain_b)
+        outside = f"trace outside {_oriented(direction, 'source', 'target')[1]} domain"
+        testified: dict[Value, bool] = {}
 
-    def _testify(direction: str, state: Value) -> None:
-        known = remember(testified[direction], state, partnered, direction, state)
-        _require(known, "trace does not testify the consistency relation")
+        def partnered(state: Value) -> bool:
+            _require(contains(within, state), outside)
+            return any(consistency(*_oriented(direction, x, state)) for x in enumerate_values(scanned))
 
-    def to(update: PostState, trace: StateTrace) -> tuple[Update, Traceability]:
-        _testify("to", trace.state)
-        repaired = to_fn(update.post, trace.state)
-        return PostState(repaired), StateTrace(update.post)
+        def run(update: PostState, trace: StateTrace) -> tuple[Update, Traceability]:
+            known = remember(testified, trace.state, partnered, trace.state)
+            _require(known, "trace does not testify the consistency relation")
+            return PostState(repair(update.post, trace.state)), StateTrace(update.post)
 
-    def from_(update: PostState, trace: StateTrace) -> tuple[Update, Traceability]:
-        _testify("from", trace.state)
-        repaired = from_fn(update.post, trace.state)
-        return PostState(repaired), StateTrace(update.post)
+        return run
 
-    return Bx(
-        name=name,
-        upd_to=UpdateRepr.POST,
-        upd_from=UpdateRepr.POST,
-        trace_to=TraceRepr.STATE,
-        trace_from=TraceRepr.STATE,
-        consistency_kind="E",
-        consistency=consistency,
-        to_fn=to,
-        from_fn=from_,
-        domain_a=domain_a,
-        domain_b=domain_b,
+    return _symmetric(
+        name, UpdateRepr.POST, TraceRepr.STATE, "E", consistency, arrow, to_fn, from_fn, domain_a, domain_b
     )
 
 
@@ -354,36 +370,23 @@ def make_trigonal(
     """Maintainer variant whose updates carry both pre- and post-state,
     enabling incremental repair of only the changed parts."""
 
-    def to(update: BothStates, trace: StateTrace) -> tuple[Update, Traceability]:
-        _require(contains(domain_b, trace.state), "trace outside target domain")
-        _require(
-            consistency(update.pre, trace.state),
-            "trace state does not match the update's pre-state",
-        )
-        repaired = to_fn((update.pre, update.post), trace.state)
-        return BothStates(trace.state, repaired), StateTrace(update.post)
+    def arrow(direction: str, repair: Callable[[tuple[Value, Value], Value], Value]) -> Transform:
+        _, within = _oriented(direction, domain_a, domain_b)
+        outside = f"trace outside {_oriented(direction, 'source', 'target')[1]} domain"
 
-    def from_(update: BothStates, trace: StateTrace) -> tuple[Update, Traceability]:
-        _require(contains(domain_a, trace.state), "trace outside source domain")
-        _require(
-            consistency(trace.state, update.pre),
-            "trace state does not match the update's pre-state",
-        )
-        repaired = from_fn((update.pre, update.post), trace.state)
-        return BothStates(trace.state, repaired), StateTrace(update.post)
+        def run(update: BothStates, trace: StateTrace) -> tuple[Update, Traceability]:
+            _require(contains(within, trace.state), outside)
+            _require(
+                consistency(*_oriented(direction, update.pre, trace.state)),
+                "trace state does not match the update's pre-state",
+            )
+            repaired = repair((update.pre, update.post), trace.state)
+            return BothStates(trace.state, repaired), StateTrace(update.post)
 
-    return Bx(
-        name=name,
-        upd_to=UpdateRepr.BOTH,
-        upd_from=UpdateRepr.BOTH,
-        trace_to=TraceRepr.STATE,
-        trace_from=TraceRepr.STATE,
-        consistency_kind="E",
-        consistency=consistency,
-        to_fn=to,
-        from_fn=from_,
-        domain_a=domain_a,
-        domain_b=domain_b,
+        return run
+
+    return _symmetric(
+        name, UpdateRepr.BOTH, TraceRepr.STATE, "E", consistency, arrow, to_fn, from_fn, domain_a, domain_b
     )
 
 
@@ -391,45 +394,76 @@ def make_trigonal(
 # Complement-based frameworks (implicit consistency via replay)
 # ---------------------------------------------------------------------------
 
-def _replay(
+def _complement_lens(
+    name: str,
+    upd: type[Update],
+    to_fn: Callable[[Any, Value], tuple[Any, Value]],
+    from_fn: Callable[[Any, Value], tuple[Any, Value]],
+    domain_a: DomainDescriptor,
+    domain_b: DomainDescriptor,
+    complement_domain: DomainDescriptor,
     seeds: tuple[Triple, ...],
-    successors: Callable[[Value, Value, Value], Iterable[Triple]],
-) -> tuple[tuple[Triple, ...], Consistency]:
-    """Close the seed triples ``(a, b, complement)`` under ``successors``; return
-    them sorted by rendering, and the implicit relation: their ``(a, b)`` pairs."""
+) -> Bx:
+    """A lens whose user functions map a step of one side, the post-state of a
+    ``PostState`` or the edits of an ``Edits`` (``upd``), and a complement to a
+    step of the other side and a new complement.  Its replay is the triples
+    ``(a, b, complement)`` that the user functions, called directly, reach
+    from the seeds, sorted by rendering.  The arrows check each complement
+    once, in one memo for both directions."""
     from .grammar import render_value
+
+    # A step of an edit lens is one edit of the state; of a symmetric lens, any state.
+    if upd.edits:
+        def steps(state: Value, domain: DomainDescriptor) -> Iterable:
+            return ((op,) for op in enumerate_ops(state, domain))
+
+        reach = apply_ops
+    else:
+        def steps(state: Value, domain: DomainDescriptor) -> Iterable:
+            return enumerate_values(domain)
+
+        def reach(step: Value, base: Value) -> Value:
+            return step
 
     triples = set(seeds)
     worklist = list(seeds)
     while worklist:
-        for triple in successors(*worklist.pop()):
-            if triple not in triples:
-                triples.add(triple)
-                worklist.append(triple)
+        a, b, c = worklist.pop()
+        for direction, fn in (("to", to_fn), ("from", from_fn)):
+            x, y = _oriented(direction, a, b)
+            scanned, _ = _oriented(direction, domain_a, domain_b)
+            for step in steps(x, scanned):
+                try:
+                    out, c1 = fn(step, c)
+                    triple = (*_oriented(direction, reach(step, x), reach(out, y)), c1)
+                except Undefined:
+                    continue
+                if triple not in triples:
+                    triples.add(triple)
+                    worklist.append(triple)
     replay = tuple(sorted(triples, key=lambda t: tuple(render_value(v) for v in t)))
     reachable_pairs = frozenset((a, b) for a, b, _ in replay)
+    inside: dict[Value, None] = {}
+    read = attrgetter("ops" if upd.edits else "post")
 
     def consistency(a: Value, b: Value) -> bool:
         return (a, b) in reachable_pairs
 
-    return replay, consistency
-
-
-def _complement_check(complement_domain: DomainDescriptor) -> Callable[[Value], None]:
-    """The membership check of a lens's complements in ``complement_domain``.
-
-    Complements found inside are remembered, so each is checked once per
-    lens; the memo holds at most the domain's values.
-    """
-    inside: dict[Value, None] = {}
-
     def require_inside(payload: Value) -> None:
         _require(contains(complement_domain, payload), "complement outside its domain")
 
-    def check(payload: Value) -> None:
-        remember(inside, payload, require_inside, payload)
+    def arrow(direction: str, fn: Callable[[Any, Value], tuple[Any, Value]]) -> Transform:
+        def run(update: Update, trace: ComplementTrace) -> tuple[Update, Traceability]:
+            remember(inside, trace.payload, require_inside, trace.payload)
+            out, c1 = fn(read(update), trace.payload)
+            return upd(out), ComplementTrace(c1)
 
-    return check
+        return run
+
+    return _symmetric(
+        name, upd.repr, TraceRepr.COMPLEMENT, "I", consistency, arrow, to_fn, from_fn, domain_a, domain_b,
+        complement_domain=complement_domain, replay=replay,
+    )
 
 
 def make_symmetric_lens(
@@ -447,49 +481,7 @@ def make_symmetric_lens(
     seed states by any run of the transformations.  The reachable triples
     are precomputed so law checking can feed only testifying traces.
     """
-
-    def successors(a: Value, b: Value, c: Value) -> Iterator[Triple]:
-        for a1 in enumerate_values(domain_a):
-            try:
-                b1, c1 = to_fn(a1, c)
-            except Undefined:
-                continue
-            yield a1, b1, c1
-        for b1 in enumerate_values(domain_b):
-            try:
-                a1, c1 = from_fn(b1, c)
-            except Undefined:
-                continue
-            yield a1, b1, c1
-
-    replay, consistency = _replay(seeds, successors)
-    check_complement = _complement_check(complement_domain)
-
-    def to(update: PostState, trace: ComplementTrace) -> tuple[Update, Traceability]:
-        check_complement(trace.payload)
-        b1, c1 = to_fn(update.post, trace.payload)
-        return PostState(b1), ComplementTrace(c1)
-
-    def from_(update: PostState, trace: ComplementTrace) -> tuple[Update, Traceability]:
-        check_complement(trace.payload)
-        a1, c1 = from_fn(update.post, trace.payload)
-        return PostState(a1), ComplementTrace(c1)
-
-    return Bx(
-        name=name,
-        upd_to=UpdateRepr.POST,
-        upd_from=UpdateRepr.POST,
-        trace_to=TraceRepr.COMPLEMENT,
-        trace_from=TraceRepr.COMPLEMENT,
-        consistency_kind="I",
-        consistency=consistency,
-        to_fn=to,
-        from_fn=from_,
-        domain_a=domain_a,
-        domain_b=domain_b,
-        complement_domain=complement_domain,
-        replay=replay,
-    )
+    return _complement_lens(name, PostState, to_fn, from_fn, domain_a, domain_b, complement_domain, seeds)
 
 
 def make_edit_lens(
@@ -506,52 +498,8 @@ def make_edit_lens(
     Translators may reject an edit that does not make sense under the
     current complement; that surfaces as ``Undefined``.
     """
-
-    def successors(a: Value, b: Value, c: Value) -> Iterator[Triple]:
-        for op in enumerate_ops(a, domain_a):
-            try:
-                ops_b, c1 = translate_to((op,), c)
-                a1 = apply_op(op, a)
-                b1 = apply_ops(ops_b, b)
-            except Undefined:
-                continue
-            yield a1, b1, c1
-        for op in enumerate_ops(b, domain_b):
-            try:
-                ops_a, c1 = translate_from((op,), c)
-                b1 = apply_op(op, b)
-                a1 = apply_ops(ops_a, a)
-            except Undefined:
-                continue
-            yield a1, b1, c1
-
-    replay, consistency = _replay(seeds, successors)
-    check_complement = _complement_check(complement_domain)
-
-    def to(update: Edits, trace: ComplementTrace) -> tuple[Update, Traceability]:
-        check_complement(trace.payload)
-        ops_b, c1 = translate_to(update.ops, trace.payload)
-        return Edits(ops_b), ComplementTrace(c1)
-
-    def from_(update: Edits, trace: ComplementTrace) -> tuple[Update, Traceability]:
-        check_complement(trace.payload)
-        ops_a, c1 = translate_from(update.ops, trace.payload)
-        return Edits(ops_a), ComplementTrace(c1)
-
-    return Bx(
-        name=name,
-        upd_to=UpdateRepr.EDITS,
-        upd_from=UpdateRepr.EDITS,
-        trace_to=TraceRepr.COMPLEMENT,
-        trace_from=TraceRepr.COMPLEMENT,
-        consistency_kind="I",
-        consistency=consistency,
-        to_fn=to,
-        from_fn=from_,
-        domain_a=domain_a,
-        domain_b=domain_b,
-        complement_domain=complement_domain,
-        replay=replay,
+    return _complement_lens(
+        name, Edits, translate_to, translate_from, domain_a, domain_b, complement_domain, seeds
     )
 
 
@@ -570,30 +518,19 @@ def make_sdelta_lens(
 ) -> Bx:
     """Delta-everywhere framework: updates and traces carry sameness relations."""
 
-    def _validated(update: DeltaUpdate, trace: DeltaTrace, a: Value, b: Value) -> None:
-        _require(trace.tgt == update.pre, "update pre-state differs from trace target")
-        _require(consistency(a, b), "trace does not testify the consistency relation")
+    def arrow(direction: str, fn: Transform) -> Transform:
+        def run(update: DeltaUpdate, trace: DeltaTrace) -> tuple[Update, Traceability]:
+            # The input trace runs from the output side (its src) to the input side.
+            _require(trace.tgt == update.pre, "update pre-state differs from trace target")
+            _require(
+                consistency(*_oriented(direction, trace.tgt, trace.src)),
+                "trace does not testify the consistency relation",
+            )
+            return fn(update, trace)
 
-    def to(update: DeltaUpdate, trace: DeltaTrace) -> tuple[Update, Traceability]:
-        # Forward input trace runs target-to-source (its src is the B value).
-        _validated(update, trace, trace.tgt, trace.src)
-        return to_fn(update, trace)
+        return run
 
-    def from_(update: DeltaUpdate, trace: DeltaTrace) -> tuple[Update, Traceability]:
-        _validated(update, trace, trace.src, trace.tgt)
-        return from_fn(update, trace)
-
-    return Bx(
-        name=name,
-        upd_to=UpdateRepr.DELTA,
-        upd_from=UpdateRepr.DELTA,
-        trace_to=TraceRepr.DELTA,
-        trace_from=TraceRepr.DELTA,
-        consistency_kind="E",
-        consistency=consistency,
-        to_fn=to,
-        from_fn=from_,
-        domain_a=domain_a,
-        domain_b=domain_b,
+    return _symmetric(
+        name, UpdateRepr.DELTA, TraceRepr.DELTA, "E", consistency, arrow, to_fn, from_fn, domain_a, domain_b,
         align=align,
     )

@@ -419,8 +419,6 @@ class Opaque(Update):
 
 
 UPDATE_CLASSES = {cls.repr: cls for cls in Update.__subclasses__()}
-# The update classes that ``build`` an update from a pre-state by a step.
-UPDATE_CONSTRUCTORS = {repr: cls for repr, cls in UPDATE_CLASSES.items() if cls.algebraic}
 
 
 def _answer(answer, error: type[SchemeError], what: str):

@@ -9,10 +9,10 @@ user functions into a uniform partial transformation
 ``(update, trace) -> (update, trace)`` that rejects traces that do not
 testify the consistency relation and always returns an output trace,
 synthesizing it when the classic interface would omit it as redundant.
-Every factory but the lens's states one direction: a closure factory builds
-each arrow from its direction's name and user function, and ``_oriented``
-turns the arrow's (input, output) sides into the (A, B) sides.  The symmetric
-and edit lenses share one core, ``_complement_lens``.
+Every factory but ``make_lens`` states one direction: a closure factory
+builds each arrow from its direction's name and user function, and
+``_oriented`` turns the arrow's (input, output) sides into (A, B) sides.  The
+symmetric and edit lenses share one core, ``_complement_lens``.
 ``Bx.apply`` checks inputs and results against the declared representations.
 Partiality always surfaces as ``Undefined``, never as a crash.
 A maintainer's testimony check scans the opposite domain once per trace
@@ -229,7 +229,7 @@ def _symmetric(
     trace: TraceRepr,
     consistency_kind: str,
     consistency: Consistency,
-    arrow: Callable[[str, Callable], Transform],
+    arrow_fn: Callable[[str, Callable], Transform],
     to_fn: Callable,
     from_fn: Callable,
     domain_a: DomainDescriptor,
@@ -237,7 +237,7 @@ def _symmetric(
     **extra,
 ) -> Bx:
     """The ``Bx`` whose directions share the update representation ``upd`` and
-    the trace representation ``trace``; ``arrow(direction, fn)`` builds the
+    the trace representation ``trace``; ``arrow_fn(direction, fn)`` builds the
     function of each direction around the user's ``fn``."""
     return Bx(
         name=name,
@@ -247,8 +247,8 @@ def _symmetric(
         trace_from=trace,
         consistency_kind=consistency_kind,
         consistency=consistency,
-        to_fn=arrow("to", to_fn),
-        from_fn=arrow("from", from_fn),
+        to_fn=arrow_fn("to", to_fn),
+        from_fn=arrow_fn("from", from_fn),
         domain_a=domain_a,
         domain_b=domain_b,
         **extra,
@@ -268,14 +268,15 @@ def make_mapping(
 ) -> Bx:
     """State-to-state mapping with no traceability on either side."""
 
-    def arrow(direction: str, fn: Callable[[Value], Value]) -> Transform:
+    def arrow_fn(direction: str, fn: Callable[[Value], Value]) -> Transform:
         def run(update: PostState, trace: Traceability) -> tuple[Update, Traceability]:
             return PostState(fn(update.post)), NO_TRACE
 
         return run
 
     return _symmetric(
-        name, UpdateRepr.POST, TraceRepr.NONE, "T", _graph_of(to_fn), arrow, to_fn, from_fn, domain_a, domain_b
+        name, UpdateRepr.POST, TraceRepr.NONE, "T", _graph_of(to_fn), arrow_fn,
+        to_fn, from_fn, domain_a, domain_b,
     )
 
 
@@ -338,7 +339,7 @@ def make_maintainer(
     remembered, so the memos hold at most |A| + |B| entries.
     """
 
-    def arrow(direction: str, repair: Callable[[Value, Value], Value]) -> Transform:
+    def arrow_fn(direction: str, repair: Callable[[Value, Value], Value]) -> Transform:
         scanned, within = _oriented(direction, domain_a, domain_b)
         outside = f"trace outside {_oriented(direction, 'source', 'target')[1]} domain"
         testified: dict[Value, bool] = {}
@@ -355,7 +356,8 @@ def make_maintainer(
         return run
 
     return _symmetric(
-        name, UpdateRepr.POST, TraceRepr.STATE, "E", consistency, arrow, to_fn, from_fn, domain_a, domain_b
+        name, UpdateRepr.POST, TraceRepr.STATE, "E", consistency, arrow_fn,
+        to_fn, from_fn, domain_a, domain_b,
     )
 
 
@@ -370,7 +372,7 @@ def make_trigonal(
     """Maintainer variant whose updates carry both pre- and post-state,
     enabling incremental repair of only the changed parts."""
 
-    def arrow(direction: str, repair: Callable[[tuple[Value, Value], Value], Value]) -> Transform:
+    def arrow_fn(direction: str, repair: Callable[[tuple[Value, Value], Value], Value]) -> Transform:
         _, within = _oriented(direction, domain_a, domain_b)
         outside = f"trace outside {_oriented(direction, 'source', 'target')[1]} domain"
 
@@ -386,7 +388,8 @@ def make_trigonal(
         return run
 
     return _symmetric(
-        name, UpdateRepr.BOTH, TraceRepr.STATE, "E", consistency, arrow, to_fn, from_fn, domain_a, domain_b
+        name, UpdateRepr.BOTH, TraceRepr.STATE, "E", consistency, arrow_fn,
+        to_fn, from_fn, domain_a, domain_b,
     )
 
 
@@ -452,7 +455,7 @@ def _complement_lens(
     def require_inside(payload: Value) -> None:
         _require(contains(complement_domain, payload), "complement outside its domain")
 
-    def arrow(direction: str, fn: Callable[[Any, Value], tuple[Any, Value]]) -> Transform:
+    def arrow_fn(direction: str, fn: Callable[[Any, Value], tuple[Any, Value]]) -> Transform:
         def run(update: Update, trace: ComplementTrace) -> tuple[Update, Traceability]:
             remember(inside, trace.payload, require_inside, trace.payload)
             out, c1 = fn(read(update), trace.payload)
@@ -461,8 +464,8 @@ def _complement_lens(
         return run
 
     return _symmetric(
-        name, upd.repr, TraceRepr.COMPLEMENT, "I", consistency, arrow, to_fn, from_fn, domain_a, domain_b,
-        complement_domain=complement_domain, replay=replay,
+        name, upd.repr, TraceRepr.COMPLEMENT, "I", consistency, arrow_fn,
+        to_fn, from_fn, domain_a, domain_b, complement_domain=complement_domain, replay=replay,
     )
 
 
@@ -518,7 +521,7 @@ def make_sdelta_lens(
 ) -> Bx:
     """Delta-everywhere framework: updates and traces carry sameness relations."""
 
-    def arrow(direction: str, fn: Transform) -> Transform:
+    def arrow_fn(direction: str, fn: Transform) -> Transform:
         def run(update: DeltaUpdate, trace: DeltaTrace) -> tuple[Update, Traceability]:
             # The input trace runs from the output side (its src) to the input side.
             _require(trace.tgt == update.pre, "update pre-state differs from trace target")
@@ -531,6 +534,6 @@ def make_sdelta_lens(
         return run
 
     return _symmetric(
-        name, UpdateRepr.DELTA, TraceRepr.DELTA, "E", consistency, arrow, to_fn, from_fn, domain_a, domain_b,
-        align=align,
+        name, UpdateRepr.DELTA, TraceRepr.DELTA, "E", consistency, arrow_fn,
+        to_fn, from_fn, domain_a, domain_b, align=align,
     )

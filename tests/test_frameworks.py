@@ -207,18 +207,24 @@ def _delta_trace(src, tgt):
 # Each direction's reasons for refusing a trace, by entry; ids name the
 # entry where it is not the maintainer.
 _REFUSED = [
-    ("key-maintainer", "to", PostState(rec(k=atom(2), u=atom(8))), StateTrace(atom(5)), "trace outside target domain"),
-    ("key-maintainer", "from", PostState(rec(k=atom(2), v=atom(8))), StateTrace(atom(5)), "trace outside source domain"),
+    ("key-maintainer", "to", PostState(rec(k=atom(2), u=atom(8))), StateTrace(atom(5)),
+     "trace outside target domain"),
+    ("key-maintainer", "from", PostState(rec(k=atom(2), v=atom(8))), StateTrace(atom(5)),
+     "trace outside source domain"),
     ("trigonal-key", "to", BothStates(_A0, _A0), StateTrace(atom(5)), "trace outside target domain"),
     ("trigonal-key", "from", BothStates(_B0, _B0), StateTrace(atom(5)), "trace outside source domain"),
     ("trigonal-key", "to", BothStates(_A0, _A0), StateTrace(rec(k=atom(2), v=atom(7))),
      "trace state does not match the update's pre-state"),
     ("trigonal-key", "from", BothStates(_B0, _B0), StateTrace(rec(k=atom(2), u=atom(7))),
      "trace state does not match the update's pre-state"),
-    ("rename-sync", "to", _delta(_P0, _P0), _delta_trace(_R0, _P1), "update pre-state differs from trace target"),
-    ("rename-sync", "from", _delta(_R0, _R0), _delta_trace(_P0, _R1), "update pre-state differs from trace target"),
-    ("rename-sync", "to", _delta(_P0, _P0), _delta_trace(_R1, _P0), "trace does not testify the consistency relation"),
-    ("rename-sync", "from", _delta(_R0, _R0), _delta_trace(_P1, _R0), "trace does not testify the consistency relation"),
+    ("rename-sync", "to", _delta(_P0, _P0), _delta_trace(_R0, _P1),
+     "update pre-state differs from trace target"),
+    ("rename-sync", "from", _delta(_R0, _R0), _delta_trace(_P0, _R1),
+     "update pre-state differs from trace target"),
+    ("rename-sync", "to", _delta(_P0, _P0), _delta_trace(_R1, _P0),
+     "trace does not testify the consistency relation"),
+    ("rename-sync", "from", _delta(_R0, _R0), _delta_trace(_P1, _R0),
+     "trace does not testify the consistency relation"),
 ]
 
 

@@ -73,6 +73,9 @@ def test_path_golden_strings():
     assert parse_path("/left/right/3/.name") == p
     assert render_path(()) == ""
     assert parse_path("") == ()
+    for step in (True, 1.5):
+        with pytest.raises(TypeError):
+            render_path((step,))
 
 
 def test_update_golden_strings():
@@ -168,6 +171,13 @@ def test_parse_trace_rejects_unknown_head():
         (parse_update, "edits[set(1, 2, 3)]", 10, "field name"),
         (parse_update, "edits[ins(x, 1)]", 10, "an index"),
         (parse_trace, "none{}", 4, "end of input"),
+        (parse_value, "{k = 1, }", 8, "field name"),
+        (parse_value, "{k = 1 u = 2}", 7, "}"),
+        (parse_value, "[1 2]", 3, "]"),
+        (parse_update, "edits[ins(0, 1), ]", 17, "ins or del or rep or set or root"),
+        (parse_update, "edits[ins(0, 1) del(0, 1)]", 16, "]"),
+        (parse_update, "delta{pre=(1, 1), post=(1, 1), same=[(/left, /left), ]}", 53, "("),
+        (parse_update, "delta{pre=(1, 1), post=(1, 1), same=[(/left, /left) (/right, /right)]}", 52, "]"),
     ],
 )
 def test_update_and_trace_parse_errors(parse, text, position, expected):

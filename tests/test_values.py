@@ -151,6 +151,28 @@ def test_select_out_of_bounds_reports_failing_step():
     assert err.value.step_index == 0
 
 
+@pytest.mark.parametrize(
+    "value, path, step_index, reason",
+    [
+        (seq(atom(1)), (LEFT,), 0, "left on non-pair"),
+        (pair(seq(atom(1)), atom(2)), (LEFT, RIGHT), 1, "right on non-pair"),
+        (pair(atom(1), atom(2)), (GoIndex(0),), 0, "index on non-sequence"),
+        (seq(atom(1)), (GoIndex(1),), 0, "index out of bounds"),
+        (rec(k=atom(1)), (GoField("u"),), 0, "no field u"),
+        (pair(atom(1), atom(2)), (RIGHT, GoField("k")), 1, "no field k"),
+        (seq(atom(1)), (None,), 0, "unknown step"),
+        (seq(atom(1)), (1.5,), 0, "unknown step"),
+        (seq(atom(8), atom(9)), (True,), 0, "unknown step"),
+        (pair(atom(1), atom(2)), (LEFT, False), 1, "unknown step"),
+    ],
+)
+def test_select_reports_each_invalid_step(value, path, step_index, reason):
+    with pytest.raises(InvalidPath) as err:
+        select(value, path)
+    assert err.value.step_index == step_index
+    assert str(err.value) == f"path invalid at step {step_index} ({reason})"
+
+
 def test_select_reports_first_failing_step_in_deep_path():
     v = pair(seq(atom(1)), atom(2))
     with pytest.raises(InvalidPath) as err:
@@ -437,6 +459,7 @@ objects = [
     atom("x"), a, pair(a, atom("z")), SetField("name", atom("x"), atom("y")),
     Edits([SetField("name", atom("x"), atom("y"))]), StateEdits(a, [SetField("name", atom("x"), atom("y"))]),
     DeltaUpdate(a, b, diff(a, b)), ComplementTrace(seq(atom("c"))),
+    DeltaUpdate(pair(a, atom("z")), pair(b, atom("z")), diff(pair(a, atom("z")), pair(b, atom("z")))),
 ]
 if sys.argv[1] == "dump":
     for x in objects:

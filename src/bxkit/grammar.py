@@ -19,16 +19,12 @@ from dataclasses import dataclass, fields
 from .values import (
     AtomInt,
     AtomStr,
-    GoField,
-    GoIndex,
-    GoLeft,
-    GoRight,
     Pair,
     Path,
     Rec,
     SamenessRelation,
     Seq,
-    Step,
+    Side,
     Value,
 )
 from .scheme import (
@@ -92,16 +88,14 @@ def render_value(value: Value) -> str:
 def render_path(path: Path) -> str:
     parts = []
     for step in path:
-        if isinstance(step, GoLeft):
-            parts.append("/left")
-        elif isinstance(step, GoRight):
-            parts.append("/right")
-        elif isinstance(step, GoIndex):
-            parts.append(f"/{step.index}")
-        elif isinstance(step, GoField):
-            if not _IDENT.fullmatch(step.name):
-                raise ValueError(f"field step {step.name!r} is not serializable")
-            parts.append(f"/.{step.name}")
+        if type(step) is Side:
+            parts.append(f"/{step.value}")
+        elif type(step) is int:
+            parts.append(f"/{step}")
+        elif isinstance(step, str):
+            if not _IDENT.fullmatch(step):
+                raise ValueError(f"field step {step!r} is not serializable")
+            parts.append(f"/.{step}")
         else:
             raise TypeError(f"not a step: {step!r}")
     return "".join(parts)
@@ -293,72 +287,55 @@ class _Parser:
             return Pair(left, right)
         if token.kind == "[":
             self.advance()
-            elements: list[Value] = []
-            if self.peek().kind != "]":
-                elements.append(self.value())
-                while self.peek().kind == ",":
-                    self.advance()
-                    elements.append(self.value())
-            self.expect("]")
-            return Seq(elements)
+            return Seq(self.listed("]", self.value))
         if token.kind == "{":
             self.advance()
-            fields: dict[str, Value] = {}
-            if self.peek().kind != "}":
-                while True:
-                    name = self.expect("IDENT", "field name").text
-                    self.expect("=")
-                    fields[name] = self.value()
-                    if self.peek().kind != ",":
-                        break
-                    self.advance()
-            self.expect("}")
-            return Rec(fields)
+            return Rec(self.listed("}", self.binding))
         raise ParseError(token.pos, "a value")
+
+    def binding(self) -> tuple[str, Value]:
+        name = self.expect("IDENT", "field name").text
+        self.expect("=")
+        return name, self.value()
+
+    def listed(self, close: str, read) -> list:
+        """Items read by ``read``, separated by commas, up to and with ``close``."""
+        items = []
+        if self.peek().kind != close:
+            items.append(read())
+            while self.peek().kind == ",":
+                self.advance()
+                items.append(read())
+        self.expect(close)
+        return items
 
     # -- paths and link sets -------------------------------------------------
 
     def path(self) -> Path:
-        steps: list[Step] = []
+        steps = []
         while self.peek().kind == "/":
             self.advance()
-            token = self.peek()
-            if token.kind == "IDENT" and token.text == "left":
-                self.advance()
-                steps.append(GoLeft())
-            elif token.kind == "IDENT" and token.text == "right":
-                self.advance()
-                steps.append(GoRight())
+            token = self.advance()
+            if token.kind == "IDENT" and token.text in ("left", "right"):
+                steps.append(Side(token.text))
             elif token.kind == "INT":
-                self.advance()
                 index = int(token.text)
                 if index < 0:
                     raise ParseError(token.pos, "a non-negative index")
-                steps.append(GoIndex(index))
+                steps.append(index)
             elif token.kind == ".":
-                self.advance()
-                name = self.expect("IDENT", "field name").text
-                steps.append(GoField(name))
+                steps.append(self.expect("IDENT", "field name").text)
             else:
                 raise ParseError(token.pos, "a path step")
         return tuple(steps)
 
-    def links(self) -> SamenessRelation:
-        self.expect("[")
-        links: list[tuple[Path, Path]] = []
-        if self.peek().kind != "]":
-            while True:
-                self.expect("(")
-                src = self.path()
-                self.expect(",")
-                tgt = self.path()
-                self.expect(")")
-                links.append((src, tgt))
-                if self.peek().kind != ",":
-                    break
-                self.advance()
-        self.expect("]")
-        return SamenessRelation(links)
+    def link(self) -> tuple[Path, Path]:
+        self.expect("(")
+        src = self.path()
+        self.expect(",")
+        tgt = self.path()
+        self.expect(")")
+        return src, tgt
 
     # -- edits, updates, traces ----------------------------------------------
 
@@ -366,17 +343,11 @@ class _Parser:
         if kind == "value":
             return self.value()
         if kind == "links":
-            return self.links()
+            self.expect("[")
+            return SamenessRelation(self.listed("]", self.link))
         if kind == "ops":
             self.expect("[")
-            ops: list[EditOp] = []
-            if self.peek().kind != "]":
-                ops.append(self.form(EditOp))
-                while self.peek().kind == ",":
-                    self.advance()
-                    ops.append(self.form(EditOp))
-            self.expect("]")
-            return ops
+            return self.listed("]", lambda: self.form(EditOp))
         if kind == "tag":
             return self.expect("STRING", "a tag string").text
         if kind == "name":

@@ -19,6 +19,7 @@ of a law check or an adapter is filled through ``remember``.
 """
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -200,50 +201,32 @@ def rec(fields: Mapping[str, Value] | None = None, **kw: Value) -> Rec:
 # Paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Step:
-    __slots__ = ()
+class Side(enum.Enum):
+    """A pair's two halves; each hashes by its name and pickles by value."""
+
+    LEFT = "left"
+    RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class GoLeft(Step):
-    pass
+LEFT = Side.LEFT
+RIGHT = Side.RIGHT
 
-
-@dataclass(frozen=True)
-class GoRight(Step):
-    pass
-
-
-@dataclass(frozen=True)
-class GoIndex(Step):
-    index: int
-
-
-@dataclass(frozen=True)
-class GoField(Step):
-    name: str
-
-
+# A path step is plain data: a side of a pair, the ``int`` index of a
+# sequence element (never a ``bool``), or the ``str`` name of a record
+# field.  ``GoIndex(2) == 2`` and ``GoField("k") == "k"``.
+GoIndex = int
+GoField = str
+Step = Side | int | str
 Path = tuple[Step, ...]
 ROOT: Path = ()
 
-LEFT = GoLeft()
-RIGHT = GoRight()
-
-
-def field(name: str) -> GoField:
-    return GoField(name)
-
 
 def step_key(step: Step) -> tuple:
-    if isinstance(step, GoLeft):
-        return (0,)
-    if isinstance(step, GoRight):
-        return (1,)
-    if isinstance(step, GoIndex):
-        return (2, step.index)
-    return (3, step.name)
+    if type(step) is Side:
+        return (0, step.value)
+    if type(step) is int:
+        return (1, step)
+    return (2, step)
 
 
 def path_key(path: Path) -> tuple:
@@ -255,24 +238,20 @@ def select(value: Value, path: Path) -> Value:
     """Resolve ``path`` inside ``value``; the empty path is the value itself."""
     current = value
     for i, step in enumerate(path):
-        if isinstance(step, GoLeft):
+        if type(step) is Side:
             if not isinstance(current, Pair):
-                raise InvalidPath(i, "left on non-pair")
-            current = current.left
-        elif isinstance(step, GoRight):
-            if not isinstance(current, Pair):
-                raise InvalidPath(i, "right on non-pair")
-            current = current.right
-        elif isinstance(step, GoIndex):
+                raise InvalidPath(i, f"{step.value} on non-pair")
+            current = current.left if step is LEFT else current.right
+        elif type(step) is int:
             if not isinstance(current, Seq):
                 raise InvalidPath(i, "index on non-sequence")
-            if not 0 <= step.index < len(current.elements):
+            if not 0 <= step < len(current.elements):
                 raise InvalidPath(i, "index out of bounds")
-            current = current.elements[step.index]
-        elif isinstance(step, GoField):
-            if not isinstance(current, Rec) or not current.has(step.name):
-                raise InvalidPath(i, f"no field {step.name}")
-            current = current.get(step.name)
+            current = current.elements[step]
+        elif isinstance(step, str):
+            if not isinstance(current, Rec) or not current.has(step):
+                raise InvalidPath(i, f"no field {step}")
+            current = current.get(step)
         else:
             raise InvalidPath(i, "unknown step")
     return current
@@ -297,10 +276,10 @@ def all_paths(value: Value) -> tuple[Path, ...]:
             walk(v.right, prefix + (RIGHT,))
         elif isinstance(v, Seq):
             for i, el in enumerate(v.elements):
-                walk(el, prefix + (GoIndex(i),))
+                walk(el, prefix + (i,))
         elif isinstance(v, Rec):
             for name, fv in v.fields:
-                walk(fv, prefix + (GoField(name),))
+                walk(fv, prefix + (name,))
 
     walk(value, ROOT)
     return tuple(out)
@@ -376,13 +355,13 @@ def close_relation(source: Value, target: Value, rel: SamenessRelation) -> Samen
     src_paths = sorted(all_paths(source), key=len, reverse=True)
     tgt_by_depth = sorted(all_paths(target), key=path_key)
 
-    def children_steps(v: Value) -> list[Step] | None:
+    def children_steps(v: Value) -> Iterable[Step] | None:
         if isinstance(v, Pair):
-            return [LEFT, RIGHT]
+            return (LEFT, RIGHT)
         if isinstance(v, Seq):
-            return [GoIndex(i) for i in range(len(v.elements))]
+            return range(len(v.elements))
         if isinstance(v, Rec):
-            return [GoField(n) for n in v.names()]
+            return v.names()
         return None
 
     for sp in src_paths:
@@ -603,10 +582,10 @@ def _align(pre: Value, post: Value) -> SamenessRelation:
         elif isinstance(x, Rec) and isinstance(y, Rec):
             for name in x.names():
                 if y.has(name):
-                    walk(p + (GoField(name),), q + (GoField(name),), x.get(name), y.get(name))
+                    walk(p + (name,), q + (name,), x.get(name), y.get(name))
         elif isinstance(x, Seq) and isinstance(y, Seq):
             for i, j in _lcs_matches(x.elements, y.elements):
-                link_subtree(p + (GoIndex(i),), q + (GoIndex(j),), x.elements[i])
+                link_subtree(p + (i,), q + (j,), x.elements[i])
 
     walk(ROOT, ROOT, pre, post)
     return SamenessRelation(links)

@@ -1,4 +1,6 @@
 """Framework adapters: interface conformance, partiality, trace synthesis."""
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +39,14 @@ from bxkit.scheme import (
     TraceRepr,
     UpdateRepr,
 )
-from bxkit.frameworks import Undefined, UnknownName, make_edit_lens, make_maintainer, make_symmetric_lens
+from bxkit.frameworks import (
+    BoundaryMismatch,
+    Undefined,
+    UnknownName,
+    make_edit_lens,
+    make_maintainer,
+    make_symmetric_lens,
+)
 from bxkit.catalog import build_list_edit_lens, catalog, catalog_entries, catalog_names
 from bxkit.grammar import render_trace, render_update
 from bxkit.laws import LawSuiteConfig, audit_incidence, check_history_ignorance
@@ -145,6 +154,40 @@ def test_repr_mismatch_is_reported(name, direction):
         if other is not trace:
             with pytest.raises(ReprMismatch, match="expected trace representation"):
                 bx.apply(direction, _UPDATE_OF[upd], wrong_trace)
+
+
+def _returning(result):
+    """The fst lens with a forward arrow that answers ``result`` to every call."""
+    return dataclasses.replace(catalog("fst-lens").bx, to_fn=lambda update, trace: result)
+
+
+# Each boundary refusal of ``Bx.apply`` on the fst lens's forward arrow, which
+# reads S updates and N traces and answers S updates and S traces.
+_BOUNDARY = [
+    (catalog("fst-lens").bx, BothStates(atom(1), atom(1)), NO_TRACE,
+     "input: expected update representation S, got BothStates"),
+    (catalog("fst-lens").bx, PostState(atom(1)), StateTrace(atom(1)),
+     "input: expected trace representation N, got StateTrace"),
+    (_returning((PostState(atom(1)), StateTrace(atom(1)), NO_TRACE)), PostState(atom(1)), NO_TRACE,
+     "result: expected update representation S, got tuple"),
+    (_returning(PostState(atom(1))), PostState(atom(1)), NO_TRACE,
+     "result: expected trace representation S, got NoneType"),
+    (_returning((PostState(atom(1)), NO_TRACE)), PostState(atom(1)), NO_TRACE,
+     "result: expected trace representation S, got NoTrace"),
+]
+
+
+@pytest.mark.parametrize("bx,update,trace,message", _BOUNDARY)
+def test_boundary_mismatch_messages(bx, update, trace, message):
+    with pytest.raises(BoundaryMismatch) as raised:
+        bx.apply("to", update, trace)
+    assert str(raised.value) == message
+    assert raised.value.bx is bx
+
+
+def test_undefined_default_reason():
+    assert Undefined().reason == str(Undefined()) == "transformation undefined"
+    assert Undefined("no source").reason == str(Undefined("no source")) == "no source"
 
 
 def test_const_lens_partial_put():

@@ -471,6 +471,26 @@ def test_an_empty_law_selection_is_refused():
         LawSuiteConfig(laws=())
 
 
+@pytest.mark.parametrize(
+    "knob,least", [("edit_ops_per_update", 0), ("max_convergence_rounds", 1), ("value_cap", 1)]
+)
+def test_each_numeric_knob_is_refused_just_below_its_least_value(knob, least):
+    assert getattr(LawSuiteConfig(**{knob: least}), knob) == least
+    with pytest.raises(ValueError, match="nonsensical law suite configuration"):
+        LawSuiteConfig(**{knob: least - 1})
+
+
+def test_failures_are_filtered_by_law():
+    report = run_suite(bx("list-edit-lens"))
+    selected = report.failures((HIPPOCRATICNESS,))
+    assert [(c.law, c.direction) for c in selected] == [(HIPPOCRATICNESS, "to")]
+    everything = [(c.law, c.direction) for c in report.failures()]
+    assert [law for law, _ in everything if law.startswith(HIPPOCRATICNESS)] == [
+        HIPPOCRATICNESS, HIPPOCRATICNESS_LITERAL, HIPPOCRATICNESS_LITERAL,
+    ]
+    assert len(everything) == sum(v.kind == Verdict.FAILS for v in report.verdicts.values())
+
+
 def test_an_unknown_direction_is_refused():
     # A direction that names no arrow is the caller's error, not a verdict
     # on the transformation.

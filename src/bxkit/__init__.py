@@ -52,10 +52,8 @@ from .scheme import (
     StateEdits,
     StateTrace,
     Traceability,
-    TraceRepr,
     Update,
     UpdatePreorder,
-    UpdateRepr,
     check_incidence,
     compose_trace_update,
     compose_updates,

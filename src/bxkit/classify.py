@@ -3,7 +3,7 @@
 A signature places a transformation on the comparison axes: symmetry,
 update representation per direction, trace representation per direction,
 and how the consistency relation is given.  Symmetry is derived from the
-representation tags, never declared.  The report renderer prints one row
+representation classes, never declared.  The report renderer prints one row
 per transformation with ASCII arrows: ``->`` when a law holds forward,
 ``<-`` backward, ``<->`` both, ``~>``/``<~`` for weak variants, and a
 blank cell when a law fails or cannot be expressed.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .frameworks import Bx
-from .scheme import TraceRepr, UpdateRepr
+from .scheme import Traceability, Update
 from .verdict import Verdict
 
 if TYPE_CHECKING:
@@ -24,16 +24,16 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class SchemeSignature:
     symmetry: str
-    upd_to: UpdateRepr
-    upd_from: UpdateRepr
-    trace_to: TraceRepr
-    trace_from: TraceRepr
+    upd_to: type[Update]
+    upd_from: type[Update]
+    trace_to: type[Traceability]
+    trace_from: type[Traceability]
     consistency_kind: str
 
     def format(self) -> str:
         return (
-            f"{self.symmetry} | {self.upd_to.value},{self.upd_from.value} | "
-            f"{self.trace_to.value},{self.trace_from.value} | {self.consistency_kind}"
+            f"{self.symmetry} | {self.upd_to.symbol},{self.upd_from.symbol} | "
+            f"{self.trace_to.symbol},{self.trace_from.symbol} | {self.consistency_kind}"
         )
 
 
@@ -99,10 +99,10 @@ def render_report(entries: Iterable[tuple[str, SchemeSignature, "LawReport"]]) -
         row = [
             name,
             signature.symmetry,
-            signature.upd_to.value,
-            signature.upd_from.value,
-            signature.trace_to.value,
-            signature.trace_from.value,
+            signature.upd_to.symbol,
+            signature.upd_from.symbol,
+            signature.trace_to.symbol,
+            signature.trace_from.symbol,
             signature.consistency_kind,
         ]
         row.extend(_arrow_cell(report, law) for law, _ in _REPORT_LAWS)

@@ -42,14 +42,13 @@ from .scheme import (
     EditOp,
     Edits,
     NO_TRACE,
+    NoTrace,
     PostState,
     ReprMismatch,
     StateTrace,
     Traceability,
-    TraceRepr,
     Update,
     UpdatePreorder,
-    UpdateRepr,
     apply_ops,
     enumerate_ops,
 )
@@ -97,10 +96,10 @@ class Arrow(NamedTuple):
     name: str
     back: str
     fn: Transform
-    upd_in: UpdateRepr
-    upd_out: UpdateRepr
-    trace_in: TraceRepr
-    trace_out: TraceRepr
+    upd_in: type[Update]
+    upd_out: type[Update]
+    trace_in: type[Traceability]
+    trace_out: type[Traceability]
     domain_in: DomainDescriptor
     domain_out: DomainDescriptor
 
@@ -113,8 +112,8 @@ class Arrow(NamedTuple):
 class Bx:
     """A named bidirectional transformation over finite domains.
 
-    ``upd_to``/``trace_to`` describe the forward-direction update and
-    trace representations (source-side updates, traces produced by the
+    ``upd_to``/``trace_to`` are the classes of the forward-direction update
+    and trace representations (source-side updates, traces produced by the
     forward run and consumed by the backward one); ``upd_from`` and
     ``trace_from`` are their duals.  ``arrows`` holds each direction as
     one ``Arrow``, built from these fields once: ``arrows["to"]`` reads
@@ -123,10 +122,10 @@ class Bx:
     """
 
     name: str
-    upd_to: UpdateRepr
-    upd_from: UpdateRepr
-    trace_to: TraceRepr
-    trace_from: TraceRepr
+    upd_to: type[Update]
+    upd_from: type[Update]
+    trace_to: type[Traceability]
+    trace_from: type[Traceability]
     consistency_kind: str
     consistency: Consistency
     to_fn: Transform
@@ -172,16 +171,16 @@ class Bx:
 
     def apply(self, direction: str, update: Update, trace: Traceability) -> tuple[Update, Traceability]:
         """Run the arrow named ``direction``.  The inputs and the result must
-        be an update and a trace of the arrow's representations; anything
+        be an update and a trace of exactly the arrow's classes; anything
         else raises ``BoundaryMismatch``."""
         arrow = self.arrow(direction)
-        if update.repr is not arrow.upd_in or trace.repr is not arrow.trace_in:
+        if type(update) is not arrow.upd_in or type(trace) is not arrow.trace_in:
             raise _mismatch(self, "input", (update, trace), arrow.upd_in, arrow.trace_in)
         result = arrow.fn(update, trace)
         try:
             u_out, t_out = result
-            declared = u_out.repr is arrow.upd_out and t_out.repr is arrow.trace_out
-        except (AttributeError, TypeError, ValueError):
+            declared = type(u_out) is arrow.upd_out and type(t_out) is arrow.trace_out
+        except (TypeError, ValueError):
             declared = False
         if not declared:
             raise _mismatch(self, "result", result, arrow.upd_out, arrow.trace_out)
@@ -193,16 +192,18 @@ class Bx:
         return diff(a, b)
 
 
-def _mismatch(bx: Bx, role: str, pair, upd: UpdateRepr, trc: TraceRepr) -> BoundaryMismatch:
+def _mismatch(
+    bx: Bx, role: str, pair, upd: type[Update], trc: type[Traceability]
+) -> BoundaryMismatch:
     """The error for a call of ``bx`` whose ``role``, its inputs or its result,
-    is not a pair of an update of representation ``upd`` and a trace of ``trc``."""
+    is not a pair of an update of class ``upd`` and a trace of class ``trc``."""
     update, trace = pair if isinstance(pair, tuple) and len(pair) == 2 else (pair, None)
-    if getattr(update, "repr", None) is not upd:
+    if type(update) is not upd:
         return BoundaryMismatch(
-            f"{role}: expected update representation {upd.value}, got {type(update).__name__}", bx
+            f"{role}: expected update representation {upd.symbol}, got {type(update).__name__}", bx
         )
     return BoundaryMismatch(
-        f"{role}: expected trace representation {trc.value}, got {type(trace).__name__}", bx
+        f"{role}: expected trace representation {trc.symbol}, got {type(trace).__name__}", bx
     )
 
 
@@ -225,8 +226,8 @@ def _graph_of(forward: Callable[[Value], Value]) -> Consistency:
 
 def _symmetric(
     name: str,
-    upd: UpdateRepr,
-    trace: TraceRepr,
+    upd: type[Update],
+    trace: type[Traceability],
     consistency_kind: str,
     consistency: Consistency,
     arrow_fn: Callable[[str, Callable], Transform],
@@ -236,8 +237,8 @@ def _symmetric(
     domain_b: DomainDescriptor,
     **extra,
 ) -> Bx:
-    """The ``Bx`` whose directions share the update representation ``upd`` and
-    the trace representation ``trace``; ``arrow_fn(direction, fn)`` builds the
+    """The ``Bx`` whose directions share the update class ``upd`` and the
+    trace class ``trace``; ``arrow_fn(direction, fn)`` builds the
     function of each direction around the user's ``fn``."""
     return Bx(
         name=name,
@@ -275,7 +276,7 @@ def make_mapping(
         return run
 
     return _symmetric(
-        name, UpdateRepr.POST, TraceRepr.NONE, "T", _graph_of(to_fn), arrow_fn,
+        name, PostState, NoTrace, "T", _graph_of(to_fn), arrow_fn,
         to_fn, from_fn, domain_a, domain_b,
     )
 
@@ -302,10 +303,10 @@ def make_lens(
 
     return Bx(
         name=name,
-        upd_to=UpdateRepr.POST,
-        upd_from=UpdateRepr.POST,
-        trace_to=TraceRepr.STATE,
-        trace_from=TraceRepr.NONE,
+        upd_to=PostState,
+        upd_from=PostState,
+        trace_to=StateTrace,
+        trace_from=NoTrace,
         consistency_kind="T",
         consistency=_graph_of(get),
         to_fn=to,
@@ -356,7 +357,7 @@ def make_maintainer(
         return run
 
     return _symmetric(
-        name, UpdateRepr.POST, TraceRepr.STATE, "E", consistency, arrow_fn,
+        name, PostState, StateTrace, "E", consistency, arrow_fn,
         to_fn, from_fn, domain_a, domain_b,
     )
 
@@ -388,7 +389,7 @@ def make_trigonal(
         return run
 
     return _symmetric(
-        name, UpdateRepr.BOTH, TraceRepr.STATE, "E", consistency, arrow_fn,
+        name, BothStates, StateTrace, "E", consistency, arrow_fn,
         to_fn, from_fn, domain_a, domain_b,
     )
 
@@ -464,7 +465,7 @@ def _complement_lens(
         return run
 
     return _symmetric(
-        name, upd.repr, TraceRepr.COMPLEMENT, "I", consistency, arrow_fn,
+        name, upd, ComplementTrace, "I", consistency, arrow_fn,
         to_fn, from_fn, domain_a, domain_b, complement_domain=complement_domain, replay=replay,
     )
 
@@ -534,6 +535,6 @@ def make_sdelta_lens(
         return run
 
     return _symmetric(
-        name, UpdateRepr.DELTA, TraceRepr.DELTA, "E", consistency, arrow_fn,
+        name, DeltaUpdate, DeltaTrace, "E", consistency, arrow_fn,
         to_fn, from_fn, domain_a, domain_b, align=align,
     )

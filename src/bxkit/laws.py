@@ -55,12 +55,10 @@ from .values import (
     remember,
 )
 from .scheme import (
+    Edits,
     SchemeError,
-    TRACE_CLASSES,
     Traceability,
     Update,
-    UPDATE_CLASSES,
-    UpdateRepr,
     check_incidence,
     compose_updates,
     enumerate_op_sequences,
@@ -156,7 +154,7 @@ FREE_CASE = Case(None, None, None)
 
 
 def consistent_cases(bx: Bx, direction: str, cap: int = ENUMERATION_CAP) -> tuple[Case, ...]:
-    if not TRACE_CLASSES[bx.arrow(direction).trace_in].anchored:
+    if not bx.arrow(direction).trace_in.anchored:
         return (FREE_CASE,)
     if bx.consistency_kind == "I":
         return tuple(Case(a, b, c) for a, b, c in bx.replay)
@@ -183,13 +181,13 @@ def _realize_arrow(bx: Bx, arrow: Arrow, case: Case) -> Traceability | None:
         return rel if arrow.name == "to" else rel.invert()
 
     ends = None if case.a is None or case.b is None else arrow.pair(case.a, case.b)
-    return TRACE_CLASSES[arrow.trace_out].testifying(ends, case.c, align)
+    return arrow.trace_out.testifying(ends, case.c, align)
 
 
 def _reverse_trace(arrow: Arrow, trace: Traceability, post_out: Value | None) -> Traceability | None:
     """Reverse the trace produced by a call of ``arrow``, whose output-side
     post-state is ``post_out``, into the representation ``arrow`` reads."""
-    return TRACE_CLASSES[arrow.trace_in].reversing(trace, post_out)
+    return arrow.trace_in.reversing(trace, post_out)
 
 
 class _Run:
@@ -213,7 +211,7 @@ class _Run:
         # Only the op-sequence searches are kept per pre-state, and post-state
         # updates once per direction; both-states and delta updates cost no
         # more to build than the loop that reads them, so they are not kept.
-        in_class, domain = UPDATE_CLASSES[arrow.upd_in], arrow.domain_in
+        in_class, domain = arrow.upd_in, arrow.domain_in
         if in_class.carries_pre and not in_class.edits:
             return self._enumerate(in_class, domain, pre)
         key = (arrow.name, pre if in_class.edits else None)
@@ -413,8 +411,7 @@ def _inexpressible(bx: Bx, law: str, arrow: Arrow) -> str | None:
     representations, or ``None`` when it can, read from what their classes
     can do.  The rules are tried in order; the first that applies gives
     the reason."""
-    update_in = UPDATE_CLASSES[arrow.upd_in]
-    trace_in, trace_out = TRACE_CLASSES[arrow.trace_in], TRACE_CLASSES[arrow.trace_out]
+    update_in, trace_in, trace_out = arrow.upd_in, arrow.trace_in, arrow.trace_out
     # The pre-state of the input update is recoverable from the framework's
     # own data when the input trace carries both endpoints, or when the
     # consistency relation is the forward transformation and the trace
@@ -435,7 +432,7 @@ def _inexpressible(bx: Bx, law: str, arrow: Arrow) -> str | None:
             return "a consistency-preserving update cannot be recognized under an implicit relation"
         if not trace_in.anchored:
             return "no testifying pair is available to anchor the null update"
-    if law == LEAST_UPDATE and not UPDATE_CLASSES[arrow.upd_out].algebraic:
+    if law == LEAST_UPDATE and not arrow.upd_out.algebraic:
         return "no preorder is available for function-valued updates"
     return None
 
@@ -513,13 +510,13 @@ def _law(law: str, vacuous_reason: str):
 def check_stability(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Null updates must translate to null updates, leaving the trace reversed."""
     for case, trace_in, in_base, out_base in check.anchored_cases():
-        u_id = UPDATE_CLASSES[arrow.upd_in].null(in_base)
+        u_id = arrow.upd_in.null(in_base)
         if u_id is None:
             continue
         result = check.call(arrow, u_id, trace_in)
         if result is None:
             continue
-        expected_u = UPDATE_CLASSES[arrow.upd_out].null(out_base)
+        expected_u = arrow.upd_out.null(out_base)
         if expected_u is None:
             continue
         expected_t = _realize_arrow(bx, arrow, case)
@@ -598,7 +595,7 @@ def check_history_ignorance(check: _Check, bx: Bx, arrow: Arrow) -> None:
     # first updates, so their results are kept until the next anchor starts.
     # Edit composites are nearly all distinct, and keeping their results made
     # the depth-2 edit lens check slower and larger, so they are called plainly.
-    state_based = not UPDATE_CLASSES[arrow.upd_in].edits
+    state_based = not arrow.upd_in.edits
     combined_at: dict[Update, tuple[Update, Traceability] | None] = {}
     anchor = None
     for case, trace_in, u1, in_base, out_base, _ in check.anchored_inputs():
@@ -698,7 +695,7 @@ def _hippocraticness(check: _Check, bx: Bx, arrow: Arrow, literal: bool = False)
         result = check.call(arrow, u_in, trace_in)
         if result is None:
             continue
-        expected_u = UPDATE_CLASSES[arrow.upd_out].null(out_base)
+        expected_u = arrow.upd_out.null(out_base)
         if expected_u is None:
             continue
         # An ignored update moves the anchor's input end to its
@@ -720,7 +717,7 @@ for _name, _body in ((HIPPOCRATICNESS, _hippocraticness), (HIPPOCRATICNESS_LITER
 @_law(LEAST_UPDATE, "the transformation is undefined everywhere")
 def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """The returned update is minimal among all consistency-restoring ones."""
-    out_class, back = UPDATE_CLASSES[arrow.upd_out], bx.arrows[arrow.back]
+    out_class, back = arrow.upd_out, bx.arrows[arrow.back]
 
     def size(update: Update, out_base: Value | None, u_in: Update, trace_in: Traceability) -> int:
         # The class's default preorder, anchored at the testified pre-state,
@@ -921,7 +918,7 @@ def run_suite(bx: Bx, config: LawSuiteConfig | None = None) -> LawReport:
     if (
         HIPPOCRATICNESS in run.config.laws
         and bx.consistency_kind == "I"
-        and UpdateRepr.EDITS in (bx.upd_to, bx.upd_from)
+        and Edits in (bx.upd_to, bx.upd_from)
     ):
         for direction in DIRECTIONS:
             verdicts[(HIPPOCRATICNESS_LITERAL, direction)] = _check_on(

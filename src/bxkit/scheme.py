@@ -3,15 +3,15 @@
 Updates come in six representations: post-state only, both states, delta
 (states plus a sameness relation), edit sequence, pre-state plus edits,
 and opaque function tags.  Traceabilities come in four: none, one stored
-state, a complement, and a delta.  Each class names its representation
-in ``repr``, states what it can do in class attributes, and carries the
-operators the laws are written with: an update its construction, null
-update, pre/post projection, composition, inversion and default-preorder
-size; a trace its endpoints, reversal and extension by an update; an edit
-its application and inverse.  ``UPDATE_CLASSES`` and ``TRACE_CLASSES``
-map each representation to its class.  The module functions are the
-public forms of the operators, which raise where a method answers
-``None``, plus endpoint agreement for a call and the size preorder.
+state, a complement, and a delta.  A representation is its class: the
+class carries the paper's letter for it in ``symbol``, states what it can
+do in class attributes, and carries the operators the laws are written
+with: an update its construction, null update, pre/post projection,
+composition, inversion and default-preorder size; a trace its endpoints,
+reversal and extension by an update; an edit its application and
+inverse.  The module functions are the public forms of the operators,
+which raise where a method answers ``None``, plus endpoint agreement for
+a call and the size preorder.
 
 A traceability value is directionless data; whether a stored state is
 the A side or the B side is decided by the call site (the direction of
@@ -19,7 +19,6 @@ the transformation it was passed to or returned from).
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from typing import Any, Callable, ClassVar, Iterable
 
@@ -72,32 +71,6 @@ class SeamMismatch(SchemeError):
 
 class EditUnapplicable(SchemeError):
     """An edit operation's positional or field precondition failed."""
-
-
-class UpdateRepr(enum.Enum):
-    POST = "S"
-    BOTH = "\U0001d54a"        # blackboard S: pre- and post-state
-    DELTA = "D"
-    EDITS = "E"
-    STATE_EDITS = "\U0001d53c"  # blackboard E: pre-state plus edits
-    OPAQUE = "F"
-
-    @classmethod
-    def from_symbol(cls, text: str) -> "UpdateRepr":
-        """The member whose value is ``text``; ``SS`` and ``EE`` spell the
-        blackboard letters.  Raises ``ValueError`` for any other text."""
-        return {"SS": cls.BOTH, "EE": cls.STATE_EDITS}.get(text) or cls(text)
-
-
-class TraceRepr(enum.Enum):
-    NONE = "N"
-    STATE = "S"
-    COMPLEMENT = "C"
-    DELTA = "D"
-
-    @classmethod
-    def from_symbol(cls, text: str) -> "TraceRepr":
-        return cls(text)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +234,7 @@ class Update:
     measures the default preorder named ``order``, by default in edits."""
 
     __slots__ = ()
-    repr: ClassVar[UpdateRepr]
+    symbol: ClassVar[str]  # the paper's letter for the representation
     algebraic: ClassVar[bool] = True  # function-valued updates have no operator
     edits: ClassVar[bool] = False  # built by an edit sequence, not by its post-state
     carries_pre: ClassVar[bool] = False
@@ -321,7 +294,7 @@ class Update:
 @hash_once
 @dataclass(frozen=True)
 class PostState(Update):
-    repr = UpdateRepr.POST
+    symbol = "S"
     order = "post-size"
     post: Value
 
@@ -339,7 +312,7 @@ class PostState(Update):
 @hash_once
 @dataclass(frozen=True)
 class BothStates(Update):
-    repr = UpdateRepr.BOTH
+    symbol = "\U0001d54a"  # blackboard S: pre- and post-state
     carries_pre = invertible = identifiable = True
     order = "changed-paths"
     pre: Value
@@ -352,7 +325,7 @@ class BothStates(Update):
 @hash_once
 @dataclass(frozen=True)
 class DeltaUpdate(Update):
-    repr = UpdateRepr.DELTA
+    symbol = "D"
     carries_pre = invertible = identifiable = True
     order = "unlinked-paths"
     pre: Value
@@ -382,7 +355,7 @@ class DeltaUpdate(Update):
 @hash_once
 @dataclass(frozen=True)
 class Edits(Update):
-    repr = UpdateRepr.EDITS
+    symbol = "E"
     edits = invertible = identifiable = True
     ops: tuple[EditOp, ...]
 
@@ -397,7 +370,7 @@ class Edits(Update):
 @hash_once
 @dataclass(frozen=True)
 class StateEdits(Update):
-    repr = UpdateRepr.STATE_EDITS
+    symbol = "\U0001d53c"  # blackboard E: pre-state plus edits
     edits = carries_pre = invertible = identifiable = True
     pre: Value
     ops: tuple[EditOp, ...]
@@ -413,12 +386,9 @@ class StateEdits(Update):
 @dataclass(frozen=True)
 class Opaque(Update):
     """Function-valued update carrier; algebraic operators reject it."""
-    repr = UpdateRepr.OPAQUE
+    symbol = "F"
     algebraic = False
     tag: str
-
-
-UPDATE_CLASSES = {cls.repr: cls for cls in Update.__subclasses__()}
 
 
 def _answer(answer, error: type[SchemeError], what: str):
@@ -426,12 +396,6 @@ def _answer(answer, error: type[SchemeError], what: str):
     if answer is None:
         raise error(what)
     return answer
-
-
-def update_repr(u: Update) -> UpdateRepr:
-    if isinstance(u, Update):
-        return u.repr
-    raise TypeError(f"not an update: {u!r}")
 
 
 def delta_of(u: Update) -> Value:
@@ -446,15 +410,14 @@ def rho_of(u: Update) -> Value:
     return _answer(u.post_state(), StateNotRepresented, "post")
 
 
-def identity_update(value: Value, repr: UpdateRepr) -> Update:
-    """The null update on ``value`` in the given representation.
+def identity_update(value: Value, cls: type[Update]) -> Update:
+    """The null update on ``value`` in the representation ``cls``.
 
     Post-state-only updates carry no pre-state, so a null update cannot
     be distinguished there; same for opaque updates.
     """
-    cls = UPDATE_CLASSES[repr]
     null = cls.null(value) if cls.identifiable else None
-    return _answer(null, NotExpressibleError, f"null update for representation {repr.value}")
+    return _answer(null, NotExpressibleError, f"null update for representation {cls.symbol}")
 
 
 def compose_updates(second: Update, first: Update) -> Update:
@@ -464,8 +427,8 @@ def compose_updates(second: Update, first: Update) -> Update:
     the second's.  For post-state-only updates the composite is just the
     second update; edit sequences concatenate.
     """
-    if first.repr is not second.repr:
-        raise ReprMismatch(f"cannot compose {first.repr.value} with {second.repr.value}")
+    if type(first) is not type(second):
+        raise ReprMismatch(f"cannot compose {first.symbol} with {second.symbol}")
     if first.carries_pre and first.post_state() != second.pre_state():
         raise SeamMismatch("post-state of first update differs from pre-state of second")
     return first.then(second)
@@ -473,7 +436,7 @@ def compose_updates(second: Update, first: Update) -> Update:
 
 def invert_update(u: Update) -> Update:
     """Swap the endpoints of an update; an involution where defined."""
-    return _answer(u.inverse(), NotExpressibleError, f"inversion for representation {u.repr.value}")
+    return _answer(u.inverse(), NotExpressibleError, f"inversion for representation {u.symbol}")
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +451,7 @@ class Traceability:
     opposite call reads after it."""
 
     __slots__ = ()
-    repr: ClassVar[TraceRepr]
+    symbol: ClassVar[str]  # the paper's letter for the representation
     anchored: ClassVar[bool] = True  # a none-trace stands for no testifying pair
     carries_state: ClassVar[bool] = False
     carries_both: ClassVar[bool] = False
@@ -512,14 +475,14 @@ class Traceability:
         """This trace with ``update`` on its target side; a stored state keeps
         its source."""
         if not self.carries_state:
-            raise NotExpressibleError(f"trace/update composition for representation {self.repr.value}")
+            raise NotExpressibleError(f"trace/update composition for representation {self.symbol}")
         return self
 
 
 @hash_once
 @dataclass(frozen=True)
 class NoTrace(Traceability):
-    repr = TraceRepr.NONE
+    symbol = "N"
     anchored = False
 
     @classmethod
@@ -532,7 +495,7 @@ class NoTrace(Traceability):
 @hash_once
 @dataclass(frozen=True)
 class StateTrace(Traceability):
-    repr = TraceRepr.STATE
+    symbol = "S"
     carries_state = True
     state: Value
 
@@ -551,7 +514,7 @@ class StateTrace(Traceability):
 @hash_once
 @dataclass(frozen=True)
 class ComplementTrace(Traceability):
-    repr = TraceRepr.COMPLEMENT
+    symbol = "C"
     payload: Value
 
     @classmethod
@@ -562,7 +525,7 @@ class ComplementTrace(Traceability):
 @hash_once
 @dataclass(frozen=True)
 class DeltaTrace(Traceability):
-    repr = TraceRepr.DELTA
+    symbol = "D"
     carries_state = carries_both = True
     src: Value
     tgt: Value
@@ -596,13 +559,6 @@ class DeltaTrace(Traceability):
 
 
 NO_TRACE = NoTrace()
-TRACE_CLASSES = {cls.repr: cls for cls in Traceability.__subclasses__()}
-
-
-def trace_repr(t: Traceability) -> TraceRepr:
-    if isinstance(t, Traceability):
-        return t.repr
-    raise TypeError(f"not a traceability: {t!r}")
 
 
 def src_of(t: Traceability) -> Value:
@@ -704,13 +660,12 @@ class UpdatePreorder:
         return LESS_OR_EQUAL if self.size(u1) <= self.size(u2) else GREATER
 
 
-def default_preorder(repr: UpdateRepr) -> UpdatePreorder:
+def default_preorder(cls: type[Update]) -> UpdatePreorder:
     """The default "fewest changed components" preorder, the ``size`` of the
-    representation's class: post-state paths not aligned to an equal
+    representation ``cls``: post-state paths not aligned to an equal
     pre-state component (both states) or not linked (delta), edit count,
     or post-state size where no pre-state is available.  Sizes are counted
     (``node_count``, ``diff_size``): no path, alignment or cache entry is built."""
-    cls = UPDATE_CLASSES[repr]
     if not cls.algebraic:
         raise NotExpressibleError("no preorder for opaque updates")
     return UpdatePreorder(cls.order, cls.size)

@@ -21,7 +21,6 @@ from bxkit.scheme import (
     DeltaUpdate,
     Edits,
     StateEdits,
-    UpdateRepr,
     apply_ops,
     compose_updates,
     delta_of,
@@ -215,18 +214,18 @@ def test_criterion_6_algebra_suite():
 
     # identity laws
     for u in both:
-        assert compose_updates(u, identity_update(delta_of(u), UpdateRepr.BOTH)) == u
-        assert compose_updates(identity_update(rho_of(u), UpdateRepr.BOTH), u) == u
+        assert compose_updates(u, identity_update(delta_of(u), BothStates)) == u
+        assert compose_updates(identity_update(rho_of(u), BothStates), u) == u
     for u in deltas:
-        assert compose_updates(u, identity_update(delta_of(u), UpdateRepr.DELTA)) == u
-        assert compose_updates(identity_update(rho_of(u), UpdateRepr.DELTA), u) == u
+        assert compose_updates(u, identity_update(delta_of(u), DeltaUpdate)) == u
+        assert compose_updates(identity_update(rho_of(u), DeltaUpdate), u) == u
     for _start, u in edits:
         assert compose_updates(u, Edits(())) == u
         assert compose_updates(Edits(()), u) == u
 
     # null updates project equally on both ends
     for v in values[:8]:
-        for repr in (UpdateRepr.BOTH, UpdateRepr.DELTA, UpdateRepr.STATE_EDITS):
+        for repr in (BothStates, DeltaUpdate, StateEdits):
             null = identity_update(v, repr)
             assert delta_of(null) == rho_of(null) == v
 

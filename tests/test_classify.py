@@ -11,7 +11,7 @@ from bxkit.classify import (
     well_behaved,
 )
 from bxkit.laws import run_suite
-from bxkit.scheme import TraceRepr, UpdateRepr
+from bxkit.scheme import NoTrace, PostState
 
 GOLDEN_SIGNATURES = {
     "mapping": ("S", "S", "S", "N", "N", "T"),
@@ -31,10 +31,10 @@ def test_signature_golden_set():
         sig = classify(entry.bx)
         got = (
             sig.symmetry,
-            sig.upd_to.value,
-            sig.upd_from.value,
-            sig.trace_to.value,
-            sig.trace_from.value,
+            sig.upd_to.symbol,
+            sig.upd_from.symbol,
+            sig.trace_to.symbol,
+            sig.trace_from.symbol,
             sig.consistency_kind,
         )
         assert got == GOLDEN_SIGNATURES[entry.framework], entry.bx.name
@@ -59,7 +59,7 @@ def test_the_arrows_mirror_each_other_and_the_signature():
 def test_symmetry_is_derived_not_declared():
     sig = classify(catalog("fst-lens").bx)
     assert sig.symmetry == "A"
-    assert sig.upd_to is UpdateRepr.POST and sig.trace_from is TraceRepr.NONE
+    assert sig.upd_to is PostState and sig.trace_from is NoTrace
     sig = classify(catalog("key-maintainer").bx)
     assert sig.symmetry == "S"
 

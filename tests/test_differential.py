@@ -27,7 +27,6 @@ from bxkit.scheme import (
     PostState,
     SchemeError,
     StateTrace,
-    UpdateRepr,
     compose_updates,
     default_preorder,
 )
@@ -451,8 +450,8 @@ def _plain_least_update(check, bx, arrow):
         for alt in check.run.updates(bx.arrows[arrow.back], out_base):
             if post(alt, out_base) not in partners:
                 continue
-            if bx.preorder is None and repr_out is UpdateRepr.POST and out_base is not None:
-                order = default_preorder(UpdateRepr.BOTH)
+            if bx.preorder is None and repr_out is PostState and out_base is not None:
+                order = default_preorder(BothStates)
                 smaller = order.compare(
                     BothStates(out_base, post(result[0], out_base)), BothStates(out_base, post(alt, out_base))
                 )
@@ -509,7 +508,7 @@ def _loose_resizer(trim):
         seqs_of(atoms(0, 1), 2),
         atoms(0, 1, 2),
     )
-    return dataclasses.replace(resizer, preorder=default_preorder(UpdateRepr.POST))
+    return dataclasses.replace(resizer, preorder=default_preorder(PostState))
 
 
 @pytest.mark.parametrize("trim", [True, False])

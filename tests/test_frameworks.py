@@ -31,13 +31,14 @@ from bxkit.scheme import (
     Edits,
     Insert,
     NO_TRACE,
+    NoTrace,
     Opaque,
     PostState,
     ReprMismatch,
     StateEdits,
     StateTrace,
-    TraceRepr,
-    UpdateRepr,
+    Traceability,
+    Update,
 )
 from bxkit.frameworks import (
     BoundaryMismatch,
@@ -123,27 +124,28 @@ def test_fst_lens_get_put_laws_by_hand():
             assert got == PostState(b)  # PutGet
 
 
-# One input of every representation, keyed by its representation.
+# One input of every representation, keyed by its class.
 _UPDATE_OF = {
-    UpdateRepr.POST: PostState(atom(1)),
-    UpdateRepr.BOTH: BothStates(atom(1), atom(2)),
-    UpdateRepr.DELTA: DeltaUpdate(atom(1), atom(2), SamenessRelation()),
-    UpdateRepr.EDITS: Edits(()),
-    UpdateRepr.STATE_EDITS: StateEdits(atom(1)),
-    UpdateRepr.OPAQUE: Opaque("f"),
+    PostState: PostState(atom(1)),
+    BothStates: BothStates(atom(1), atom(2)),
+    DeltaUpdate: DeltaUpdate(atom(1), atom(2), SamenessRelation()),
+    Edits: Edits(()),
+    StateEdits: StateEdits(atom(1)),
+    Opaque: Opaque("f"),
 }
 _TRACE_OF = {
-    TraceRepr.NONE: NO_TRACE,
-    TraceRepr.STATE: StateTrace(atom(1)),
-    TraceRepr.COMPLEMENT: ComplementTrace(atom(1)),
-    TraceRepr.DELTA: DeltaTrace(atom(1), atom(2), SamenessRelation()),
+    NoTrace: NO_TRACE,
+    StateTrace: StateTrace(atom(1)),
+    ComplementTrace: ComplementTrace(atom(1)),
+    DeltaTrace: DeltaTrace(atom(1), atom(2), SamenessRelation()),
 }
 
 
 @pytest.mark.parametrize("direction", ("to", "from"))
 @pytest.mark.parametrize("name", catalog_names())
 def test_repr_mismatch_is_reported(name, direction):
-    assert set(_UPDATE_OF) == set(UpdateRepr) and set(_TRACE_OF) == set(TraceRepr)
+    assert set(_UPDATE_OF) == set(Update.__subclasses__())
+    assert set(_TRACE_OF) == set(Traceability.__subclasses__())
     bx = catalog(name).bx
     upd, trace = bx.arrows[direction].upd_in, bx.arrows[direction].trace_in
     for other, update in _UPDATE_OF.items():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from bxkit.catalog import catalog_entries
 from bxkit.frameworks import Bx
-from bxkit.scheme import TraceRepr, UpdateRepr
+from bxkit.scheme import NoTrace, Opaque
 from bxkit.values import atoms
 import bxkit.laws
 from bxkit.laws import (
@@ -40,10 +40,10 @@ def _ghost(kind: str) -> Bx:
     """A transformation whose updates are functions: no law is checkable."""
     return Bx(
         name=f"ghost-{kind}",
-        upd_to=UpdateRepr.OPAQUE,
-        upd_from=UpdateRepr.OPAQUE,
-        trace_to=TraceRepr.NONE,
-        trace_from=TraceRepr.NONE,
+        upd_to=Opaque,
+        upd_from=Opaque,
+        trace_to=NoTrace,
+        trace_from=NoTrace,
         consistency_kind=kind,
         consistency=lambda a, b: True,
         to_fn=lambda u, t: (u, t),

@@ -16,15 +16,18 @@ from bxkit.scheme import (
     BothStates,
     ComplementTrace,
     DeltaTrace,
+    DeltaUpdate,
+    Edits,
     NO_TRACE,
+    NoTrace,
     Opaque,
     PostState,
     ReprMismatch,
     StateEdits,
     StateTrace,
-    TraceRepr,
+    Traceability,
+    Update,
     UpdatePreorder,
-    UpdateRepr,
     apply_ops,
     compose_updates,
 )
@@ -550,14 +553,13 @@ def test_consistent_cases_feed_only_testifying_traces():
 
 def test_opaque_updates_excluded_from_law_checking():
     from bxkit.frameworks import Bx
-    from bxkit.scheme import TraceRepr, UpdateRepr
 
     ghost = Bx(
         name="ghost",
-        upd_to=UpdateRepr.OPAQUE,
-        upd_from=UpdateRepr.OPAQUE,
-        trace_to=TraceRepr.NONE,
-        trace_from=TraceRepr.NONE,
+        upd_to=Opaque,
+        upd_from=Opaque,
+        trace_to=NoTrace,
+        trace_from=NoTrace,
         consistency_kind="T",
         consistency=lambda a, b: True,
         to_fn=lambda u, t: (u, t),
@@ -956,7 +958,7 @@ def test_without_traces_both_states_updates_have_no_anchor():
         return BothStates(update.pre, update.post), NO_TRACE
 
     untraced = dataclasses.replace(
-        identity, trace_to=TraceRepr.NONE, trace_from=TraceRepr.NONE, to_fn=echo, from_fn=echo
+        identity, trace_to=NoTrace, trace_from=NoTrace, to_fn=echo, from_fn=echo
     )
     assert consistent_cases(untraced, "to") == (FREE_CASE,)
     assert check_history_ignorance(untraced, "to") == Vacuous("no chained premise is defined")
@@ -1124,10 +1126,10 @@ def _state_edits_mirror(name, keep_to=lambda ops: ops):
 
     return Bx(
         name=name,
-        upd_to=UpdateRepr.STATE_EDITS,
-        upd_from=UpdateRepr.STATE_EDITS,
-        trace_to=TraceRepr.STATE,
-        trace_from=TraceRepr.STATE,
+        upd_to=StateEdits,
+        upd_from=StateEdits,
+        trace_to=StateTrace,
+        trace_from=StateTrace,
         consistency_kind="E",
         consistency=lambda a, b: a == b,
         to_fn=translate(keep_to),
@@ -1164,28 +1166,32 @@ def test_a_lossy_state_edits_mirror_fails_only_history_ignorance():
 # -- expressibility against the rules as stated by representation name --------
 
 
+_UPDATES = (PostState, BothStates, DeltaUpdate, Edits, StateEdits, Opaque)
+_TRACES = (NoTrace, StateTrace, ComplementTrace, DeltaTrace)
+
+
 def _inexpressible_by_name(kind, law, arrow):
     """The seven expressibility rules written over representation names, in
     their order, with their reasons; ``kind`` is the consistency kind."""
     repr_in, trace_in, trace_out = arrow.upd_in, arrow.trace_in, arrow.trace_out
-    carrying = (TraceRepr.STATE, TraceRepr.DELTA)
-    pre_recoverable = trace_in is TraceRepr.DELTA or (
-        arrow.name == "from" and trace_in is TraceRepr.STATE and kind == "T"
+    carrying = (StateTrace, DeltaTrace)
+    pre_recoverable = trace_in is DeltaTrace or (
+        arrow.name == "from" and trace_in is StateTrace and kind == "T"
     )
-    if repr_in is UpdateRepr.OPAQUE and law not in (TOTALITY, SAFETY):
+    if repr_in is Opaque and law not in (TOTALITY, SAFETY):
         return "function-valued updates are excluded from law checking"
-    if law == STABILITY and repr_in is UpdateRepr.POST and not pre_recoverable:
+    if law == STABILITY and repr_in is PostState and not pre_recoverable:
         return "a null update cannot be identified: no pre-state is recoverable"
-    if law in (INVERTIBILITY, CONVERGENCE) and trace_in is TraceRepr.NONE and trace_out in carrying:
+    if law in (INVERTIBILITY, CONVERGENCE) and trace_in is NoTrace and trace_out in carrying:
         return "the reversed trace is not representable for the opposite direction"
-    if law == UNDOABILITY and repr_in is UpdateRepr.POST and trace_in not in carrying:
+    if law == UNDOABILITY and repr_in is PostState and trace_in not in carrying:
         return "update inversion is not representable without a state-carrying trace"
     if law in (HIPPOCRATICNESS, HIPPOCRATICNESS_LITERAL):
-        if kind == "I" and repr_in is not UpdateRepr.EDITS:
+        if kind == "I" and repr_in is not Edits:
             return "a consistency-preserving update cannot be recognized under an implicit relation"
-        if trace_in is TraceRepr.NONE:
+        if trace_in is NoTrace:
             return "no testifying pair is available to anchor the null update"
-    if law == LEAST_UPDATE and arrow.upd_out is UpdateRepr.OPAQUE:
+    if law == LEAST_UPDATE and arrow.upd_out is Opaque:
         return "no preorder is available for function-valued updates"
     return None
 
@@ -1194,12 +1200,14 @@ def test_expressibility_agrees_with_the_rules_by_name_on_every_representation():
     # Every law, every pair of update and of trace representations, every
     # consistency kind and both directions: far more combinations than the
     # catalog's entries reach.
+    assert set(_UPDATES) == set(Update.__subclasses__())
+    assert set(_TRACES) == set(Traceability.__subclasses__())
     domain = atoms(0)
     checked = 0
     for kind in ("T", "E", "I"):
         stub = SimpleNamespace(consistency_kind=kind)
-        for upd_in, upd_out in itertools.product(UpdateRepr, repeat=2):
-            for trace_in, trace_out in itertools.product(TraceRepr, repeat=2):
+        for upd_in, upd_out in itertools.product(_UPDATES, repeat=2):
+            for trace_in, trace_out in itertools.product(_TRACES, repeat=2):
                 for name, back in (("to", "from"), ("from", "to")):
                     arrow = Arrow(name, back, None, upd_in, upd_out, trace_in, trace_out, domain, domain)
                     for law in ALL_LAWS + (HIPPOCRATICNESS_LITERAL,):
@@ -1214,10 +1222,10 @@ def test_undoability_discharges_an_input_whose_result_has_no_inverse():
     # update does not exist; the input is discharged instead of ending the run.
     bx = Bx(
         name="opaque-results",
-        upd_to=UpdateRepr.BOTH,
-        upd_from=UpdateRepr.OPAQUE,
-        trace_to=TraceRepr.DELTA,
-        trace_from=TraceRepr.DELTA,
+        upd_to=BothStates,
+        upd_from=Opaque,
+        trace_to=DeltaTrace,
+        trace_from=DeltaTrace,
         consistency_kind="E",
         consistency=lambda a, b: True,
         to_fn=lambda u, t: (Opaque("f"), DeltaTrace(u.post, t.src, SamenessRelation())),

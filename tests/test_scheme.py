@@ -44,10 +44,7 @@ from bxkit.scheme import (
     StateNotRepresented,
     StateTrace,
     Traceability,
-    TraceRepr,
-    UPDATE_CLASSES,
     Update,
-    UpdateRepr,
     apply_op,
     apply_ops,
     check_incidence,
@@ -64,8 +61,6 @@ from bxkit.scheme import (
     rho_of,
     src_of,
     tgt_of,
-    trace_repr,
-    update_repr,
 )
 from bxkit.verdict import Fails, Holds, Vacuous
 import bxkit.grammar
@@ -114,23 +109,23 @@ def test_trace_endpoints():
 
 def test_identity_update_forms():
     b = rec(k=atom(1), v=atom(7))
-    assert identity_update(b, UpdateRepr.BOTH) == BothStates(b, b)
-    assert identity_update(b, UpdateRepr.EDITS) == Edits(())
-    d = identity_update(b, UpdateRepr.DELTA)
+    assert identity_update(b, BothStates) == BothStates(b, b)
+    assert identity_update(b, Edits) == Edits(())
+    d = identity_update(b, DeltaUpdate)
     assert isinstance(d, DeltaUpdate) and d.same == diff(b, b)
-    assert identity_update(b, UpdateRepr.STATE_EDITS) == StateEdits(b, ())
+    assert identity_update(b, StateEdits) == StateEdits(b, ())
 
 
-@pytest.mark.parametrize("repr", [UpdateRepr.POST, UpdateRepr.OPAQUE])
-def test_identity_not_expressible(repr):
+@pytest.mark.parametrize("cls", [PostState, Opaque])
+def test_identity_not_expressible(cls):
     with pytest.raises(NotExpressibleError):
-        identity_update(atom(1), repr)
+        identity_update(atom(1), cls)
 
 
 def test_identity_has_equal_endpoints():
     v = pair(atom(1), atom(2))
-    for repr in (UpdateRepr.BOTH, UpdateRepr.DELTA, UpdateRepr.STATE_EDITS):
-        u = identity_update(v, repr)
+    for cls in (BothStates, DeltaUpdate, StateEdits):
+        u = identity_update(v, cls)
         assert delta_of(u) == rho_of(u) == v
 
 
@@ -226,11 +221,11 @@ def test_seam_laws_bounded_exhaustive():
 
 def test_identity_laws_bounded_exhaustive():
     for u in _both_universe(pairs_of(atoms(0, 1, 2), atoms(0, 1, 2))):
-        assert compose_updates(u, identity_update(delta_of(u), UpdateRepr.BOTH)) == u
-        assert compose_updates(identity_update(rho_of(u), UpdateRepr.BOTH), u) == u
+        assert compose_updates(u, identity_update(delta_of(u), BothStates)) == u
+        assert compose_updates(identity_update(rho_of(u), BothStates), u) == u
     for u in _delta_universe(pairs_of(atoms(0, 1), atoms(0, 1, 2))):
-        assert compose_updates(u, identity_update(delta_of(u), UpdateRepr.DELTA)) == u
-        assert compose_updates(identity_update(rho_of(u), UpdateRepr.DELTA), u) == u
+        assert compose_updates(u, identity_update(delta_of(u), DeltaUpdate)) == u
+        assert compose_updates(identity_update(rho_of(u), DeltaUpdate), u) == u
     for _, u in _edits_universe(SEQ_DOMAIN, length=1):
         assert compose_updates(u, Edits(())) == u
         assert compose_updates(Edits(()), u) == u
@@ -382,13 +377,13 @@ def test_incidence_vacuous_when_nothing_representable():
 def test_preorder_identity_minimal():
     a = rec(k=atom(1), u=atom(7))
     a1 = rec(k=atom(1), u=atom(8))
-    order = default_preorder(UpdateRepr.BOTH)
+    order = default_preorder(BothStates)
     assert order.compare(BothStates(a, a), BothStates(a, a1)) == LESS_OR_EQUAL
     assert order.compare(BothStates(a, a1), BothStates(a, a)) == GREATER
 
 
 def test_preorder_edit_length():
-    order = default_preorder(UpdateRepr.EDITS)
+    order = default_preorder(Edits)
     assert order.compare(Edits([Insert(0, atom(1))]), Edits([])) == GREATER
     assert order.compare(Edits([]), Edits([Insert(0, atom(1))])) == LESS_OR_EQUAL
 
@@ -402,7 +397,7 @@ def test_preorder_delta_unlinked_targets():
     # only the key linked: two unlinked target paths
     b1 = rec(k=atom(1), u=atom(8))
     s_partial = SamenessRelation([((GoField("k"),), (GoField("k"),))])
-    order = default_preorder(UpdateRepr.DELTA)
+    order = default_preorder(DeltaUpdate)
     u_small = DeltaUpdate(a, a, s_full)
     u_large = DeltaUpdate(a, b1, s_partial)
     assert order.size(u_small) == 1
@@ -413,7 +408,7 @@ def test_preorder_delta_unlinked_targets():
 
 def test_preorder_not_expressible_for_opaque():
     with pytest.raises(NotExpressibleError):
-        default_preorder(UpdateRepr.OPAQUE)
+        default_preorder(Opaque)
 
 
 def _assert_total_preorder(order, updates):
@@ -432,46 +427,44 @@ def _assert_total_preorder(order, updates):
 
 def test_preorder_total_reflexive_transitive_each_representation():
     domain = recs_of(k=atoms(1, 2), u=atoms(7, 8))
-    _assert_total_preorder(default_preorder(UpdateRepr.BOTH), _both_universe(domain))
-    _assert_total_preorder(default_preorder(UpdateRepr.DELTA), _delta_universe(domain))
+    _assert_total_preorder(default_preorder(BothStates), _both_universe(domain))
+    _assert_total_preorder(default_preorder(DeltaUpdate), _delta_universe(domain))
     seq_domain = seqs_of(atoms(0, 1), 1)
     edit_updates = [u for _, u in _edits_universe(seq_domain, length=2)]
-    _assert_total_preorder(default_preorder(UpdateRepr.EDITS), edit_updates)
+    _assert_total_preorder(default_preorder(Edits), edit_updates)
     posts = [PostState(v) for v in enumerate_values(domain)]
-    _assert_total_preorder(default_preorder(UpdateRepr.POST), posts)
+    _assert_total_preorder(default_preorder(PostState), posts)
 
 
 def test_representation_tables_cover_each_other():
-    # A representation is one class with its tag, one row of the
-    # constructor table (updates other than opaque ones) and one grammar form.
-    for base, reprs, read in ((Update, UpdateRepr, update_repr), (Traceability, TraceRepr, trace_repr)):
-        classes = [cls for cls in base.__subclasses__() if cls.__module__ == "bxkit.scheme"]
-        tags = [cls.repr for cls in classes]
-        assert len(set(tags)) == len(tags) == len(reprs), classes
-        assert set(tags) == set(reprs)
+    # A representation is one class with its letter and one grammar form;
+    # the update classes other than opaque ones can be built.
+    for base in (Update, Traceability):
+        classes = base.__subclasses__()
+        assert all(cls.__module__ == "bxkit.scheme" for cls in classes), classes
+        symbols = [cls.symbol for cls in classes]
+        assert len(set(symbols)) == len(symbols), classes
         for cls in classes:
             assert cls in bxkit.grammar._FORMS, cls
-        with pytest.raises(TypeError):
-            read(atom(1))
-    constructors = {repr: cls for repr, cls in UPDATE_CLASSES.items() if cls.algebraic}
-    assert set(constructors) == set(UpdateRepr) - {UpdateRepr.OPAQUE}
+    constructors = [cls for cls in Update.__subclasses__() if cls.algebraic]
+    assert set(constructors) == set(Update.__subclasses__()) - {Opaque}
     pre, post = seq(atom(0)), seq(atom(0), atom(1))
-    for repr, constructor in constructors.items():
+    for constructor in constructors:
         step = (Insert(1, atom(1)),) if constructor.edits else post
         update = constructor.build(pre, step)
-        assert update_repr(update) is repr
-        assert update_repr(constructor.null(pre)) is repr
+        assert type(update) is constructor
+        assert type(constructor.null(pre)) is constructor
         assert _post_of(update, pre) == post
     # Each class's declared capabilities agree with its operators on a sample.
-    updates = [cls.build(pre, (Insert(1, atom(1)),) if cls.edits else post) for cls in constructors.values()]
+    updates = [cls.build(pre, (Insert(1, atom(1)),) if cls.edits else post) for cls in constructors]
     for update in updates + [Opaque("f")]:
         cls = type(update)
         assert cls.carries_pre == _answers(delta_of, update), cls
         assert cls.invertible == _answers(invert_update, update), cls
         assert cls.identifiable == _null_is_told_apart(cls, pre, post), cls
-        assert cls.algebraic == _answers(default_preorder, cls.repr), cls
+        assert cls.algebraic == _answers(default_preorder, cls), cls
     traces = [NO_TRACE, StateTrace(pre), ComplementTrace(pre), DeltaTrace(pre, post, diff(pre, post))]
-    assert {trace.repr for trace in traces} == set(TraceRepr)
+    assert {type(trace) for trace in traces} == set(Traceability.__subclasses__())
     for trace in traces:
         cls = type(trace)
         assert cls.carries_state == _answers(src_of, trace), cls
@@ -501,9 +494,13 @@ def _post_of(update, pre):
         return apply_ops(update.ops, pre)
 
 
-def test_update_repr_tags():
-    assert update_repr(PostState(atom(1))) is UpdateRepr.POST
-    assert update_repr(Opaque("f")) is UpdateRepr.OPAQUE
-    assert UpdateRepr.from_symbol("SS") is UpdateRepr.BOTH
-    assert UpdateRepr.from_symbol("\U0001d54a") is UpdateRepr.BOTH
-    assert TraceRepr.from_symbol("C") is TraceRepr.COMPLEMENT
+def test_each_representation_class_carries_the_papers_letter():
+    updates = {
+        PostState: "S", BothStates: "\U0001d54a", DeltaUpdate: "D",
+        Edits: "E", StateEdits: "\U0001d53c", Opaque: "F",
+    }
+    traces = {NoTrace: "N", StateTrace: "S", ComplementTrace: "C", DeltaTrace: "D"}
+    for base, symbols in ((Update, updates), (Traceability, traces)):
+        assert set(base.__subclasses__()) == set(symbols)
+        assert {cls: cls.symbol for cls in symbols} == symbols
+    assert BothStates(atom(1), atom(2)).symbol == "\U0001d54a" and NO_TRACE.symbol == "N"

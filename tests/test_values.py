@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import bxkit
 from bxkit.scheme import (
     BothStates,
-    UpdateRepr,
     default_preorder,
     ComplementTrace,
     DeltaTrace,
@@ -345,9 +344,9 @@ def test_counting_matches_the_paths_and_alignments_it_replaces():
 
 
 def test_default_preorders_match_their_path_definitions():
-    both = default_preorder(UpdateRepr.BOTH).size
-    delta = default_preorder(UpdateRepr.DELTA).size
-    post = default_preorder(UpdateRepr.POST).size
+    both = default_preorder(BothStates).size
+    delta = default_preorder(DeltaUpdate).size
+    post = default_preorder(PostState).size
     values = _counted_values()
     for x in values:
         assert post(PostState(x)) == len(all_paths(x))

@@ -30,11 +30,15 @@ class SchemeSignature:
     trace_from: type[Traceability]
     consistency_kind: str
 
+    def cells(self) -> tuple[str, ...]:
+        """The six axes as text: symmetry, the paper's letters of the four
+        representations, and the consistency kind."""
+        letters = (cls.symbol for cls in (self.upd_to, self.upd_from, self.trace_to, self.trace_from))
+        return (self.symmetry, *letters, self.consistency_kind)
+
     def format(self) -> str:
-        return (
-            f"{self.symmetry} | {self.upd_to.symbol},{self.upd_from.symbol} | "
-            f"{self.trace_to.symbol},{self.trace_from.symbol} | {self.consistency_kind}"
-        )
+        symmetry, upd_to, upd_from, trace_to, trace_from, kind = self.cells()
+        return f"{symmetry} | {upd_to},{upd_from} | {trace_to},{trace_from} | {kind}"
 
 
 def classify(bx: Bx) -> SchemeSignature:
@@ -96,15 +100,7 @@ def render_report(entries: Iterable[tuple[str, SchemeSignature, "LawReport"]]) -
     headers = ["name", "sym", "U>", "U<", "T>", "T<", "R"] + [label for _, label in _REPORT_LAWS]
     rows: list[list[str]] = []
     for name, signature, report in entries:
-        row = [
-            name,
-            signature.symmetry,
-            signature.upd_to.symbol,
-            signature.upd_from.symbol,
-            signature.trace_to.symbol,
-            signature.trace_from.symbol,
-            signature.consistency_kind,
-        ]
+        row = [name, *signature.cells()]
         row.extend(_arrow_cell(report, law) for law, _ in _REPORT_LAWS)
         rows.append(row)
     widths = [len(h) for h in headers]

@@ -29,15 +29,7 @@ def test_signature_golden_set():
         if not entry.canonical:
             continue
         sig = classify(entry.bx)
-        got = (
-            sig.symmetry,
-            sig.upd_to.symbol,
-            sig.upd_from.symbol,
-            sig.trace_to.symbol,
-            sig.trace_from.symbol,
-            sig.consistency_kind,
-        )
-        assert got == GOLDEN_SIGNATURES[entry.framework], entry.bx.name
+        assert sig.cells() == GOLDEN_SIGNATURES[entry.framework], entry.bx.name
 
 
 def test_the_arrows_mirror_each_other_and_the_signature():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 from .values import (
     AtomInt,
@@ -226,6 +227,8 @@ def _tokenize(text: str) -> list[_Token]:
                     raise ParseError(start, "digit after minus sign")
             while i < n and text[i].isdigit():
                 i += 1
+            if text[start:i] != str(int(text[start:i])):  # a leading zero or minus zero
+                raise ParseError(start, f"canonical integer {int(text[start:i])}")
             tokens.append(_Token("INT", text[start:i], start))
             continue
         m = _IDENT.match(text, i)
@@ -290,7 +293,7 @@ class _Parser:
             return Seq(self.listed("]", self.value))
         if token.kind == "{":
             self.advance()
-            return Rec(self.listed("}", self.binding))
+            return Rec(self.listed("}", self.binding, "a field name not given before", itemgetter(0)))
         raise ParseError(token.pos, "a value")
 
     def binding(self) -> tuple[str, Value]:
@@ -298,14 +301,22 @@ class _Parser:
         self.expect("=")
         return name, self.value()
 
-    def listed(self, close: str, read) -> list:
-        """Items read by ``read``, separated by commas, up to and with ``close``."""
-        items = []
-        if self.peek().kind != close:
+    def listed(self, close: str, read, distinct: str = "", key=None) -> list:
+        """Items read by ``read``, separated by commas, up to and with ``close``.
+        Where ``distinct`` is given, an item whose ``key`` (by default the item)
+        repeats an earlier one's is refused with ``distinct`` as the expectation."""
+        items, keys = [], set()
+        more = self.peek().kind != close
+        while more:
+            start = self.peek().pos
             items.append(read())
-            while self.peek().kind == ",":
+            if distinct:
+                keys.add(items[-1] if key is None else key(items[-1]))
+                if len(keys) < len(items):
+                    raise ParseError(start, distinct)
+            more = self.peek().kind == ","
+            if more:
                 self.advance()
-                items.append(read())
         self.expect(close)
         return items
 
@@ -344,7 +355,7 @@ class _Parser:
             return self.value()
         if kind == "links":
             self.expect("[")
-            return SamenessRelation(self.listed("]", self.link))
+            return SamenessRelation(self.listed("]", self.link, "a link not given before"))
         if kind == "ops":
             self.expect("[")
             return self.listed("]", lambda: self.form(EditOp))

@@ -178,6 +178,19 @@ def test_parse_trace_rejects_unknown_head():
         (parse_update, "edits[ins(0, 1) del(0, 1)]", 16, "]"),
         (parse_update, "delta{pre=(1, 1), post=(1, 1), same=[(/left, /left), ]}", 53, "("),
         (parse_update, "delta{pre=(1, 1), post=(1, 1), same=[(/left, /left) (/right, /right)]}", 52, "]"),
+        # Text that no renderer produces: a repeated field or link, and an
+        # integer with a leading zero or a minus zero.
+        (parse_value, "{k = 1, k = 2}", 8, "a field name not given before"),
+        (parse_value, "[{u = 1, k = 2, u = 1}]", 16, "a field name not given before"),
+        (parse_update, "delta{pre=(1, 1), post=(1, 1), same=[(/left, /left), (/left, /left)]}", 53,
+         "a link not given before"),
+        (parse_trace, "delta{src=[0], tgt=[0], same=[(/0, /0), (, ), (/0, /0)]}", 46, "a link not given before"),
+        (parse_value, "007", 0, "canonical integer 7"),
+        (parse_value, "-0", 0, "canonical integer 0"),
+        (parse_value, "[1, -05]", 4, "canonical integer -5"),
+        (parse_path, "/-0/007", 1, "canonical integer 0"),
+        (parse_path, "/0/007", 3, "canonical integer 7"),
+        (parse_update, "edits[ins(00, 1)]", 10, "canonical integer 0"),
     ],
 )
 def test_update_and_trace_parse_errors(parse, text, position, expected):

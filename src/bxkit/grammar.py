@@ -1,15 +1,16 @@
 """Textual forms for values, paths, updates, edits, and traces.
 
 The grammar is fixed so that tests and CLI transcripts are byte
-reproducible: integers are decimal, strings are double-quoted with only
-backslash and quote escapes, pairs are ``(v, v)``, sequences ``[v, v]``,
-records ``{k = 2, u = 7}`` with names sorted ascending.  Paths
-concatenate ``/left``, ``/right``, ``/3`` and ``/.name`` steps; the
-empty path renders as the empty string.  Each edit, update and trace
-constructor states its form once, in the table ``_FORMS``: a head,
-brackets, and a label and kind per field.  The renderer and the parser
-both read that table.  Whitespace between tokens is insignificant on
-input; rendering then parsing is the identity.
+reproducible: integers are decimal with no leading zero or minus zero,
+strings are double-quoted with only backslash and quote escapes, pairs
+are ``(v, v)``, sequences ``[v, v]``, records ``{k = 2, u = 7}`` with
+names sorted ascending.  Paths concatenate ``/left``, ``/right``, ``/3``
+and ``/.name`` steps; the empty path renders as the empty string.  Each
+edit, update and trace constructor states its form once, in the table
+``_FORMS``: a head, brackets, and a label and kind per field.  The
+renderer and the parser both read that table.  Whitespace between tokens
+is insignificant on input; rendering then parsing is the identity, and
+a repeated record field or link is refused.
 """
 from __future__ import annotations
 

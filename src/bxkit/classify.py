@@ -33,8 +33,8 @@ class SchemeSignature:
     def cells(self) -> tuple[str, ...]:
         """The six axes as text: symmetry, the paper's letters of the four
         representations, and the consistency kind."""
-        letters = (cls.symbol for cls in (self.upd_to, self.upd_from, self.trace_to, self.trace_from))
-        return (self.symmetry, *letters, self.consistency_kind)
+        representations = (self.upd_to, self.upd_from, self.trace_to, self.trace_from)
+        return (self.symmetry, *(cls.symbol for cls in representations), self.consistency_kind)
 
     def format(self) -> str:
         symmetry, upd_to, upd_from, trace_to, trace_from, kind = self.cells()

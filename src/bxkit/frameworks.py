@@ -192,9 +192,7 @@ class Bx:
         return diff(a, b)
 
 
-def _mismatch(
-    bx: Bx, role: str, pair, upd: type[Update], trc: type[Traceability]
-) -> BoundaryMismatch:
+def _mismatch(bx: Bx, role: str, pair, upd: type[Update], trc: type[Traceability]) -> BoundaryMismatch:
     """The error for a call of ``bx`` whose ``role``, its inputs or its result,
     is not a pair of an update of class ``upd`` and a trace of class ``trc``."""
     update, trace = pair if isinstance(pair, tuple) and len(pair) == 2 else (pair, None)

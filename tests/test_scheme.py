@@ -277,6 +277,37 @@ def test_enumerate_ops_names_a_field_missing_from_the_record():
         enumerate_ops(rec(k=atom(1)), recs_of(k=atoms(1, 2), u=atoms(7, 8)))
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [
+        seqs_of(atoms(0, 1), 2),
+        recs_of(k=atoms(1, 2), u=atoms(7, 8)),
+        pairs_of(atoms(0, 1), atoms(0, 1)),
+        atoms(0, 1, 2),
+    ],
+)
+def test_enumerate_ops_never_offers_an_edit_that_changes_nothing(domain):
+    for value in enumerate_values(domain):
+        ops = enumerate_ops(value, domain)
+        assert ops, value
+        for op in ops:
+            assert op.apply(value) != value, op
+
+
+@pytest.mark.parametrize(
+    "value,domain",
+    [
+        (atom(0), seqs_of(atoms(0, 1), 1)),
+        (seq(atom(0)), atoms(0, 1)),
+        (pair(atom(1), atom(7)), recs_of(k=atoms(1, 2), u=atoms(7))),
+        (rec(k=atom(1)), atoms(0, 1)),
+    ],
+)
+def test_a_value_of_another_shape_is_only_replaced_whole(value, domain):
+    expected = tuple(ReplaceRoot(value, alt) for alt in enumerate_values(domain))
+    assert enumerate_ops(value, domain) == expected
+
+
 # -- traces ----------------------------------------------------------------------
 
 def test_invert_trace_examples():
@@ -326,6 +357,15 @@ def test_compose_trace_update_with_delta_update():
     assert out.src == a and out.tgt == b1
     # k changed, so the composite relation loses the k link
     assert out.same == SamenessRelation()
+
+
+@pytest.mark.parametrize("cls", [DeltaUpdate, DeltaTrace])
+@pytest.mark.parametrize(
+    "first,second", [(pair(atom(1), atom(2)), atom(1)), (atom(1), pair(atom(1), atom(2)))]
+)
+def test_a_link_valid_on_one_side_only_is_refused(cls, first, second):
+    with pytest.raises(ValueError, match="valid paths"):
+        cls(first, second, SamenessRelation([((LEFT,), (LEFT,))]))
 
 
 # -- endpoint agreement ------------------------------------------------------------

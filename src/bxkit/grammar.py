@@ -10,7 +10,8 @@ edit, update and trace constructor states its form once, in the table
 ``_FORMS``: a head, brackets, and a label and kind per field.  The
 renderer and the parser both read that table.  Whitespace between tokens
 is insignificant on input; rendering then parsing is the identity, and
-a repeated record field or link is refused.
+a repeated record field or link, or a form its constructor refuses, is
+a parse error.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from .scheme import (
     PostState,
     ReplaceAt,
     ReplaceRoot,
+    SchemeError,
     SetField,
     StateEdits,
     StateTrace,
@@ -367,24 +369,30 @@ class _Parser:
         return int(self.expect("INT", "an index").text)
 
     def form(self, family: type):
-        """Read one member of ``family`` as ``_FORMS`` states it."""
+        """Read one member of ``family`` as ``_FORMS`` states it.  A value its
+        constructor refuses is a parse error at the form's head."""
         forms = {
             form[0]: (cls, form) for cls, form in _FORMS.items() if issubclass(cls, family)
         }
+        head = self.peek()
         cls, (_head, brackets, slots) = forms[self.keyword(*forms)]
-        if brackets:
-            self.expect(brackets[0])
-        args = []
-        for position, (label, kind) in enumerate(slots):
-            if position:
-                self.expect(",")
-            if label:
-                self.keyword(label)
-                self.expect("=")
-            args.append(self.field(kind))
-        if brackets:
-            self.expect(brackets[1])
-        return cls(*args)
+        try:
+            if brackets:
+                self.expect(brackets[0])
+            args = []
+            for position, (label, kind) in enumerate(slots):
+                if position:
+                    self.expect(",")
+                if label:
+                    self.keyword(label)
+                    self.expect("=")
+                args.append(self.field(kind))
+            if brackets:
+                self.expect(brackets[1])
+            return cls(*args)
+        except (ValueError, SchemeError) as refusal:
+            reason = f"{head.text} that its constructor accepts; refused: {refusal}"
+            raise ParseError(head.pos, reason) from None
 
 
 def _parse(text: str, read):

@@ -106,7 +106,7 @@ def test_apply_unapplicable_edit_exit_one(capsys):
         "--update", "stateedits{pre=[0], edits=[del(0, 1)]}",
     )
     assert code == EXIT_USAGE
-    assert "error:" in err
+    assert "error: parse error at position 0" in err
     assert "delete at 0" in err
 
 

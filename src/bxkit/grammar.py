@@ -10,8 +10,7 @@ edit, update and trace constructor states its form once, in the table
 ``_FORMS``: a head, brackets, and a label and kind per field.  The
 renderer and the parser both read that table.  Whitespace between tokens
 is insignificant on input; rendering then parsing is the identity, and
-a repeated record field or link, or a form its constructor refuses, is
-a parse error.
+a repeated field or link or a constructor's refusal is a parse error.
 """
 from __future__ import annotations
 
@@ -369,8 +368,7 @@ class _Parser:
         return int(self.expect("INT", "an index").text)
 
     def form(self, family: type):
-        """Read one member of ``family`` as ``_FORMS`` states it.  A value its
-        constructor refuses is a parse error at the form's head."""
+        """Read one member of ``family`` as ``_FORMS`` states it, or refuse it at its head."""
         forms = {
             form[0]: (cls, form) for cls, form in _FORMS.items() if issubclass(cls, family)
         }
@@ -391,8 +389,7 @@ class _Parser:
                 self.expect(brackets[1])
             return cls(*args)
         except (ValueError, SchemeError) as refusal:
-            reason = f"{head.text} that its constructor accepts; refused: {refusal}"
-            raise ParseError(head.pos, reason) from None
+            raise ParseError(head.pos, f"{head.text} that its constructor accepts: {refusal}") from None
 
 
 def _parse(text: str, read):

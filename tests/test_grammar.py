@@ -193,13 +193,13 @@ def test_parse_trace_rejects_unknown_head():
         (parse_update, "edits[ins(00, 1)]", 10, "canonical integer 0"),
         # Text the grammar reads but a constructor refuses, at the form's head.
         (parse_update, "delta{pre=(1, 1), post=(1, 1), same=[(/left, /left), (/left, /right)]}", 0,
-         "delta that its constructor accepts; refused: sameness relation must be a partial bijection on paths"),
+         "delta that its constructor accepts: sameness relation must be a partial bijection on paths"),
         (parse_update, "delta{pre=1, post=1, same=[(/left, /left)]}", 0,
-         "delta that its constructor accepts; refused: delta links must address valid paths of pre/post"),
+         "delta that its constructor accepts: delta links must address valid paths of pre/post"),
         (parse_update, "stateedits{pre=[0], edits=[del(1, 0)]}", 0,
-         "stateedits that its constructor accepts; refused: delete at 1"),
+         "stateedits that its constructor accepts: delete at 1"),
         (parse_trace, "delta{src=1, tgt=1, same=[(/left, /left)]}", 0,
-         "delta that its constructor accepts; refused: trace links must address valid paths of src/tgt"),
+         "delta that its constructor accepts: trace links must address valid paths of src/tgt"),
     ],
 )
 def test_update_and_trace_parse_errors(parse, text, position, expected):

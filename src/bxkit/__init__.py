@@ -55,16 +55,9 @@ from .scheme import (
     Update,
     UpdatePreorder,
     check_incidence,
-    compose_trace_update,
     compose_updates,
     default_preorder,
-    delta_of,
     identity_update,
-    invert_trace,
-    invert_update,
-    rho_of,
-    src_of,
-    tgt_of,
 )
 from .grammar import parse_value, render_value
 from .frameworks import (

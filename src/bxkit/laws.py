@@ -184,12 +184,6 @@ def _realize_arrow(bx: Bx, arrow: Arrow, case: Case) -> Traceability | None:
     return arrow.trace_out.testifying(ends, case.c, align)
 
 
-def _reverse_trace(arrow: Arrow, trace: Traceability, post_out: Value | None) -> Traceability | None:
-    """Reverse the trace produced by a call of ``arrow``, whose output-side
-    post-state is ``post_out``, into the representation ``arrow`` reads."""
-    return arrow.trace_in.reversing(trace, post_out)
-
-
 class _Run:
     """One call's transformation and configuration, and the memos its checks share."""
 
@@ -538,7 +532,7 @@ def check_invertibility(check: _Check, bx: Bx, arrow: Arrow) -> None:
         conclusion = check.call(back, u_mid, trace_back)
         if conclusion is None:
             continue  # conclusion undefined: discharged
-        expected_t = _reverse_trace(arrow, t_mid, u_mid.post_state(out_base))
+        expected_t = arrow.trace_in.reversing(t_mid, u_mid.post_state(out_base))
         check.compare(
             u_mid, trace_back, conclusion, u_in, expected_t, in_base,
             detail="round trip did not restore the translated update",
@@ -557,7 +551,7 @@ def check_undoability(check: _Check, bx: Bx, arrow: Arrow) -> None:
         u_inv = u_in.inverse(in_base)
         if u_inv is None:
             continue
-        trace_undo = _reverse_trace(arrow, t_mid, u_mid.post_state(out_base))
+        trace_undo = arrow.trace_in.reversing(t_mid, u_mid.post_state(out_base))
         if trace_undo is None:
             continue
         undo = check.call(arrow, u_inv, trace_undo)
@@ -606,7 +600,7 @@ def check_history_ignorance(check: _Check, bx: Bx, arrow: Arrow) -> None:
         if first is None:
             continue
         out1, s1 = first
-        trace2 = _reverse_trace(arrow, s1, out1.post_state(out_base))
+        trace2 = arrow.trace_in.reversing(s1, out1.post_state(out_base))
         if trace2 is None:
             continue
         moved = u1.post_state(in_base)

@@ -9,9 +9,9 @@ do in class attributes, and carries the operators the laws are written
 with: an update its construction, null update, pre/post projection,
 composition, inversion and default-preorder size; a trace its endpoints,
 reversal and extension by an update; an edit its application and
-inverse.  The module functions are the public forms of the operators,
-which raise where a method answers ``None``, plus endpoint agreement for
-a call and the size preorder.
+inverse.  A method is the only spelling of its operator; the module
+functions add edit enumeration, the null update where it is told apart,
+composition with its seam checks, endpoint agreement and the preorder.
 
 A traceability value is directionless data; whether a stored state is
 the A side or the B side is decided by the call site (the direction of
@@ -158,15 +158,6 @@ class ReplaceRoot(EditOp):
         if value != self.old:
             raise EditUnapplicable("root replacement old value mismatch")
         return self.new
-
-
-def invert_op(op: EditOp) -> EditOp:
-    return op.inverse()
-
-
-def apply_op(op: EditOp, value: Value) -> Value:
-    """Apply one edit; raises EditUnapplicable when the precondition fails."""
-    return op.apply(value)
 
 
 def apply_ops(ops: Iterable[EditOp], value: Value) -> Value:
@@ -391,25 +382,6 @@ class Opaque(Update):
     tag: str
 
 
-def _answer(answer, error: type[SchemeError], what: str):
-    """``answer``, or ``error(what)`` raised where it is ``None``."""
-    if answer is None:
-        raise error(what)
-    return answer
-
-
-def delta_of(u: Update) -> Value:
-    """Pre-state of an update; undefined for post-only, edit-only and
-    opaque representations (recover it through a traceability instead)."""
-    return _answer(u.pre_state(), StateNotRepresented, "pre")
-
-
-def rho_of(u: Update) -> Value:
-    """Post-state of an update; for pre-state plus edits it is computed
-    by applying the edits."""
-    return _answer(u.post_state(), StateNotRepresented, "post")
-
-
 def identity_update(value: Value, cls: type[Update]) -> Update:
     """The null update on ``value`` in the representation ``cls``.
 
@@ -417,7 +389,9 @@ def identity_update(value: Value, cls: type[Update]) -> Update:
     be distinguished there; same for opaque updates.
     """
     null = cls.null(value) if cls.identifiable else None
-    return _answer(null, NotExpressibleError, f"null update for representation {cls.symbol}")
+    if null is None:
+        raise NotExpressibleError(f"null update for representation {cls.symbol}")
+    return null
 
 
 def compose_updates(second: Update, first: Update) -> Update:
@@ -432,11 +406,6 @@ def compose_updates(second: Update, first: Update) -> Update:
     if first.carries_pre and first.post_state() != second.pre_state():
         raise SeamMismatch("post-state of first update differs from pre-state of second")
     return first.then(second)
-
-
-def invert_update(u: Update) -> Update:
-    """Swap the endpoints of an update; an involution where defined."""
-    return _answer(u.inverse(), NotExpressibleError, f"inversion for representation {u.symbol}")
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +438,7 @@ class Traceability:
         return None
 
     def reversed(self) -> "Traceability":
+        """The opposite direction: a delta swaps its ends; the others are kept."""
         return self
 
     def extended(self, update: Update) -> "Traceability":
@@ -553,36 +523,14 @@ class DeltaTrace(Traceability):
         update_pre = update.pre_state()
         if update_pre is not None and update_pre != self.tgt:
             raise SeamMismatch("update pre-state differs from trace target")
-        new_tgt = rho_of(update)  # may raise StateNotRepresented for edit-only
+        new_tgt = update.post_state()
+        if new_tgt is None:  # an edit-only update
+            raise StateNotRepresented("post")
         step = update.same if isinstance(update, DeltaUpdate) else diff(self.tgt, new_tgt)
         return DeltaTrace(self.src, new_tgt, compose_relations(step, self.same))
 
 
 NO_TRACE = NoTrace()
-
-
-def src_of(t: Traceability) -> Value:
-    """Source endpoint of a trace, read in the trace's own direction.
-    A stored-state trace holds exactly its source; the opposite endpoint
-    must be recovered through the endpoint-agreement conditions."""
-    return _answer(t.source(), StateNotRepresented, "src")
-
-
-def tgt_of(t: Traceability) -> Value:
-    return _answer(t.target(), StateNotRepresented, "tgt")
-
-
-def invert_trace(t: Traceability) -> Traceability:
-    """Reverse a trace's direction.  Complements are symmetric; a stored
-    state keeps its payload and is reinterpreted by the caller."""
-    return t.reversed()
-
-
-def compose_trace_update(update: Update, trace: Traceability) -> Traceability:
-    """Extend a trace with an update on its target side: a stored state is
-    kept, a delta advances its target endpoint and composes the relations;
-    none and complement traces have no extension."""
-    return trace.extended(update)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,8 @@ from bxkit.scheme import (
     StateEdits,
     apply_ops,
     compose_updates,
-    delta_of,
     enumerate_op_sequences,
     identity_update,
-    invert_update,
-    rho_of,
 )
 from bxkit.catalog import catalog, catalog_entries, catalog_names
 from bxkit.classify import classify
@@ -193,32 +190,32 @@ def test_criterion_6_algebra_suite():
 
     # involution
     for u in both + deltas + state_edits:
-        assert invert_update(invert_update(u)) == u
+        assert u.inverse().inverse() == u
     for start, u in edits:
-        assert invert_update(invert_update(u)) == u
+        assert u.inverse().inverse() == u
         after = apply_ops(u.ops, start)
-        assert apply_ops(invert_update(u).ops, after) == start
+        assert apply_ops(u.inverse().ops, after) == start
 
     # seam laws over all composable chains
     seams = 0
     for u1 in both:
         for c in values:
-            composite = compose_updates(BothStates(rho_of(u1), c), u1)
-            assert delta_of(composite) == delta_of(u1) and rho_of(composite) == c
+            composite = compose_updates(BothStates(u1.post_state(), c), u1)
+            assert composite.pre_state() == u1.pre_state() and composite.post_state() == c
             seams += 1
     for u1 in deltas[: len(values) * 4]:
         for c in values[:4]:
-            second = DeltaUpdate(rho_of(u1), c, diff(rho_of(u1), c))
+            second = DeltaUpdate(u1.post_state(), c, diff(u1.post_state(), c))
             composite = compose_updates(second, u1)
-            assert delta_of(composite) == delta_of(u1) and rho_of(composite) == c
+            assert composite.pre_state() == u1.pre_state() and composite.post_state() == c
 
     # identity laws
     for u in both:
-        assert compose_updates(u, identity_update(delta_of(u), BothStates)) == u
-        assert compose_updates(identity_update(rho_of(u), BothStates), u) == u
+        assert compose_updates(u, identity_update(u.pre_state(), BothStates)) == u
+        assert compose_updates(identity_update(u.post_state(), BothStates), u) == u
     for u in deltas:
-        assert compose_updates(u, identity_update(delta_of(u), DeltaUpdate)) == u
-        assert compose_updates(identity_update(rho_of(u), DeltaUpdate), u) == u
+        assert compose_updates(u, identity_update(u.pre_state(), DeltaUpdate)) == u
+        assert compose_updates(identity_update(u.post_state(), DeltaUpdate), u) == u
     for _start, u in edits:
         assert compose_updates(u, Edits(())) == u
         assert compose_updates(Edits(()), u) == u
@@ -227,7 +224,7 @@ def test_criterion_6_algebra_suite():
     for v in values[:8]:
         for repr in (BothStates, DeltaUpdate, StateEdits):
             null = identity_update(v, repr)
-            assert delta_of(null) == rho_of(null) == v
+            assert null.pre_state() == null.post_state() == v
 
     sizes = (len(both), len(deltas), len(edits), len(state_edits))
     _passed(6, f"involution/seam/identity over universes of sizes {sizes}, {seams} seams")

@@ -349,7 +349,7 @@ def _plain_history_ignorance(check, bx, arrow):
         if first is None:
             continue
         out1, s1 = first
-        trace2 = bxkit.laws._reverse_trace(arrow, s1, out1.post_state(out_base))
+        trace2 = arrow.trace_in.reversing(s1, out1.post_state(out_base))
         if trace2 is None:
             continue
         for u2 in check.run.updates(arrow, u1.post_state(in_base)):

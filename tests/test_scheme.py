@@ -45,22 +45,13 @@ from bxkit.scheme import (
     StateTrace,
     Traceability,
     Update,
-    apply_op,
     apply_ops,
     check_incidence,
-    compose_trace_update,
     compose_updates,
     default_preorder,
-    delta_of,
     enumerate_op_sequences,
     enumerate_ops,
     identity_update,
-    invert_op,
-    invert_trace,
-    invert_update,
-    rho_of,
-    src_of,
-    tgt_of,
 )
 from bxkit.verdict import Fails, Holds, Vacuous
 import bxkit.grammar
@@ -69,40 +60,34 @@ import bxkit.grammar
 # -- projections ---------------------------------------------------------------
 
 def test_projection_examples():
-    assert rho_of(PostState(atom(5))) == atom(5)
-    assert delta_of(BothStates(atom(3), atom(4))) == atom(3)
-    assert rho_of(BothStates(atom(3), atom(4))) == atom(4)
+    assert PostState(atom(5)).post_state() == atom(5)
+    assert BothStates(atom(3), atom(4)).pre_state() == atom(3)
+    assert BothStates(atom(3), atom(4)).post_state() == atom(4)
 
 
 def test_post_only_update_has_no_pre_state():
-    with pytest.raises(StateNotRepresented) as err:
-        delta_of(PostState(atom(5)))
-    assert err.value.end == "pre"
+    assert PostState(atom(5)).pre_state() is None
 
 
 def test_state_edits_post_state_is_computed():
     u = StateEdits(seq(atom(1)), [Insert(1, atom(2))])
-    assert rho_of(u) == seq(atom(1), atom(2))
-    assert delta_of(u) == seq(atom(1))
+    assert u.post_state() == seq(atom(1), atom(2))
+    assert u.pre_state() == seq(atom(1))
 
 
 def test_edit_only_update_has_neither_state():
     u = Edits([Insert(0, atom(1))])
-    with pytest.raises(StateNotRepresented):
-        delta_of(u)
-    with pytest.raises(StateNotRepresented):
-        rho_of(u)
+    assert u.pre_state() is None
+    assert u.post_state() is None
 
 
 def test_trace_endpoints():
-    assert src_of(StateTrace(pair(atom(1), atom(5)))) == pair(atom(1), atom(5))
+    assert StateTrace(pair(atom(1), atom(5))).source() == pair(atom(1), atom(5))
     t = DeltaTrace(atom(1), atom(2), SamenessRelation())
-    assert src_of(t) == atom(1) and tgt_of(t) == atom(2)
+    assert t.source() == atom(1) and t.target() == atom(2)
     for missing in (NoTrace(), ComplementTrace(atom(1))):
-        with pytest.raises(StateNotRepresented):
-            src_of(missing)
-    with pytest.raises(StateNotRepresented):
-        tgt_of(StateTrace(atom(1)))
+        assert missing.source() is None
+    assert StateTrace(atom(1)).target() is None
 
 
 # -- identity ------------------------------------------------------------------
@@ -126,7 +111,7 @@ def test_identity_has_equal_endpoints():
     v = pair(atom(1), atom(2))
     for cls in (BothStates, DeltaUpdate, StateEdits):
         u = identity_update(v, cls)
-        assert delta_of(u) == rho_of(u) == v
+        assert u.pre_state() == u.post_state() == v
 
 
 # -- composition and inversion ---------------------------------------------------
@@ -150,13 +135,12 @@ def test_compose_seam_and_repr_errors():
 
 
 def test_invert_examples():
-    assert invert_update(BothStates(atom(1), atom(2))) == BothStates(atom(2), atom(1))
-    assert invert_update(Edits([Insert(0, atom(5))])) == Edits([Delete(0, atom(5))])
+    assert BothStates(atom(1), atom(2)).inverse() == BothStates(atom(2), atom(1))
+    assert Edits([Insert(0, atom(5))]).inverse() == Edits([Delete(0, atom(5))])
     ops = [Insert(0, atom(1)), Insert(1, atom(2))]
-    assert invert_update(Edits(ops)) == Edits([Delete(1, atom(2)), Delete(0, atom(1))])
+    assert Edits(ops).inverse() == Edits([Delete(1, atom(2)), Delete(0, atom(1))])
     for repr_violation in (PostState(atom(1)), Opaque("f")):
-        with pytest.raises(NotExpressibleError):
-            invert_update(repr_violation)
+        assert repr_violation.inverse() is None
 
 
 def _both_universe(domain):
@@ -185,24 +169,24 @@ def test_involution_bounded_exhaustive():
     both = _both_universe(PAIR_DOMAIN)
     assert len(both) >= 100
     for u in both:
-        assert invert_update(invert_update(u)) == u
+        assert u.inverse().inverse() == u
     deltas = _delta_universe(PAIR_DOMAIN)
     assert len(deltas) >= 100
     for u in deltas:
-        assert invert_update(invert_update(u)) == u
+        assert u.inverse().inverse() == u
     edits = _edits_universe(SEQ_DOMAIN)
     assert len(edits) >= 100
     for _, u in edits:
-        assert invert_update(invert_update(u)) == u
+        assert u.inverse().inverse() == u
     state_edits = [StateEdits(start, u.ops) for start, u in edits]
     for u in state_edits:
-        assert invert_update(invert_update(u)) == u
+        assert u.inverse().inverse() == u
 
 
 def test_edit_soundness_apply_then_undo():
     for start, u in _edits_universe(SEQ_DOMAIN):
         after = apply_ops(u.ops, start)
-        assert apply_ops(invert_update(u).ops, after) == start
+        assert apply_ops(u.inverse().ops, after) == start
 
 
 def test_seam_laws_bounded_exhaustive():
@@ -211,21 +195,21 @@ def test_seam_laws_bounded_exhaustive():
         for b in values:
             for c in values:
                 composite = compose_updates(BothStates(b, c), BothStates(a, b))
-                assert delta_of(composite) == a
-                assert rho_of(composite) == c
+                assert composite.pre_state() == a
+                assert composite.post_state() == c
                 d = compose_updates(
                     DeltaUpdate(b, c, diff(b, c)), DeltaUpdate(a, b, diff(a, b))
                 )
-                assert delta_of(d) == a and rho_of(d) == c
+                assert d.pre_state() == a and d.post_state() == c
 
 
 def test_identity_laws_bounded_exhaustive():
     for u in _both_universe(pairs_of(atoms(0, 1, 2), atoms(0, 1, 2))):
-        assert compose_updates(u, identity_update(delta_of(u), BothStates)) == u
-        assert compose_updates(identity_update(rho_of(u), BothStates), u) == u
+        assert compose_updates(u, identity_update(u.pre_state(), BothStates)) == u
+        assert compose_updates(identity_update(u.post_state(), BothStates), u) == u
     for u in _delta_universe(pairs_of(atoms(0, 1), atoms(0, 1, 2))):
-        assert compose_updates(u, identity_update(delta_of(u), DeltaUpdate)) == u
-        assert compose_updates(identity_update(rho_of(u), DeltaUpdate), u) == u
+        assert compose_updates(u, identity_update(u.pre_state(), DeltaUpdate)) == u
+        assert compose_updates(identity_update(u.post_state(), DeltaUpdate), u) == u
     for _, u in _edits_universe(SEQ_DOMAIN, length=1):
         assert compose_updates(u, Edits(())) == u
         assert compose_updates(Edits(()), u) == u
@@ -235,15 +219,15 @@ def test_identity_laws_bounded_exhaustive():
 
 def test_apply_op_preconditions():
     s = seq(atom(1), atom(2))
-    assert apply_op(Insert(2, atom(3)), s) == seq(atom(1), atom(2), atom(3))
+    assert Insert(2, atom(3)).apply(s) == seq(atom(1), atom(2), atom(3))
     with pytest.raises(EditUnapplicable):
-        apply_op(Insert(5, atom(3)), s)
+        Insert(5, atom(3)).apply(s)
     with pytest.raises(EditUnapplicable):
-        apply_op(Delete(0, atom(9)), s)  # displaced value mismatch
+        Delete(0, atom(9)).apply(s)  # displaced value mismatch
     with pytest.raises(EditUnapplicable):
-        apply_op(SetField("k", atom(0), atom(1)), rec(k=atom(9)))
+        SetField("k", atom(0), atom(1)).apply(rec(k=atom(9)))
     with pytest.raises(EditUnapplicable):
-        apply_op(ReplaceRoot(atom(0), atom(1)), atom(5))
+        ReplaceRoot(atom(0), atom(1)).apply(atom(5))
 
 
 def test_invert_op_is_involutive():
@@ -255,7 +239,7 @@ def test_invert_op_is_involutive():
         ReplaceRoot(atom(1), atom(2)),
     ]
     for op in ops:
-        assert invert_op(invert_op(op)) == op
+        assert op.inverse().inverse() == op
 
 
 def test_state_edits_construction_checks_applicability():
@@ -312,14 +296,14 @@ def test_a_value_of_another_shape_is_only_replaced_whole(value, domain):
 
 def test_invert_trace_examples():
     c = ComplementTrace(atom(3))
-    assert invert_trace(c) == c
+    assert c.reversed() == c
     rel = SamenessRelation([((LEFT,), (RIGHT,))])
     t = DeltaTrace(pair(atom(1), atom(2)), pair(atom(3), atom(1)), rel)
-    back = invert_trace(t)
+    back = t.reversed()
     assert back == DeltaTrace(pair(atom(3), atom(1)), pair(atom(1), atom(2)), rel.invert())
-    assert invert_trace(back) == t
-    assert invert_trace(NO_TRACE) == NO_TRACE
-    assert invert_trace(StateTrace(atom(1))) == StateTrace(atom(1))
+    assert back.reversed() == t
+    assert NO_TRACE.reversed() == NO_TRACE
+    assert StateTrace(atom(1)).reversed() == StateTrace(atom(1))
 
 
 def test_compose_trace_update_examples():
@@ -327,17 +311,20 @@ def test_compose_trace_update_examples():
     rel = SamenessRelation([((), ())])
     t = DeltaTrace(a, b, SamenessRelation())
     # identity update leaves a delta trace unchanged up to its own links
-    same_again = compose_trace_update(BothStates(b, b), DeltaTrace(a, b, rel))
+    same_again = DeltaTrace(a, b, rel).extended(BothStates(b, b))
     assert same_again == DeltaTrace(a, b, compose_relations_check(rel, b))
     # stored-state traces keep their payload
-    st = compose_trace_update(PostState(atom(9)), StateTrace(a))
+    st = StateTrace(a).extended(PostState(atom(9)))
     assert st == StateTrace(a)
     with pytest.raises(NotExpressibleError):
-        compose_trace_update(PostState(atom(1)), NO_TRACE)
+        NO_TRACE.extended(PostState(atom(1)))
     with pytest.raises(NotExpressibleError):
-        compose_trace_update(PostState(atom(1)), ComplementTrace(atom(1)))
+        ComplementTrace(atom(1)).extended(PostState(atom(1)))
     with pytest.raises(SeamMismatch):
-        compose_trace_update(BothStates(atom(7), atom(8)), t)
+        t.extended(BothStates(atom(7), atom(8)))
+    with pytest.raises(StateNotRepresented) as err:
+        t.extended(Edits(()))  # an edit-only update has no post-state
+    assert err.value.end == "post"
 
 
 def compose_relations_check(rel, b):
@@ -353,7 +340,7 @@ def test_compose_trace_update_with_delta_update():
     b1 = rec(k=atom(2), v=atom(7))
     trace_rel = SamenessRelation([((GoField("k"),), (GoField("k"),))])
     upd = DeltaUpdate(b0, b1, diff(b0, b1))
-    out = compose_trace_update(upd, DeltaTrace(a, b0, trace_rel))
+    out = DeltaTrace(a, b0, trace_rel).extended(upd)
     assert out.src == a and out.tgt == b1
     # k changed, so the composite relation loses the k link
     assert out.same == SamenessRelation()
@@ -494,21 +481,21 @@ def test_representation_tables_cover_each_other():
         update = constructor.build(pre, step)
         assert type(update) is constructor
         assert type(constructor.null(pre)) is constructor
-        assert _post_of(update, pre) == post
+        assert update.post_state(pre) == post
     # Each class's declared capabilities agree with its operators on a sample.
     updates = [cls.build(pre, (Insert(1, atom(1)),) if cls.edits else post) for cls in constructors]
     for update in updates + [Opaque("f")]:
         cls = type(update)
-        assert cls.carries_pre == _answers(delta_of, update), cls
-        assert cls.invertible == _answers(invert_update, update), cls
+        assert cls.carries_pre == (update.pre_state() is not None), cls
+        assert cls.invertible == (update.inverse() is not None), cls
         assert cls.identifiable == _null_is_told_apart(cls, pre, post), cls
         assert cls.algebraic == _answers(default_preorder, cls), cls
     traces = [NO_TRACE, StateTrace(pre), ComplementTrace(pre), DeltaTrace(pre, post, diff(pre, post))]
     assert {type(trace) for trace in traces} == set(Traceability.__subclasses__())
     for trace in traces:
         cls = type(trace)
-        assert cls.carries_state == _answers(src_of, trace), cls
-        assert cls.carries_both == _answers(tgt_of, trace), cls
+        assert cls.carries_state == (trace.source() is not None), cls
+        assert cls.carries_both == (trace.target() is not None), cls
         assert cls.anchored == (cls.testifying(None, None, None) is None), cls
 
 
@@ -525,13 +512,6 @@ def _answers(operator, *args) -> bool:
     except SchemeError:
         return False
     return True
-
-
-def _post_of(update, pre):
-    try:
-        return rho_of(update)
-    except StateNotRepresented:
-        return apply_ops(update.ops, pre)
 
 
 def test_each_representation_class_carries_the_papers_letter():

@@ -389,7 +389,7 @@ class _Parser:
                 self.expect(brackets[1])
             return cls(*args)
         except (ValueError, SchemeError) as refusal:
-            raise ParseError(head.pos, f"{head.text} that its constructor accepts: {refusal}") from None
+            raise ParseError(head.pos, f"{head.text} that its constructor accepts: {refusal}") from refusal
 
 
 def _parse(text: str, read):

@@ -1,15 +1,12 @@
 """The demos' output: each ``demos/*.py`` is run in-process as a script and
 what it prints is compared with ``tests/demos/<name>.txt``.
 
-A change that moves a demo's output on purpose regenerates the files and
-says why in CHANGES.md::
-
-    PYTHONPATH=src python tests/test_demos.py --write
+A change that moves a demo's output on purpose redirects the demo's own
+output into ``tests/demos/<name>.txt`` and says why in CHANGES.md.
 """
 import contextlib
 import io
 import runpy
-import sys
 from pathlib import Path
 
 import pytest
@@ -34,9 +31,3 @@ def test_every_demo_has_its_expected_output():
 def test_demo_prints_its_expected_output(demo):
     assert demo_output(demo) == (EXPECTED / f"{demo.stem}.txt").read_text()
 
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_demos.py --write")
-    for demo in DEMOS:
-        (EXPECTED / f"{demo.stem}.txt").write_text(demo_output(demo))

@@ -8,6 +8,7 @@ from bxkit.scheme import (
     Delete,
     DeltaTrace,
     DeltaUpdate,
+    EditUnapplicable,
     Edits,
     Insert,
     NoTrace,
@@ -206,6 +207,15 @@ def test_update_and_trace_parse_errors(parse, text, position, expected):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.position, err.value.expected) == (position, expected)
+
+
+def test_a_constructor_refusal_is_kept_as_the_parse_errors_cause():
+    with pytest.raises(ParseError) as err:
+        parse_update("stateedits{pre=[0], edits=[del(1, 0)]}")
+    assert isinstance(err.value.__cause__, EditUnapplicable)
+    with pytest.raises(ParseError) as err:
+        parse_trace("delta{src=1, tgt=1, same=[(/left, /left)]}")
+    assert type(err.value.__cause__) is ValueError
 
 
 def test_render_rejects_unserializable_field_names():

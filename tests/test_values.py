@@ -2,6 +2,7 @@
 hashes kept by values, edits, updates and traces."""
 import copy
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -17,12 +18,14 @@ from bxkit.scheme import (
     BothStates,
     default_preorder,
     ComplementTrace,
+    Delete,
     DeltaTrace,
     DeltaUpdate,
     Edits,
     NoTrace,
     Opaque,
     PostState,
+    ReplaceAt,
     StateEdits,
     StateTrace,
     enumerate_ops,
@@ -445,6 +448,51 @@ def test_a_subclass_that_drops_the_hash_stays_unhashable():
             for _ in range(2):  # a failed hash is not kept
                 with pytest.raises(TypeError):
                     hash(holder)
+
+
+def test_records_are_frozen_and_built_by_position_or_by_keyword():
+    for x in _hashed_objects():
+        cls, values = type(x), _fields(x)
+        names = [f.name for f in dataclasses.fields(x)]
+        # ``dataclasses.replace`` passes every field by its name.
+        assert list(inspect.signature(cls).parameters) == names, cls
+        assert cls(*values) == cls(**dict(zip(names, values))) == x
+        for name in [*names, "extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, atom(0))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        assert _fields(x) == values
+
+
+def test_record_reprs_name_every_field_and_not_the_kept_hash():
+    pinned = {
+        ReplaceAt(0, atom(0), atom(1)): "ReplaceAt(index=0, old=AtomInt(value=0), new=AtomInt(value=1))",
+        seq(atom(0), atom("a")): "Seq(elements=(AtomInt(value=0), AtomStr(value='a')))",
+        rec(k=atom(1)): "Rec(fields=(('k', AtomInt(value=1)),))",
+        Edits([Delete(1, pair(atom(0), atom(1)))]): (
+            "Edits(ops=(Delete(index=1, removed=Pair(left=AtomInt(value=0), right=AtomInt(value=1))),))"
+        ),
+        StateEdits(seq(), ()): "StateEdits(pre=Seq(elements=()), ops=())",
+        NoTrace(): "NoTrace()",
+    }
+    for x, text in pinned.items():  # building the dict hashed every key
+        assert repr(x) == text
+
+
+def test_a_delta_refuses_a_link_outside_its_states_however_it_is_built():
+    bad = SamenessRelation([((LEFT,), ())])
+    for cls, names, reason in (
+        (DeltaUpdate, ("pre", "post", "same"), "delta links"),
+        (DeltaTrace, ("src", "tgt", "same"), "trace links"),
+    ):
+        args = (atom(0), atom(1), bad)
+        with pytest.raises(ValueError, match=reason):
+            cls(*args)
+        with pytest.raises(ValueError, match=reason):
+            cls(**dict(zip(names, args)))
+        with pytest.raises(ValueError, match=reason):
+            dataclasses.replace(cls(atom(0), atom(1), SamenessRelation()), same=bad)
 
 
 _PICKLED = """

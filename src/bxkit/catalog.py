@@ -280,21 +280,6 @@ def _pair_sync() -> Bx:
 # Edit lens
 # ---------------------------------------------------------------------------
 
-def _seq_insert(s: Seq, i: int, v: Value) -> Seq:
-    els = s.elements
-    return Seq(els[:i] + (v,) + els[i:])
-
-
-def _seq_delete(s: Seq, i: int) -> Seq:
-    els = s.elements
-    return Seq(els[:i] + els[i + 1:])
-
-
-def _seq_set(s: Seq, i: int, v: Value) -> Seq:
-    els = s.elements
-    return Seq(els[:i] + (v,) + els[i + 1:])
-
-
 def build_list_edit_lens(max_length: int = 2) -> Bx:
     """Source lists hold (shared, hidden) pairs, target lists only the
     shared halves; the complement remembers the hidden halves.
@@ -313,34 +298,36 @@ def build_list_edit_lens(max_length: int = 2) -> Bx:
 
     def translate_to(ops: tuple[EditOp, ...], c: Value) -> tuple[tuple[EditOp, ...], Value]:
         _shaped(isinstance(c, Seq))
+        hidden = list(c.elements)  # edited in place, one Seq at the end
         out: list[EditOp] = []
         for op in ops:
             if isinstance(op, Insert) and isinstance(op.element, Pair):
-                if not 0 <= op.index <= len(c.elements):
+                if not 0 <= op.index <= len(hidden):
                     raise Undefined("insert outside the tracked range")
                 out.append(Insert(op.index, op.element.left))
-                c = _seq_insert(c, op.index, op.element.right)
+                hidden.insert(op.index, op.element.right)
             elif isinstance(op, Delete) and isinstance(op.removed, Pair):
-                if op.index >= len(c.elements) or c.elements[op.index] != op.removed.right:
+                if op.index >= len(hidden) or hidden[op.index] != op.removed.right:
                     raise Undefined("delete does not match the tracked hidden half")
                 out.append(Delete(op.index, op.removed.left))
-                c = _seq_delete(c, op.index)
+                del hidden[op.index]
             elif isinstance(op, ReplaceAt) and isinstance(op.old, Pair) and isinstance(op.new, Pair):
-                if op.index >= len(c.elements) or c.elements[op.index] != op.old.right:
+                if op.index >= len(hidden) or hidden[op.index] != op.old.right:
                     raise Undefined("replacement does not match the tracked hidden half")
                 out.append(ReplaceAt(op.index, op.old.left, op.new.left))
-                c = _seq_set(c, op.index, op.new.right)
+                hidden[op.index] = op.new.right
             elif isinstance(op, ReplaceRoot) and isinstance(op.old, Seq) and isinstance(op.new, Seq):
-                if c != snds(op.old):
+                if tuple(hidden) != snds(op.old).elements:
                     raise Undefined("root replacement disagrees with the complement")
                 out.append(ReplaceRoot(fsts(op.old), fsts(op.new)))
-                c = snds(op.new)
+                hidden = list(snds(op.new).elements)
             else:
                 raise Undefined("edit cannot be translated")
-        return tuple(out), c
+        return tuple(out), Seq(hidden)
 
     def translate_from(ops: tuple[EditOp, ...], c: Value) -> tuple[tuple[EditOp, ...], Value]:
         _shaped(isinstance(c, Seq))
+        hidden = list(c.elements)  # edited in place, one Seq at the end
         out: list[EditOp] = []
         for op in ops:
             if isinstance(op, Insert):
@@ -348,29 +335,27 @@ def build_list_edit_lens(max_length: int = 2) -> Bx:
                 # no faithful source edit to emit.
                 raise Undefined("insert is untranslatable: no hidden half is tracked for it")
             elif isinstance(op, Delete):
-                if op.index >= len(c.elements):
+                if op.index >= len(hidden):
                     raise Undefined("delete outside the tracked range")
-                hidden = c.elements[op.index]
-                out.append(Delete(op.index, Pair(op.removed, hidden)))
-                c = _seq_delete(c, op.index)
+                out.append(Delete(op.index, Pair(op.removed, hidden[op.index])))
+                del hidden[op.index]
             elif isinstance(op, ReplaceAt):
-                if op.index >= len(c.elements):
+                if op.index >= len(hidden):
                     raise Undefined("replacement outside the tracked range")
-                hidden = c.elements[op.index]
-                out.append(ReplaceAt(op.index, Pair(op.old, hidden), Pair(op.new, hidden)))
+                half = hidden[op.index]
+                out.append(ReplaceAt(op.index, Pair(op.old, half), Pair(op.new, half)))
             elif isinstance(op, ReplaceRoot) and isinstance(op.old, Seq) and isinstance(op.new, Seq):
-                if len(c.elements) != len(op.old.elements):
+                if len(hidden) != len(op.old.elements):
                     raise Undefined("root replacement disagrees with the complement")
-                if len(op.new.elements) > len(c.elements):
+                if len(op.new.elements) > len(hidden):
                     raise Undefined("root replacement grows the list: hidden halves unknown")
-                old_pairs = Seq(Pair(x, y) for x, y in zip(op.old.elements, c.elements))
-                new_hidden = c.elements[: len(op.new.elements)]
-                new_pairs = Seq(Pair(x, y) for x, y in zip(op.new.elements, new_hidden))
+                old_pairs = Seq(Pair(x, y) for x, y in zip(op.old.elements, hidden))
+                del hidden[len(op.new.elements):]
+                new_pairs = Seq(Pair(x, y) for x, y in zip(op.new.elements, hidden))
                 out.append(ReplaceRoot(old_pairs, new_pairs))
-                c = Seq(new_hidden)
             else:
                 raise Undefined("edit cannot be translated")
-        return tuple(out), c
+        return tuple(out), Seq(hidden)
 
     empty = Seq()
     return make_edit_lens(

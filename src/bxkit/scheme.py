@@ -34,7 +34,7 @@ from .values import (
     diff,
     diff_size,
     enumerate_values,
-    hash_once,
+    frozen,
     node_count,
     path_valid,
 )
@@ -98,8 +98,7 @@ def _spliced(value: Value, index: int, old: tuple, new: tuple, what: str) -> Seq
     return Seq(els[:index] + new + els[end:])
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class Insert(EditOp):
     index: int
     element: Value
@@ -111,8 +110,7 @@ class Insert(EditOp):
         return Delete(self.index, self.element)
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class Delete(EditOp):
     index: int
     removed: Value
@@ -124,8 +122,7 @@ class Delete(EditOp):
         return Insert(self.index, self.removed)
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class ReplaceAt(EditOp):
     index: int
     old: Value
@@ -135,8 +132,7 @@ class ReplaceAt(EditOp):
         return _spliced(value, self.index, (self.old,), (self.new,), "replace")
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class SetField(EditOp):
     name: str
     old: Value
@@ -148,8 +144,7 @@ class SetField(EditOp):
         return value.set(self.name, self.new)
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class ReplaceRoot(EditOp):
     old: Value
     new: Value
@@ -282,8 +277,7 @@ class Update:
         return len(self.ops)
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class PostState(Update):
     symbol = "S"
     order = "post-size"
@@ -300,8 +294,7 @@ class PostState(Update):
         return node_count(self.post) - (0 if base is None else diff_size(base, self.post))
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class BothStates(Update):
     symbol = "\U0001d54a"  # blackboard S: pre- and post-state
     carries_pre = invertible = identifiable = True
@@ -313,8 +306,7 @@ class BothStates(Update):
         return node_count(self.post) - diff_size(self.pre, self.post)
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class DeltaUpdate(Update):
     symbol = "D"
     carries_pre = invertible = identifiable = True
@@ -343,23 +335,21 @@ class DeltaUpdate(Update):
         return node_count(self.post) - len(self.same)
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class Edits(Update):
     symbol = "E"
     edits = invertible = identifiable = True
     ops: tuple[EditOp, ...]
 
     def __init__(self, ops: Iterable[EditOp] = ()):
-        object.__setattr__(self, "ops", tuple(ops))
+        self.__dict__["ops"] = tuple(ops)
 
     def then(self, second: Update) -> Update:
         # Built directly: history ignorance composes edit sequences most often.
         return Edits(self.ops + second.ops)
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class StateEdits(Update):
     symbol = "\U0001d53c"  # blackboard E: pre-state plus edits
     edits = carries_pre = invertible = identifiable = True
@@ -367,14 +357,14 @@ class StateEdits(Update):
     ops: tuple[EditOp, ...]
 
     def __init__(self, pre: Value, ops: Iterable[EditOp] = ()):
-        object.__setattr__(self, "pre", pre)
         ops = tuple(ops)
         apply_ops(ops, pre)  # construction-time applicability check
-        object.__setattr__(self, "ops", ops)
+        state = self.__dict__
+        state["pre"] = pre
+        state["ops"] = ops
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class Opaque(Update):
     """Function-valued update carrier; algebraic operators reject it."""
     symbol = "F"
@@ -449,8 +439,7 @@ class Traceability:
         return self
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class NoTrace(Traceability):
     symbol = "N"
     anchored = False
@@ -462,8 +451,7 @@ class NoTrace(Traceability):
     reversing = testifying
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class StateTrace(Traceability):
     symbol = "S"
     carries_state = True
@@ -481,8 +469,7 @@ class StateTrace(Traceability):
         return self.state
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class ComplementTrace(Traceability):
     symbol = "C"
     payload: Value
@@ -492,8 +479,7 @@ class ComplementTrace(Traceability):
         return None if complement is None else cls(complement)
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class DeltaTrace(Traceability):
     symbol = "D"
     carries_state = carries_both = True

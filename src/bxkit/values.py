@@ -12,16 +12,18 @@ update needs only counts, so ``node_count`` and ``diff_size`` count the
 paths of a value and the links of its alignment without building either.
 
 Values, and the edits, updates and traces of ``scheme.py`` built from
-them, are keyed into dicts and sets at every step of a law check, so
-each keeps its field hash after the first use (``hash_once``); equality
-and the hash value are those of the plain frozen dataclass.  Every memo
-of a law check or an adapter is filled through ``remember``.
+them, are built and keyed into dicts and sets at every step of a law
+check, so each is a ``frozen`` record: its constructor stores the fields
+straight into the instance, and it keeps its field hash after the first
+use; equality, ``repr`` and the hash value are those of the plain frozen
+dataclass.  Every memo of a law check or an adapter is filled through
+``remember``.
 """
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -56,14 +58,31 @@ class InvalidPath(Exception):
 _HASH = "_hash"
 
 
-def hash_once(cls):
-    """Make the frozen dataclass ``cls`` keep its field hash after the first use.
+def frozen(cls):
+    """Make ``cls`` a frozen dataclass that keeps its field hash after the
+    first use and whose constructor writes the instance ``__dict__``.
 
-    The hash is the one the dataclass generates, stored in the instance's
-    ``__dict__``; it is left out of pickled state, since a string's hash
-    differs between processes.  A subclass that sets ``__hash__ = None``
-    stays unhashable.
+    Unless ``cls`` defines ``__init__``, it gets one that takes every field
+    in order, stores each without the frozen ``__setattr__`` and then calls
+    ``__post_init__`` where the class has one; a hand-written ``__init__``
+    stores the same way.  Such an instance holds its ``__dict__`` from the
+    start, as a hashed one does anyway.  The kept hash is the one the
+    dataclass generates; it is left out of pickled state, since a string's
+    hash differs between processes.  A subclass that sets ``__hash__ =
+    None`` stays unhashable.
     """
+    own_init = "__init__" in cls.__dict__
+    cls = dataclass(frozen=True, init=False)(cls)
+    if not own_init:
+        names = [f.name for f in dataclass_fields(cls)]
+        lines = [f"def __init__(self, {', '.join(names)}):", "    d = self.__dict__"]
+        lines += [f"    d[{name!r}] = {name}" for name in names]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        namespace: dict = {}
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     field_hash = cls.__hash__
 
     def __hash__(self) -> int:
@@ -108,43 +127,38 @@ class Value:
     __slots__ = ()
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class AtomInt(Value):
     value: int
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class AtomStr(Value):
     value: str
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class Pair(Value):
     left: Value
     right: Value
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class Seq(Value):
     elements: tuple[Value, ...]
 
     def __init__(self, elements: Iterable[Value] = ()):
-        object.__setattr__(self, "elements", tuple(elements))
+        self.__dict__["elements"] = tuple(elements)
 
 
-@hash_once
-@dataclass(frozen=True)
+@frozen
 class Rec(Value):
     """Record with a finite field map; fields are kept sorted by name."""
 
     fields: tuple[tuple[str, Value], ...]
 
     def __init__(self, fields: Mapping[str, Value] | Iterable[tuple[str, Value]] = ()):
-        object.__setattr__(self, "fields", tuple(sorted(dict(fields).items())))
+        self.__dict__["fields"] = tuple(sorted(dict(fields).items()))
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.fields)
@@ -167,7 +181,7 @@ class Rec(Value):
         for i, (field_name, _) in enumerate(fields):
             if field_name == name:
                 updated = object.__new__(Rec)
-                object.__setattr__(updated, "fields", fields[:i] + ((name, value),) + fields[i + 1:])
+                updated.__dict__["fields"] = fields[:i] + ((name, value),) + fields[i + 1:]
                 return updated
         raise KeyError(name)
 

@@ -128,6 +128,20 @@ def test_invertibility_mapping_both_directions():
         assert isinstance(check_invertibility(bx("uppercase-mapping"), direction), Holds)
 
 
+def test_invertibility_discharges_a_round_trip_whose_way_back_is_undefined():
+    def back(b):
+        if b == atom(2):
+            raise Undefined("no way back from 2")
+        return b
+
+    mapping = make_mapping("partial-back", lambda a: a, back, atoms(0, 1, 2), atoms(0, 1, 2))
+    # A mapping has no trace, so one free anchor and 3 updates: "to" is
+    # defined on all 3 and its way back on the 2 that do not end at 2;
+    # "from" is undefined at 2 itself.
+    assert check_invertibility(mapping, "to") == Holds(2)
+    assert check_invertibility(mapping, "from") == Holds(2)
+
+
 def test_invertibility_not_expressible_forward_for_lenses():
     assert isinstance(check_invertibility(bx("fst-lens"), "to"), NotExpressible)
 

@@ -482,11 +482,9 @@ def test_record_reprs_name_every_field_and_not_the_kept_hash():
 
 def test_a_delta_refuses_a_link_outside_its_states_however_it_is_built():
     bad = SamenessRelation([((LEFT,), ())])
-    for cls, names, reason in (
-        (DeltaUpdate, ("pre", "post", "same"), "delta links"),
-        (DeltaTrace, ("src", "tgt", "same"), "trace links"),
-    ):
+    for cls, reason in ((DeltaUpdate, "delta links"), (DeltaTrace, "trace links")):
         args = (atom(0), atom(1), bad)
+        names = [f.name for f in dataclasses.fields(cls)]
         with pytest.raises(ValueError, match=reason):
             cls(*args)
         with pytest.raises(ValueError, match=reason):

@@ -54,10 +54,10 @@ from .scheme import (
     Traceability,
     Update,
     UpdatePreorder,
-    check_incidence,
     compose_updates,
     default_preorder,
     identity_update,
+    incidence_failure,
 )
 from .grammar import parse_value, render_value
 from .frameworks import (

@@ -307,12 +307,12 @@ def build_list_edit_lens(max_length: int = 2) -> Bx:
                 out.append(Insert(op.index, op.element.left))
                 hidden.insert(op.index, op.element.right)
             elif isinstance(op, Delete) and isinstance(op.removed, Pair):
-                if op.index >= len(hidden) or hidden[op.index] != op.removed.right:
+                if not 0 <= op.index < len(hidden) or hidden[op.index] != op.removed.right:
                     raise Undefined("delete does not match the tracked hidden half")
                 out.append(Delete(op.index, op.removed.left))
                 del hidden[op.index]
             elif isinstance(op, ReplaceAt) and isinstance(op.old, Pair) and isinstance(op.new, Pair):
-                if op.index >= len(hidden) or hidden[op.index] != op.old.right:
+                if not 0 <= op.index < len(hidden) or hidden[op.index] != op.old.right:
                     raise Undefined("replacement does not match the tracked hidden half")
                 out.append(ReplaceAt(op.index, op.old.left, op.new.left))
                 hidden[op.index] = op.new.right
@@ -335,12 +335,12 @@ def build_list_edit_lens(max_length: int = 2) -> Bx:
                 # no faithful source edit to emit.
                 raise Undefined("insert is untranslatable: no hidden half is tracked for it")
             elif isinstance(op, Delete):
-                if op.index >= len(hidden):
+                if not 0 <= op.index < len(hidden):
                     raise Undefined("delete outside the tracked range")
                 out.append(Delete(op.index, Pair(op.removed, hidden[op.index])))
                 del hidden[op.index]
             elif isinstance(op, ReplaceAt):
-                if op.index >= len(hidden):
+                if not 0 <= op.index < len(hidden):
                     raise Undefined("replacement outside the tracked range")
                 half = hidden[op.index]
                 out.append(ReplaceAt(op.index, Pair(op.old, half), Pair(op.new, half)))

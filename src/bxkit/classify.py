@@ -69,13 +69,12 @@ _REPORT_LAWS = (
 
 def _arrow_cell(report: "LawReport", law: str) -> str:
     def mark(direction: str) -> str:
-        try:
-            kind = report.kind(law, direction)
-        except KeyError:
+        verdict = report.verdicts.get((law, direction))
+        if verdict is None:
             return ""
-        if kind == Verdict.HOLDS:
+        if verdict.kind == Verdict.HOLDS:
             return "strong"
-        if kind == Verdict.WEAKLY_HOLDS:
+        if verdict.kind == Verdict.WEAKLY_HOLDS:
             return "weak"
         return ""
 
@@ -132,13 +131,8 @@ def well_behaved(report: "LawReport") -> str:
     """
 
     def kinds(law: str) -> list[str]:
-        out = []
-        for direction in ("to", "from"):
-            try:
-                out.append(report.kind(law, direction))
-            except KeyError:
-                pass
-        return out
+        verdicts = (report.verdicts.get((law, direction)) for direction in ("to", "from"))
+        return [verdict.kind for verdict in verdicts if verdict is not None]
 
     def satisfied(law: str) -> tuple[bool, bool]:
         """(no failures among expressible directions, holds somewhere)"""

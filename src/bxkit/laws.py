@@ -36,7 +36,6 @@ consistent pairs while stability stays out of reach.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import sys
 import time
@@ -59,9 +58,9 @@ from .scheme import (
     SchemeError,
     Traceability,
     Update,
-    check_incidence,
     compose_updates,
     enumerate_op_sequences,
+    incidence_failure,
 )
 from .frameworks import Arrow, BoundaryMismatch, Bx, Undefined
 from .grammar import render_trace, render_update, render_value
@@ -310,29 +309,34 @@ class _Check:
 
     def call(self, arrow: Arrow, update: Update, trace: Traceability):
         """The checkers' only call into the transformation; ``None`` when
-        undefined.  Another exception of the user's code is a counterexample,
-        as in QuickCheck.  A blown enumeration cap ends the run, and so does
-        a call whose input or result is not of the declared representations,
-        which the checked ``Bx.apply`` reports as ``BoundaryMismatch``: that is
-        a fault of the transformation's declaration, not a counterexample to
-        the law.  A ``ReprMismatch`` from inside the transformation, the
-        boundary check of another ``Bx`` it calls included, is a counterexample."""
-        bx = self.run.bx
+        undefined.  Another exception goes to ``raised``."""
         try:
-            return bx.apply(arrow.name, update, trace)
+            return self.run.bx.apply(arrow.name, update, trace)
         except Undefined:
             return None
-        except CapExceeded:
-            raise
         except Exception as exc:
-            if isinstance(exc, BoundaryMismatch) and exc.bx is bx:
-                raise
-            self.fail(
-                update, trace,
-                observed=f"raised {exc!r}",
-                expected="a result, or Undefined",
-                arrow=arrow,
-            )
+            self.raised(exc, update, trace, "a result, or Undefined", arrow)
+
+    def raised(
+        self,
+        exc: Exception,
+        update: Update,
+        trace: Traceability,
+        expected: str,
+        arrow: Arrow | None = None,
+    ) -> NoReturn:
+        """What ``exc``, raised by the user's code while the call ``(update,
+        trace)`` was checked, makes of the check.  A blown enumeration cap
+        ends the run, and so does the checked ``Bx``'s own ``BoundaryMismatch``,
+        a value not of its declared representations: that is a fault of the
+        transformation's declaration, not a counterexample to the law.  Any
+        other exception, a ``ReprMismatch`` from another ``Bx`` the user's
+        code calls included, is a counterexample, as in QuickCheck."""
+        if isinstance(exc, CapExceeded) or (
+            isinstance(exc, BoundaryMismatch) and exc.bx is self.run.bx
+        ):
+            raise exc
+        self.fail(update, trace, observed=f"raised {exc!r}", expected=expected, arrow=arrow)
 
     def weakly(self, variant: str) -> None:
         self.checked += 1
@@ -644,7 +648,7 @@ def check_correctness(check: _Check, bx: Bx, arrow: Arrow) -> None:
             continue
         post_in = u_in.post_state(in_base)
         post_out = result[0].post_state(out_base)
-        if post_in is None or post_out is None:
+        if post_out is None:
             continue
         pa, pb = arrow.pair(post_in, post_out)
         if bx.consistency(pa, pb):
@@ -681,8 +685,6 @@ def check_hippocraticness(
 def _hippocraticness(check: _Check, bx: Bx, arrow: Arrow, literal: bool = False) -> None:
     for case, trace_in, u_in, in_base, out_base, _ in check.anchored_inputs():
         post_in = u_in.post_state(in_base)
-        if post_in is None:
-            continue
         moved = arrow.pair(post_in, out_base)
         if not literal and not bx.consistency(*moved):
             continue
@@ -715,18 +717,14 @@ def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
 
     def size(update: Update, out_base: Value | None, u_in: Update, trace_in: Traceability) -> int:
         # The class's default preorder, anchored at the testified pre-state,
-        # unless the transformation attached its own.  That is user code:
-        # what it raises fails the input being checked.
+        # unless the transformation attached its own.  That is user code,
+        # checked on the input being checked.
         if bx.preorder is None:
             return update.size(out_base)
         try:
             return bx.preorder.size(update)
-        except CapExceeded:
-            raise
         except Exception as exc:
-            check.fail(
-                u_in, trace_in, observed=f"raised {exc!r}", expected="a size under the preorder"
-            )
+            check.raised(exc, u_in, trace_in, "a size under the preorder")
 
     def restoring(
         out_base: Value | None, post_in: Value, u_in: Update, trace_in: Traceability
@@ -754,8 +752,6 @@ def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
         if result is None:
             continue
         post_in = u_in.post_state(in_base)
-        if post_in is None:
-            continue
         rows = remember(
             alternatives, (out_base, post_in), restoring, out_base, post_in, u_in, trace_in
         )
@@ -785,8 +781,6 @@ def check_safety(check: _Check, bx: Bx, arrow: Arrow) -> None:
     """Defined at least on inputs whose post-state has a consistent counterpart."""
     for _, trace_in, u_in, in_base, _, _ in check.anchored_inputs():
         post_in = u_in.post_state(in_base)
-        if post_in is None:
-            continue
         if check.run.partners(arrow, post_in) and check.call(arrow, u_in, trace_in) is None:
             check.fail(
                 u_in, trace_in,
@@ -961,9 +955,15 @@ def audit_incidence(bx: Bx, config: LawSuiteConfig | None = None) -> Verdict:
                 result = check.call(arrow, u_in, trace_in)
                 if result is None:
                     continue
-                verdict = check_incidence(u_in, trace_in, result[0], result[1], arrow.name)
-                if isinstance(verdict, Fails):
-                    return Fails(dataclasses.replace(verdict.counterexample, bx_name=bx.name))
+                failure = incidence_failure(u_in, trace_in, *result)
+                if failure is not None:
+                    condition, lhs, rhs = failure
+                    check.fail(
+                        u_in, trace_in,
+                        observed=f"{_shown(render_value, lhs)} vs {_shown(render_value, rhs)}",
+                        expected=condition,
+                        detail=f"condition failed: {condition}",
+                    )
                 check.checked += 1
     except _Stop as stop:
         return stop.args[0]

@@ -38,7 +38,6 @@ from .values import (
     node_count,
     path_valid,
 )
-from .verdict import Counterexample, Fails, Holds, Vacuous, Verdict
 
 
 class SchemeError(Exception):
@@ -523,56 +522,28 @@ NO_TRACE = NoTrace()
 # Endpoint agreement after a transformation call
 # ---------------------------------------------------------------------------
 
-def check_incidence(
-    u_in: Update,
-    t_in: Traceability,
-    u_out: Update,
-    t_out: Traceability,
-    direction: str,
-) -> Verdict:
-    """Check that updates and traces agree on their endpoints.
+def incidence_failure(
+    u_in: Update, t_in: Traceability, u_out: Update, t_out: Traceability
+) -> tuple[str, Value, Value] | None:
+    """The first endpoint condition of a call that fails, as ``(condition,
+    lhs, rhs)``, or ``None`` where none does.
 
-    For a forward call the conditions are: the input update starts where
-    the input trace ends, the output update starts at the input trace's
-    source, the input update ends at the output trace's source, and the
-    output update ends where the output trace ends.  The backward call is
-    dual.  Conditions with an unrepresented operand are skipped rather
-    than failed.
+    The input update starts where the input trace ends, the output update
+    starts at the input trace's source, the input update ends at the output
+    trace's source, and the output update ends where the output trace ends.
+    The conditions read alike in both directions, since a trace's ends are
+    relative to its own arrow.  A condition with an unrepresented operand
+    cannot fail.
     """
-    if direction not in ("to", "from"):
-        raise ValueError(f"direction must be 'to' or 'from', got {direction!r}")
-    # The four equations read identically in both directions because a
-    # trace's src/tgt accessors are already relative to its own arrow.
-    conditions = [
+    for condition, lhs, rhs in (
         ("pre(in-update) = tgt(in-trace)", u_in.pre_state(), t_in.target()),
         ("pre(out-update) = src(in-trace)", u_out.pre_state(), t_in.source()),
         ("post(in-update) = src(out-trace)", u_in.post_state(), t_out.source()),
         ("post(out-update) = tgt(out-trace)", u_out.post_state(), t_out.target()),
-    ]
-
-    checked = 0
-    for name, lhs, rhs in conditions:
-        if lhs is None or rhs is None:
-            continue  # skipped: operand not representable
-        checked += 1
-        if lhs != rhs:
-            from .grammar import render_trace, render_update, render_value
-
-            return Fails(
-                Counterexample(
-                    law="incidence",
-                    direction=direction,
-                    bx_name="",
-                    update=render_update(u_in),
-                    trace=render_trace(t_in),
-                    observed=f"{render_value(lhs)} vs {render_value(rhs)}",
-                    expected=name,
-                    detail=f"condition failed: {name}",
-                )
-            )
-    if checked == 0:
-        return Vacuous("no endpoint condition has both operands represented")
-    return Holds(checked)
+    ):
+        if lhs is not None and rhs is not None and lhs != rhs:
+            return condition, lhs, rhs
+    return None
 
 
 # ---------------------------------------------------------------------------

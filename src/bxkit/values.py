@@ -388,11 +388,7 @@ def close_relation(source: Value, target: Value, rel: SamenessRelation) -> Samen
         for tp in tgt_by_depth:
             if tp in linked_tgt:
                 continue
-            try:
-                tv = select(target, tp)
-            except InvalidPath:
-                continue
-            if tv != sv:
+            if select(target, tp) != sv:
                 continue
             if all((sp + (st,), tp + (st,)) in links for st in steps):
                 links.add((sp, tp))

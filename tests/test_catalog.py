@@ -1,5 +1,6 @@
 """The catalog's list edit lens: its translators thread the complement as one
 list and agree with the slice-based definition they replaced."""
+import dataclasses
 from collections import Counter
 from importlib import import_module
 
@@ -37,12 +38,12 @@ def _reference_to(ops, c):
             out.append(Insert(op.index, op.element.left))
             c = Seq(els[:op.index] + (op.element.right,) + els[op.index:])
         elif isinstance(op, Delete) and isinstance(op.removed, Pair):
-            if op.index >= len(els) or els[op.index] != op.removed.right:
+            if not 0 <= op.index < len(els) or els[op.index] != op.removed.right:
                 raise Undefined("delete does not match the tracked hidden half")
             out.append(Delete(op.index, op.removed.left))
             c = Seq(els[:op.index] + els[op.index + 1:])
         elif isinstance(op, ReplaceAt) and isinstance(op.old, Pair) and isinstance(op.new, Pair):
-            if op.index >= len(els) or els[op.index] != op.old.right:
+            if not 0 <= op.index < len(els) or els[op.index] != op.old.right:
                 raise Undefined("replacement does not match the tracked hidden half")
             out.append(ReplaceAt(op.index, op.old.left, op.new.left))
             c = Seq(els[:op.index] + (op.new.right,) + els[op.index + 1:])
@@ -65,12 +66,12 @@ def _reference_from(ops, c):
         if isinstance(op, Insert):
             raise Undefined("insert is untranslatable: no hidden half is tracked for it")
         elif isinstance(op, Delete):
-            if op.index >= len(els):
+            if not 0 <= op.index < len(els):
                 raise Undefined("delete outside the tracked range")
             out.append(Delete(op.index, Pair(op.removed, els[op.index])))
             c = Seq(els[:op.index] + els[op.index + 1:])
         elif isinstance(op, ReplaceAt):
-            if op.index >= len(els):
+            if not 0 <= op.index < len(els):
                 raise Undefined("replacement outside the tracked range")
             hidden = els[op.index]
             out.append(ReplaceAt(op.index, Pair(op.old, hidden), Pair(op.new, hidden)))
@@ -129,6 +130,17 @@ def _root_replacements(domain):
     }
 
 
+def _negative_indices(domain):
+    """Every single positional edit offered from a state of ``domain``, moved
+    to index -1: no enumeration offers it, so only a bound from below refuses it."""
+    return {
+        (dataclasses.replace(op, index=-1),)
+        for state in enumerate_values(domain)
+        for op in enumerate_ops(state, domain)
+        if isinstance(op, (Insert, Delete, ReplaceAt))
+    }
+
+
 def test_the_translators_agree_with_their_slice_based_definition(translators):
     translate_to, translate_from = translators
     # Edits of a bit are root replacements that neither translator takes.
@@ -139,6 +151,7 @@ def test_the_translators_agree_with_their_slice_based_definition(translators):
         (translate_to, _reference_to, _sequences(_SOURCES) | _root_replacements(_SOURCES) | _sequences(_TARGETS)),
         (translate_from, _reference_from, _sequences(_TARGETS) | _root_replacements(_TARGETS)),
     ):
+        inputs |= _negative_indices(_SOURCES) | _negative_indices(_TARGETS)
         for ops in inputs | untranslatable:
             for c in complements:
                 got, expected = _outcome(translate, ops, c), _outcome(reference, ops, c)
@@ -173,3 +186,23 @@ def test_a_later_edit_reads_the_complement_that_an_insert_shifted(translators):
     )
     with pytest.raises(Undefined, match="delete outside the tracked range"):
         translate_from((Delete(0, one), Delete(1, zero)), seq(zero, one))
+
+
+@pytest.mark.parametrize(
+    "direction, op, reason",
+    [
+        ("to", Delete(-1, pair(atom(0), atom(1))), "delete does not match the tracked hidden half"),
+        (
+            "to",
+            ReplaceAt(-1, pair(atom(0), atom(1)), pair(atom(1), atom(1))),
+            "replacement does not match the tracked hidden half",
+        ),
+        ("from", Delete(-1, atom(0)), "delete outside the tracked range"),
+        ("from", ReplaceAt(-1, atom(0), atom(1)), "replacement outside the tracked range"),
+    ],
+    ids=["to-delete", "to-replace", "from-delete", "from-replace"],
+)
+def test_a_negative_index_is_refused_not_read_from_the_end(translators, direction, op, reason):
+    translate = dict(zip(("to", "from"), translators))[direction]
+    with pytest.raises(Undefined, match=reason):
+        translate((op,), seq(atom(0), atom(1)))

@@ -10,8 +10,10 @@ from bxkit.classify import (
     render_report,
     well_behaved,
 )
-from bxkit.laws import run_suite
+from bxkit.cli import EXIT_OK, main
+from bxkit.laws import LawReport, run_suite
 from bxkit.scheme import NoTrace, PostState
+from bxkit.verdict import Counterexample, Fails, Holds, NotExpressible, WeaklyHolds
 
 GOLDEN_SIGNATURES = {
     "mapping": ("S", "S", "S", "N", "N", "T"),
@@ -83,6 +85,60 @@ def test_render_report_arrows():
     mapping_row = next(l for l in lines if l.startswith("uppercase-mapping"))
     # mappings cannot express stability: blank cell, so fewer columns
     assert " <-> " in mapping_row  # invertibility both ways
+
+
+_STRONG, _WEAK, _NONE = Holds(1), WeaklyHolds("post-state equality", 1), NotExpressible("none")
+
+
+@pytest.mark.parametrize(
+    "forward, backward, cell",
+    [
+        (_STRONG, _STRONG, "<->"),
+        (_WEAK, _WEAK, "<~>"),
+        (_STRONG, _WEAK, "<~>"),
+        (_WEAK, _STRONG, "<~>"),
+        (_STRONG, _NONE, "->"),
+        (_WEAK, _NONE, "~>"),
+        (_NONE, _STRONG, "<-"),
+        (_NONE, _WEAK, "<~"),
+        (_WEAK, None, "~>"),
+        (None, _WEAK, "<~"),
+        (None, None, ""),
+    ],
+)
+def test_render_report_cell_per_pair_of_verdicts(forward, backward, cell):
+    # ``None`` stands for a direction the report has no verdict for.
+    given = {("stability", "to"): forward, ("stability", "from"): backward}
+    report = LawReport("toy", {key: verdict for key, verdict in given.items() if verdict is not None})
+    table = render_report([("toy", classify(catalog("fst-lens").bx), report)])
+    header, _, row = table.splitlines()
+    start = header.index("Stable")
+    assert row[start:start + len("Stable")].strip() == cell
+
+
+def test_report_of_one_law_fills_only_its_column(capsys):
+    assert main(["report", "--laws", "stability"]) == EXIT_OK
+    table, grades = capsys.readouterr().out.split("\n\n")
+    header, _, *rows = table.splitlines()
+    stable = header.index("Stable")
+    cells = {row.split()[0]: row[stable:].strip() for row in rows}
+    assert cells == {
+        name: {"fst-lens": "<-", "const-lens": "<-", "broken-put-lens": "<-"}.get(name, "")
+        for name in catalog_entries()
+    } | {"trigonal-key": "<->", "list-edit-lens": "<->", "rename-sync": "<->"}
+    assert len(grades.splitlines()) == len(catalog_entries())
+
+
+def test_well_behaved_reads_a_report_missing_laws_and_directions():
+    stable = {("stability", "to"): Holds(1), ("stability", "from"): Holds(1)}
+    correct = {("correctness", "to"): Holds(1)}
+    history = {("history_ignorance", "from"): Holds(1)}
+    assert well_behaved(LawReport("toy", stable)) == NOT_WELL_BEHAVED
+    assert well_behaved(LawReport("toy", stable | correct)) == WELL_BEHAVED
+    assert well_behaved(LawReport("toy", stable | correct | history)) == VERY_WELL_BEHAVED
+    counterexample = Counterexample("correctness", "from", "toy", "", "", "", "")
+    failed = {("correctness", "from"): Fails(counterexample)}
+    assert well_behaved(LawReport("toy", stable | correct | failed)) == NOT_WELL_BEHAVED
 
 
 def test_render_report_deterministic_and_distinct():

@@ -65,6 +65,26 @@ def test_apply_undefined_exit_two(capsys):
     assert "no source for C" in err
 
 
+@pytest.mark.parametrize(
+    "direction, update",
+    [
+        ("to", "edits[del(-1, (0, 1))]"),
+        ("to", "edits[rep(-1, (0, 1), (1, 1))]"),
+        ("from", "edits[del(-1, 0)]"),
+        ("from", "edits[rep(-1, 0, 1)]"),
+    ],
+    ids=["to-delete", "to-replace", "from-delete", "from-replace"],
+)
+def test_apply_edit_at_a_negative_index_is_undefined(capsys, direction, update):
+    code, out, err = run_cli(
+        capsys,
+        "apply", "--bx", "list-edit-lens", "--dir", direction,
+        "--update", update, "--trace", "compl{[0, 1]}",
+    )
+    assert (code, out) == (EXIT_UNDEFINED, "")
+    assert "undefined" in err
+
+
 def test_apply_parse_error_exit_one(capsys):
     code, _, err = run_cli(
         capsys, "apply", "--bx", "fst-lens", "--dir", "to", "--update", "state{post=[1, ]}"

@@ -106,6 +106,19 @@ def test_verdicts_match_the_golden_file():
     assert len(current) == len(golden), f"{len(current)} lines, golden has {len(golden)}"
 
 
+def test_every_catalog_pin_matches_the_suite():
+    # ``CatalogEntry.expected_laws`` pins an entry's notable verdict kinds;
+    # the benchmark checks its tables against the same pins.
+    pinned, got = {}, {}
+    for name, entry in catalog_entries().items():
+        report = run_suite(entry.bx)
+        for (law, direction), kind in entry.expected_laws.items():
+            pinned[name, law, direction] = kind
+            got[name, law, direction] = report.kind(law, direction)
+    assert len(pinned) == 53
+    assert got == pinned
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")

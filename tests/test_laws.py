@@ -31,9 +31,9 @@ from bxkit.scheme import (
     apply_ops,
     compose_updates,
 )
-from bxkit.frameworks import Arrow, Bx, Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
+from bxkit.frameworks import Arrow, BoundaryMismatch, Bx, Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
 from bxkit.grammar import parse_trace, parse_update, render_trace, render_update, render_value
-from bxkit.catalog import catalog, catalog_names
+from bxkit.catalog import catalog, catalog_entries, catalog_names
 import bxkit.laws
 from bxkit.laws import (
     ALL_LAWS,
@@ -892,6 +892,38 @@ def test_an_attached_preorder_that_blows_the_cap_ends_the_run():
         check_least_update(_raising_preorder(CapExceeded(10, 1)), "to")
 
 
+def test_a_boundary_mismatch_ends_the_run_only_when_it_is_the_checked_bx_own():
+    # A preorder is user code under the same rule as the transformation: the
+    # checked Bx's own boundary check is a fault of its declaration, another
+    # Bx's is a counterexample.
+    other = bx("fst-lens")
+    raising = _raising_preorder(BoundaryMismatch("result: expected update representation S", other))
+    verdict = check_least_update(raising, "to")
+    assert isinstance(verdict, Fails)
+    assert verdict.counterexample.observed.startswith("raised BoundaryMismatch('result:")
+    own = dataclasses.replace(bx("key-maintainer"))
+    own.preorder = UpdatePreorder("own", lambda update: own.apply("to", update, NO_TRACE))
+    with pytest.raises(BoundaryMismatch) as raised:
+        check_least_update(own, "to")
+    assert raised.value.bx is own
+
+
+def test_every_enumerated_input_update_has_a_post_state():
+    # The laws read an input update's post-state on its input base with no
+    # discharge for a missing one: an enumerated edit sequence applies.
+    runs = [(entry.bx, LawSuiteConfig()) for entry in catalog_entries().values()]
+    runs.append((bx("list-edit-lens"), LawSuiteConfig(edit_ops_per_update=2)))
+    count = 0
+    for checked, config in runs:
+        run = bxkit.laws._Run(checked, config)
+        for arrow in checked.arrows.values():
+            check = bxkit.laws._Check(run, TOTALITY, arrow, "")
+            for _, _, update, in_base, _, _ in check.anchored_inputs():
+                assert update.post_state(in_base) is not None, (checked.name, arrow.name, update)
+                count += 1
+    assert count == 3091
+
+
 def test_public_checkers_keep_their_signatures():
     plain = "(bx: 'Bx', direction: 'str', config: 'LawSuiteConfig | None' = None) -> 'Verdict'"
     for law in ALL_LAWS:
@@ -1163,6 +1195,35 @@ def test_a_state_edits_mirror_holds_every_law():
     assert report.verdicts == expected
     assert report.meta_errors == ()
     assert audit_incidence(mirror) == Holds(74)
+
+
+def test_the_audit_fails_a_call_whose_output_trace_contradicts_its_output_update():
+    # The output update ends at the new state; the output delta trace claims
+    # the old one as its target.
+    def mirror(update, trace):
+        claimed = DeltaTrace(update.post, update.pre, SamenessRelation())
+        return BothStates(update.pre, update.post), claimed
+
+    lying = Bx(
+        name="lying-mirror",
+        upd_to=BothStates,
+        upd_from=BothStates,
+        trace_to=DeltaTrace,
+        trace_from=DeltaTrace,
+        consistency_kind="E",
+        consistency=lambda a, b: a == b,
+        to_fn=mirror,
+        from_fn=mirror,
+        domain_a=atoms(0, 1),
+        domain_b=atoms(0, 1),
+    )
+    verdict = audit_incidence(lying)
+    assert isinstance(verdict, Fails)
+    c = verdict.counterexample
+    assert (c.law, c.direction, c.bx_name) == ("incidence", "to", "lying-mirror")
+    assert c.detail == "condition failed: post(out-update) = tgt(out-trace)"
+    assert (c.observed, c.expected) == ("1 vs 0", "post(out-update) = tgt(out-trace)")
+    assert c.update == render_update(BothStates(atom(0), atom(1)))
 
 
 def test_a_lossy_state_edits_mirror_fails_only_history_ignorance():

@@ -46,14 +46,13 @@ from bxkit.scheme import (
     Traceability,
     Update,
     apply_ops,
-    check_incidence,
     compose_updates,
     default_preorder,
     enumerate_op_sequences,
     enumerate_ops,
     identity_update,
+    incidence_failure,
 )
-from bxkit.verdict import Fails, Holds, Vacuous
 import bxkit.grammar
 
 
@@ -358,45 +357,52 @@ def test_a_link_valid_on_one_side_only_is_refused(cls, first, second):
 # -- endpoint agreement ------------------------------------------------------------
 
 def test_incidence_lens_example():
-    v = check_incidence(
+    call = (
         PostState(pair(atom(2), atom(5))),
         NO_TRACE,
         PostState(atom(2)),
         StateTrace(pair(atom(2), atom(5))),
-        "to",
     )
-    assert isinstance(v, Holds) and v.cases_checked == 1
+    assert incidence_failure(*call) is None
 
 
 def test_incidence_all_four_checkable():
     a0, a1 = atom(1), atom(2)
     b0, b1 = atom(1), atom(2)
-    v = check_incidence(
+    whole, none, moved = SamenessRelation([((), ())]), SamenessRelation(), atom(0)
+    call = [
         DeltaUpdate(a0, a1, diff(a0, a1)),
-        DeltaTrace(b0, a0, SamenessRelation([((), ())])),
+        DeltaTrace(b0, a0, whole),
         DeltaUpdate(b0, b1, diff(b0, b1)),
-        DeltaTrace(a1, b1, SamenessRelation([((), ())])),
-        "to",
-    )
-    assert isinstance(v, Holds) and v.cases_checked == 4
+        DeltaTrace(a1, b1, whole),
+    ]
+    assert incidence_failure(*call) is None
+    # Moving one end of a trace breaks the one condition that reads it.
+    for position, trace, failure in [
+        (1, DeltaTrace(b0, moved, none), ("pre(in-update) = tgt(in-trace)", a0, moved)),
+        (1, DeltaTrace(moved, a0, none), ("pre(out-update) = src(in-trace)", b0, moved)),
+        (3, DeltaTrace(moved, b1, none), ("post(in-update) = src(out-trace)", a1, moved)),
+        (3, DeltaTrace(a1, moved, none), ("post(out-update) = tgt(out-trace)", b1, moved)),
+    ]:
+        broken = list(call)
+        broken[position] = trace
+        assert incidence_failure(*broken) == failure
 
 
 def test_incidence_fabricated_mismatch():
     # output trace claims a target the output update does not reach
-    v = check_incidence(
+    failure = incidence_failure(
         PostState(pair(atom(2), atom(5))),
         NO_TRACE,
         PostState(atom(3)),
         DeltaTrace(pair(atom(2), atom(5)), atom(4), SamenessRelation()),
-        "to",
     )
-    assert isinstance(v, Fails)
-    assert "post(out-update) = tgt(out-trace)" in v.counterexample.detail
+    assert failure == ("post(out-update) = tgt(out-trace)", atom(3), atom(4))
 
 
 def test_incidence_vacuous_when_nothing_representable():
-    v = check_incidence(Edits(()), NO_TRACE, Edits(()), ComplementTrace(atom(1)), "from")
-    assert isinstance(v, Vacuous)
+    # No condition has both operands represented, so none can fail.
+    assert incidence_failure(Edits(()), NO_TRACE, Edits(()), ComplementTrace(atom(1))) is None
 
 
 # -- preorder ----------------------------------------------------------------------

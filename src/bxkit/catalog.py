@@ -301,21 +301,26 @@ def build_list_edit_lens(max_length: int = 2) -> Bx:
         hidden = list(c.elements)  # edited in place, one Seq at the end
         out: list[EditOp] = []
         for op in ops:
-            if isinstance(op, Insert) and isinstance(op.element, Pair):
-                if not 0 <= op.index <= len(hidden):
-                    raise Undefined("insert outside the tracked range")
-                out.append(Insert(op.index, op.element.left))
-                hidden.insert(op.index, op.element.right)
-            elif isinstance(op, Delete) and isinstance(op.removed, Pair):
-                if not 0 <= op.index < len(hidden) or hidden[op.index] != op.removed.right:
-                    raise Undefined("delete does not match the tracked hidden half")
-                out.append(Delete(op.index, op.removed.left))
-                del hidden[op.index]
-            elif isinstance(op, ReplaceAt) and isinstance(op.old, Pair) and isinstance(op.new, Pair):
-                if not 0 <= op.index < len(hidden) or hidden[op.index] != op.old.right:
+            # The kinds in the order of their frequency in a law check; they
+            # exclude one another, so any order gives the same result.
+            if isinstance(op, ReplaceAt) and isinstance(old := op.old, Pair) and isinstance(new := op.new, Pair):
+                index = op.index
+                if not 0 <= index < len(hidden) or hidden[index] != old.right:
                     raise Undefined("replacement does not match the tracked hidden half")
-                out.append(ReplaceAt(op.index, op.old.left, op.new.left))
-                hidden[op.index] = op.new.right
+                out.append(ReplaceAt(index, old.left, new.left))
+                hidden[index] = new.right
+            elif isinstance(op, Delete) and isinstance(removed := op.removed, Pair):
+                index = op.index
+                if not 0 <= index < len(hidden) or hidden[index] != removed.right:
+                    raise Undefined("delete does not match the tracked hidden half")
+                out.append(Delete(index, removed.left))
+                del hidden[index]
+            elif isinstance(op, Insert) and isinstance(element := op.element, Pair):
+                index = op.index
+                if not 0 <= index <= len(hidden):
+                    raise Undefined("insert outside the tracked range")
+                out.append(Insert(index, element.left))
+                hidden.insert(index, element.right)
             elif isinstance(op, ReplaceRoot) and isinstance(op.old, Seq) and isinstance(op.new, Seq):
                 if tuple(hidden) != snds(op.old).elements:
                     raise Undefined("root replacement disagrees with the complement")

@@ -118,6 +118,7 @@ def render_report(entries: Iterable[tuple[str, SchemeSignature, "LawReport"]]) -
 WELL_BEHAVED = "well-behaved"
 VERY_WELL_BEHAVED = "very-well-behaved"
 NOT_WELL_BEHAVED = "not-well-behaved"
+NOT_GRADED = "not-graded"
 
 
 def well_behaved(report: "LawReport") -> str:
@@ -127,7 +128,10 @@ def well_behaved(report: "LawReport") -> str:
     not expressible, hippocraticness (its stronger form) stands in; a
     stand-in caps the grade at well-behaved even when history-ignorance
     also holds, since the genuinely stable-and-history-ignorant reading
-    is what earns very-well-behaved.
+    is what earns very-well-behaved.  A report with no verdict in either
+    direction for a law the grade reads (stability and correctness, the
+    stand-in where it stands in, then history ignorance once those hold)
+    is not graded: a law left unchecked neither holds nor fails.
     """
 
     def kinds(law: str) -> list[str]:
@@ -142,8 +146,12 @@ def well_behaved(report: "LawReport") -> str:
         held = any(k == Verdict.HOLDS for k in expressible)
         return (not failed, held)
 
+    if not (kinds("stability") and kinds("correctness")):
+        return NOT_GRADED
     stable_ok, stable_held = satisfied("stability")
     if not stable_held and all(k == Verdict.NOT_EXPRESSIBLE for k in kinds("stability")):
+        if not kinds("hippocraticness"):
+            return NOT_GRADED
         stand_in_ok, stand_in_held = satisfied("hippocraticness")
         stable_ok = stand_in_ok
         stable_held = False  # a stand-in never counts as genuine stability
@@ -152,6 +160,8 @@ def well_behaved(report: "LawReport") -> str:
     correct_ok, correct_held = satisfied("correctness")
     if not (stable_ok and correct_ok and correct_held):
         return NOT_WELL_BEHAVED
+    if not kinds("history_ignorance"):
+        return NOT_GRADED
     history_ok, history_held = satisfied("history_ignorance")
     if stable_held and history_ok and history_held:
         return VERY_WELL_BEHAVED

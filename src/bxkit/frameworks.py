@@ -173,7 +173,7 @@ class Bx:
         """Run the arrow named ``direction``.  The inputs and the result must
         be an update and a trace of exactly the arrow's classes; anything
         else raises ``BoundaryMismatch``."""
-        arrow = self.arrow(direction)
+        arrow = self.arrows.get(direction) or self.arrow(direction)  # the second raises the ValueError
         if type(update) is not arrow.upd_in or type(trace) is not arrow.trace_in:
             raise _mismatch(self, "input", (update, trace), arrow.upd_in, arrow.trace_in)
         result = arrow.fn(update, trace)
@@ -456,8 +456,12 @@ def _complement_lens(
 
     def arrow_fn(direction: str, fn: Callable[[Any, Value], tuple[Any, Value]]) -> Transform:
         def run(update: Update, trace: ComplementTrace) -> tuple[Update, Traceability]:
-            remember(inside, trace.payload, require_inside, trace.payload)
-            out, c1 = fn(read(update), trace.payload)
+            payload = trace.payload
+            try:
+                inside[payload]
+            except (KeyError, TypeError):  # not yet checked, or unhashable and checked on every call
+                remember(inside, payload, require_inside, payload)
+            out, c1 = fn(read(update), payload)
             return upd(out), ComplementTrace(c1)
 
         return run

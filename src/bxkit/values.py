@@ -14,10 +14,11 @@ paths of a value and the links of its alignment without building either.
 Values, and the edits, updates and traces of ``scheme.py`` built from
 them, are built and keyed into dicts and sets at every step of a law
 check, so each is a ``frozen`` record: its constructor stores the fields
-straight into the instance, and it keeps its field hash after the first
-use; equality, ``repr`` and the hash value are those of the plain frozen
-dataclass.  Every memo of a law check or an adapter is filled through
-``remember``.
+straight into the instance, it keeps its field hash after the first use,
+and its ``==`` and ``!=`` test identity first and then each field in
+turn.  ``repr``, the hash value and the truth value of equality are
+those of the plain frozen dataclass.  Every memo of a law check or an
+adapter is filled through ``remember``.
 """
 from __future__ import annotations
 
@@ -56,48 +57,92 @@ class InvalidPath(Exception):
 # ---------------------------------------------------------------------------
 
 _HASH = "_hash"
+_GENERATED = "<values.frozen>"  # the file name of the code ``frozen`` generates
+
+# The methods ``frozen`` gives a record, made by a factory that takes the
+# record's field names; ``same`` compares the fields of two instances of one
+# class in order, each by identity first.
+_RECORD_METHODS = """\
+def methods({names}):
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.__dict__, other.__dict__
+        return {same}
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.__dict__, other.__dict__
+        return not ({same})
+
+    def __hash__(self):
+        d = self.__dict__
+        kept = d.get({kept!r})
+        if kept is None:
+            kept = d[{kept!r}] = hash(({fields}))
+        return kept
+
+    return __eq__, __ne__, __hash__
+"""
+
+
+@lru_cache(maxsize=None)
+def _record_methods(arity: int):
+    """The factory of ``_RECORD_METHODS`` for ``arity`` fields, compiled once
+    for all records of that many fields."""
+    names = [f"f{i}" for i in range(arity)]
+    same = " and ".join(f"((x := a[{name}]) is (y := b[{name}]) or x == y)" for name in names)
+    fields = "".join(f"d[{name}], " for name in names)
+    source = _RECORD_METHODS.format(names=", ".join(names), same=same or "True", fields=fields, kept=_HASH)
+    namespace: dict = {}
+    exec(compile(source, _GENERATED, "exec"), {}, namespace)
+    return namespace["methods"]
 
 
 def frozen(cls):
-    """Make ``cls`` a frozen dataclass that keeps its field hash after the
-    first use and whose constructor writes the instance ``__dict__``.
+    """Make ``cls`` a frozen dataclass whose constructor writes the instance
+    ``__dict__``, whose equality tests identity first and which keeps its
+    field hash after the first use.
 
     Unless ``cls`` defines ``__init__``, it gets one that takes every field
     in order, stores each without the frozen ``__setattr__`` and then calls
     ``__post_init__`` where the class has one; a hand-written ``__init__``
     stores the same way.  Such an instance holds its ``__dict__`` from the
-    start, as a hashed one does anyway.  The kept hash is the one the
-    dataclass generates; it is left out of pickled state, since a string's
-    hash differs between processes.  A subclass that sets ``__hash__ =
-    None`` stays unhashable.
+    start, as a hashed one does anyway.  ``==`` and ``!=`` answer at once
+    for the same object, leave another class to ``NotImplemented`` and
+    otherwise compare the fields in order, each by identity first: the
+    truth value of the dataclass's tuple equality, without its tuples and,
+    for ``!=``, without the detour through ``object.__ne__``.  The kept
+    hash is the dataclass's field hash, ``hash`` of the tuple of fields; it
+    is left out of pickled state, since a string's hash differs between
+    processes.  A subclass that sets ``__hash__ = None`` stays unhashable.
     """
     own_init = "__init__" in cls.__dict__
-    cls = dataclass(frozen=True, init=False)(cls)
+    cls = dataclass(frozen=True, init=False, eq=False)(cls)
+    names = [f.name for f in dataclass_fields(cls)]
+    methods = list(_record_methods(len(names))(*names))
     if not own_init:
-        names = [f.name for f in dataclass_fields(cls)]
         lines = [f"def __init__(self, {', '.join(names)}):", "    d = self.__dict__"]
         lines += [f"    d[{name!r}] = {name}" for name in names]
         if hasattr(cls, "__post_init__"):
             lines.append("    self.__post_init__()")
         namespace: dict = {}
-        exec("\n".join(lines), namespace)
-        cls.__init__ = namespace["__init__"]
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    field_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        state = self.__dict__
-        cached = state.get(_HASH)
-        if cached is None:
-            cached = state[_HASH] = field_hash(self)
-        return cached
+        exec(compile("\n".join(lines), _GENERATED, "exec"), namespace)
+        methods.append(namespace["__init__"])
+    for fn in methods:
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+        setattr(cls, fn.__name__, fn)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop(_HASH, None)
         return state
 
-    cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls
 

@@ -3,6 +3,7 @@ import pytest
 
 from bxkit.catalog import catalog, catalog_entries
 from bxkit.classify import (
+    NOT_GRADED,
     NOT_WELL_BEHAVED,
     VERY_WELL_BEHAVED,
     WELL_BEHAVED,
@@ -126,19 +127,26 @@ def test_report_of_one_law_fills_only_its_column(capsys):
         name: {"fst-lens": "<-", "const-lens": "<-", "broken-put-lens": "<-"}.get(name, "")
         for name in catalog_entries()
     } | {"trigonal-key": "<->", "list-edit-lens": "<->", "rename-sync": "<->"}
-    assert len(grades.splitlines()) == len(catalog_entries())
+    # Correctness and history ignorance were not checked, so no entry is graded.
+    assert grades.splitlines() == [f"{name}: not-graded" for name in catalog_entries()]
 
 
 def test_well_behaved_reads_a_report_missing_laws_and_directions():
     stable = {("stability", "to"): Holds(1), ("stability", "from"): Holds(1)}
     correct = {("correctness", "to"): Holds(1)}
     history = {("history_ignorance", "from"): Holds(1)}
-    assert well_behaved(LawReport("toy", stable)) == NOT_WELL_BEHAVED
-    assert well_behaved(LawReport("toy", stable | correct)) == WELL_BEHAVED
+    assert well_behaved(LawReport("toy", stable)) == NOT_GRADED
+    assert well_behaved(LawReport("toy", stable | correct)) == NOT_GRADED
     assert well_behaved(LawReport("toy", stable | correct | history)) == VERY_WELL_BEHAVED
     counterexample = Counterexample("correctness", "from", "toy", "", "", "", "")
     failed = {("correctness", "from"): Fails(counterexample)}
     assert well_behaved(LawReport("toy", stable | correct | failed)) == NOT_WELL_BEHAVED
+    # Where stability cannot be stated, hippocraticness stands in for it, so
+    # the grade needs a verdict on that law instead.
+    inexpressible = {("stability", "to"): NotExpressible("x"), ("stability", "from"): NotExpressible("x")}
+    assert well_behaved(LawReport("toy", inexpressible | correct | history)) == NOT_GRADED
+    stand_in = {("hippocraticness", "to"): Holds(1)}
+    assert well_behaved(LawReport("toy", inexpressible | stand_in | correct | history)) == WELL_BEHAVED
 
 
 def test_render_report_deterministic_and_distinct():

@@ -450,6 +450,37 @@ def test_a_subclass_that_drops_the_hash_stays_unhashable():
                     hash(holder)
 
 
+def _plain(x):
+    """``x`` as builtin tuples, each record tagged with its class: two records
+    are equal under the dataclass's tuple equality exactly when these are."""
+    if isinstance(x, tuple):
+        return tuple(_plain(el) for el in x)
+    if dataclasses.is_dataclass(x) and not isinstance(x, SamenessRelation):
+        return (type(x), _plain(_fields(x)))
+    return x
+
+
+def test_records_compare_like_the_tuples_of_their_fields():
+    objects = _hashed_objects()
+    loose = []
+    for cls, x in {type(x): x for x in objects}.items():
+        loose_cls = type("Loose" + cls.__name__, (cls,), {"__hash__": None})
+        loose += [loose_cls(*_fields(x)), loose_cls(*_fresh(_fields(x)))]
+    candidates = [*objects, *map(_fresh, objects[::5]), *loose, *map(_fields, objects[::5])]
+    plain = [_plain(x) for x in candidates]
+    for x, px in zip(candidates, plain):
+        for y, py in zip(candidates, plain):
+            expected = x is y or px == py
+            assert (x == y, x != y) == (expected, not expected), (x, y)
+
+
+def test_records_compare_and_hash_through_the_methods_frozen_generates():
+    # ``!=`` through ``object.__ne__`` would call ``__eq__`` in a second frame.
+    for cls in {type(x) for x in _hashed_objects()}:
+        for name in ("__eq__", "__ne__", "__hash__"):
+            assert cls.__dict__[name].__code__.co_filename == "<values.frozen>", (cls, name)
+
+
 def test_records_are_frozen_and_built_by_position_or_by_keyword():
     for x in _hashed_objects():
         cls, values = type(x), _fields(x)

@@ -1,14 +1,16 @@
 """The catalog's list edit lens: its translators thread the complement as one
-list and agree with the slice-based definition they replaced."""
+list and agree with the slice-based definition they replaced.  Also the
+relations of the record entries, on records and on values of other shapes."""
 import dataclasses
 from collections import Counter
 from importlib import import_module
 
 import pytest
 
+from bxkit.catalog import catalog
 from bxkit.frameworks import Undefined
 from bxkit.scheme import Delete, Insert, ReplaceAt, ReplaceRoot, enumerate_op_sequences, enumerate_ops
-from bxkit.values import Pair, Seq, atom, atoms, enumerate_values, pair, pairs_of, seq, seqs_of
+from bxkit.values import Pair, Seq, atom, atoms, enumerate_values, pair, pairs_of, rec, seq, seqs_of
 
 _BIT = atoms(0, 1)
 _SOURCES = seqs_of(pairs_of(_BIT, _BIT), 2)
@@ -206,3 +208,29 @@ def test_a_negative_index_is_refused_not_read_from_the_end(translators, directio
     translate = dict(zip(("to", "from"), translators))[direction]
     with pytest.raises(Undefined, match=reason):
         translate((op,), seq(atom(0), atom(1)))
+
+
+_ONE, _ZERO = atom(1), atom(0)
+
+
+@pytest.mark.parametrize(
+    "name, a, b, expected",
+    [
+        ("key-maintainer", _ONE, _ONE, False),
+        ("key-maintainer", rec(k=_ONE), rec(k=_ONE), True),
+        ("key-maintainer", rec(k=_ONE, u=_ZERO), rec(k=_ZERO, v=_ZERO), False),
+        ("key-maintainer", rec(u=_ONE), rec(k=_ONE), False),
+        ("trigonal-key", _ONE, _ONE, False),
+        ("trigonal-key", rec(k=_ONE, u=_ZERO), rec(k=_ONE, v=_ZERO), True),
+        ("trigonal-key", rec(k=_ONE, u=_ZERO), rec(k=_ONE, v=_ONE), False),
+        ("trigonal-key", rec(k=_ONE), rec(k=_ONE, v=_ZERO), False),
+        ("trigonal-key", rec(k=_ONE, u=_ZERO), rec(k=_ONE), False),
+        ("rename-sync", _ONE, _ONE, False),
+        ("rename-sync", rec(p=_ZERO, q=_ONE), rec(r=_ZERO, s=_ONE), True),
+        ("rename-sync", rec(p=_ZERO, q=_ONE), rec(r=_ONE, s=_ZERO), False),
+        ("rename-sync", rec(p=_ZERO), rec(r=_ZERO, s=_ONE), False),
+        ("rename-sync", rec(p=_ZERO, q=_ONE), rec(s=_ONE), False),
+    ],
+)
+def test_a_record_relation_refuses_values_of_another_shape(name, a, b, expected):
+    assert catalog(name).bx.consistency(a, b) is expected

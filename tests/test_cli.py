@@ -65,6 +65,15 @@ def test_apply_undefined_exit_two(capsys):
     assert "no source for C" in err
 
 
+def test_apply_to_a_value_of_the_wrong_shape_exit_two(capsys):
+    code, out, err = run_cli(
+        capsys, "apply", "--bx", "fst-lens", "--dir", "to", "--update", "state{post=5}"
+    )
+    assert code == EXIT_UNDEFINED
+    assert out == ""
+    assert err.strip() == "undefined: value has the wrong shape for this transformation"
+
+
 @pytest.mark.parametrize(
     "direction, update",
     [

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Callable
 
 from .values import (
     AtomInt,
     AtomStr,
     DomainDescriptor,
-    GoField,
     Pair,
     Rec,
     SamenessRelation,
@@ -43,8 +43,10 @@ from .scheme import (
 )
 from .frameworks import (
     Bx,
+    Consistency,
     Undefined,
     UnknownName,
+    _oriented,
     make_edit_lens,
     make_lens,
     make_maintainer,
@@ -99,27 +101,24 @@ def _letter_mapping(name: str, codomain: DomainDescriptor) -> Bx:
 _TRIPLE = atoms(0, 1, 2)
 
 
-def _fst_lens() -> Bx:
-    def get(a: Value) -> Value:
-        _shaped(isinstance(a, Pair))
-        return a.left
+def _left(a: Value) -> Value:
+    _shaped(isinstance(a, Pair))
+    return a.left
 
+
+def _fst_lens() -> Bx:
     def put(b: Value, a: Value) -> Value:
         _shaped(isinstance(a, Pair))
         return Pair(b, a.right)
 
-    return make_lens("fst-lens", get, put, pairs_of(_TRIPLE, _TRIPLE), _TRIPLE)
+    return make_lens("fst-lens", _left, put, pairs_of(_TRIPLE, _TRIPLE), _TRIPLE)
 
 
 def _broken_put_lens() -> Bx:
-    def get(a: Value) -> Value:
-        _shaped(isinstance(a, Pair))
-        return a.left
-
     def put(b: Value, a: Value) -> Value:
         return a  # ignores the view update: breaks the round trip
 
-    return make_lens("broken-put-lens", get, put, pairs_of(_TRIPLE, _TRIPLE), _TRIPLE)
+    return make_lens("broken-put-lens", _left, put, pairs_of(_TRIPLE, _TRIPLE), _TRIPLE)
 
 
 def _const_lens() -> Bx:
@@ -135,44 +134,55 @@ def _const_lens() -> Bx:
 
 
 # ---------------------------------------------------------------------------
-# Maintainers
+# Records that agree on a field correspondence
 # ---------------------------------------------------------------------------
 
+# (field, partner) pairs: an entry's relation reads them from A to B, and
+# each direction from its input side to its output side.
+Correspondence = tuple[tuple[str, str], ...]
+
+_KEY: Correspondence = (("k", "k"),)
 _REC_A = recs_of(k=atoms(1, 2), u=atoms(7, 8))
 _REC_B = recs_of(k=atoms(1, 2), v=atoms(7, 8))
 
 
-def _key_equal(a: Value, b: Value) -> bool:
-    if not (isinstance(a, Rec) and a.has("k") and isinstance(b, Rec) and b.has("k")):
-        return False
-    return a.get("k") == b.get("k")
+def _agree(pairs: Correspondence) -> Consistency:
+    """The relation: both values are records, and each field named first in
+    ``pairs`` equals its partner."""
+
+    def consistency(a: Value, b: Value) -> bool:
+        if not (isinstance(a, Rec) and isinstance(b, Rec)):
+            return False
+        return all(a.has(name) and b.has(partner) and a.get(name) == b.get(partner) for name, partner in pairs)
+
+    return consistency
+
+
+# ---------------------------------------------------------------------------
+# Maintainers
+# ---------------------------------------------------------------------------
+
+def _copy_key(post: Value, pre: Value) -> Value:
+    _shaped(isinstance(post, Rec) and post.has("k") and isinstance(pre, Rec))
+    return pre.set("k", post.get("k"))
 
 
 def _key_maintainer() -> Bx:
-    def repair_b(a_post: Value, b_pre: Value) -> Value:
-        _shaped(isinstance(a_post, Rec) and a_post.has("k") and isinstance(b_pre, Rec))
-        return b_pre.set("k", a_post.get("k"))
-
-    def repair_a(b_post: Value, a_pre: Value) -> Value:
-        _shaped(isinstance(b_post, Rec) and b_post.has("k") and isinstance(a_pre, Rec))
-        return a_pre.set("k", b_post.get("k"))
-
-    return make_maintainer("key-maintainer", _key_equal, repair_b, repair_a, _REC_A, _REC_B)
+    return make_maintainer("key-maintainer", _agree(_KEY), _copy_key, _copy_key, _REC_A, _REC_B)
 
 
 def _constant_maintainer() -> Bx:
     # Repairs by resetting the private field to a default: still correct,
     # but touches already-consistent states and over-changes.
-    def repair_b(a_post: Value, b_pre: Value) -> Value:
-        _shaped(isinstance(a_post, Rec) and a_post.has("k"))
-        return rec(k=a_post.get("k"), v=AtomInt(7))
+    def reset(private: str) -> Callable[[Value, Value], Value]:
+        def repair(post: Value, pre: Value) -> Value:
+            _shaped(isinstance(post, Rec) and post.has("k"))
+            return rec({"k": post.get("k"), private: AtomInt(7)})
 
-    def repair_a(b_post: Value, a_pre: Value) -> Value:
-        _shaped(isinstance(b_post, Rec) and b_post.has("k"))
-        return rec(k=b_post.get("k"), u=AtomInt(7))
+        return repair
 
     return make_maintainer(
-        "constant-maintainer", _key_equal, repair_b, repair_a, _REC_A, _REC_B
+        "constant-maintainer", _agree(_KEY), reset("v"), reset("u"), _REC_A, _REC_B
     )
 
 
@@ -181,15 +191,11 @@ def _stale_maintainer() -> Bx:
     # so two small steps disagree with their composite.
     domain_a = recs_of(k=atoms(1, 2), u=atoms(1, 2))
 
-    def repair_b(a_post: Value, b_pre: Value) -> Value:
-        _shaped(isinstance(a_post, Rec) and a_post.has("k") and isinstance(b_pre, Rec))
-        return b_pre.set("k", a_post.get("k"))
-
     def repair_a(b_post: Value, a_pre: Value) -> Value:
         _shaped(isinstance(b_post, Rec) and b_post.has("k") and isinstance(a_pre, Rec) and a_pre.has("k"))
         return rec(k=b_post.get("k"), u=a_pre.get("k"))
 
-    return make_maintainer("stale-maintainer", _key_equal, repair_b, repair_a, domain_a, _REC_B)
+    return make_maintainer("stale-maintainer", _agree(_KEY), _copy_key, repair_a, domain_a, _REC_B)
 
 
 def _oscillating_toy() -> Bx:
@@ -212,36 +218,24 @@ def _oscillating_toy() -> Bx:
 # ---------------------------------------------------------------------------
 
 def _trigonal_key() -> Bx:
-    def consistency(a: Value, b: Value) -> bool:
-        if not (isinstance(a, Rec) and isinstance(b, Rec)):
-            return False
-        if not (a.has("k") and a.has("u") and b.has("k") and b.has("v")):
-            return False
-        return a.get("k") == b.get("k") and a.get("u") == b.get("v")
+    pairs = (("k", "k"), ("u", "v"))
 
-    def propagate_b(update: tuple[Value, Value], b_pre: Value) -> Value:
-        a0, a1 = update
-        _shaped(isinstance(a0, Rec) and isinstance(a1, Rec) and isinstance(b_pre, Rec))
-        _shaped(a1.has("k") and a1.has("u"))
-        b = b_pre
-        if a0.get("k") != a1.get("k"):
-            b = b.set("k", a1.get("k"))
-        if a0.get("u") != a1.get("u"):
-            b = b.set("v", a1.get("u"))
-        return b
+    def propagate(pairs: Correspondence) -> Callable[[tuple[Value, Value], Value], Value]:
+        """The repair that copies each field the update changed to its partner."""
 
-    def propagate_a(update: tuple[Value, Value], a_pre: Value) -> Value:
-        b0, b1 = update
-        _shaped(isinstance(b0, Rec) and isinstance(b1, Rec) and isinstance(a_pre, Rec))
-        _shaped(b1.has("k") and b1.has("v"))
-        a = a_pre
-        if b0.get("k") != b1.get("k"):
-            a = a.set("k", b1.get("k"))
-        if b0.get("v") != b1.get("v"):
-            a = a.set("u", b1.get("v"))
-        return a
+        def repair(update: tuple[Value, Value], pre: Value) -> Value:
+            old, new = update
+            _shaped(isinstance(old, Rec) and isinstance(new, Rec) and isinstance(pre, Rec))
+            _shaped(all(new.has(name) for name, _ in pairs))
+            for name, partner in pairs:
+                if old.get(name) != new.get(name):
+                    pre = pre.set(partner, new.get(name))
+            return pre
 
-    return make_trigonal("trigonal-key", consistency, propagate_b, propagate_a, _REC_A, _REC_B)
+        return repair
+
+    back = tuple((partner, name) for name, partner in pairs)
+    return make_trigonal("trigonal-key", _agree(pairs), propagate(pairs), propagate(back), _REC_A, _REC_B)
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +243,26 @@ def _trigonal_key() -> Bx:
 # ---------------------------------------------------------------------------
 
 def _pair_sync() -> Bx:
+    # Each side is a (shared, private) pair; the complement holds both
+    # private halves, A's on the left.
     bit = atoms(0, 1)
     zero = AtomInt(0)
 
-    def to_fn(a1: Value, c: Value) -> tuple[Value, Value]:
-        _shaped(isinstance(a1, Pair) and isinstance(c, Pair))
-        x, y = a1.left, a1.right
-        z = c.right
-        return Pair(x, z), Pair(y, z)
+    def sync(direction: str) -> Callable[[Value, Value], tuple[Value, Value]]:
+        """Copy the shared half across; keep the output side's private half."""
 
-    def from_fn(b1: Value, c: Value) -> tuple[Value, Value]:
-        _shaped(isinstance(b1, Pair) and isinstance(c, Pair))
-        x, z = b1.left, b1.right
-        y = c.left
-        return Pair(x, y), Pair(y, z)
+        def run(post: Value, c: Value) -> tuple[Value, Value]:
+            _shaped(isinstance(post, Pair) and isinstance(c, Pair))
+            _, kept = _oriented(direction, c.left, c.right)
+            return Pair(post.left, kept), Pair(*_oriented(direction, post.right, kept))
+
+        return run
 
     seed = (Pair(zero, zero), Pair(zero, zero), Pair(zero, zero))
     return make_symmetric_lens(
         "pair-sync",
-        to_fn,
-        from_fn,
+        sync("to"),
+        sync("from"),
         domain_a=pairs_of(bit, bit),
         domain_b=pairs_of(bit, bit),
         complement_domain=pairs_of(bit, bit),
@@ -288,13 +282,9 @@ def build_list_edit_lens(max_length: int = 2) -> Bx:
     serve deeper replay tests.  Each call builds a fresh lens."""
     bit = atoms(0, 1)
 
-    def fsts(s: Value) -> Seq:
+    def halves(s: Value, side: str) -> Seq:
         _shaped(isinstance(s, Seq) and all(isinstance(el, Pair) for el in s.elements))
-        return Seq(el.left for el in s.elements)
-
-    def snds(s: Value) -> Seq:
-        _shaped(isinstance(s, Seq) and all(isinstance(el, Pair) for el in s.elements))
-        return Seq(el.right for el in s.elements)
+        return Seq(getattr(el, side) for el in s.elements)
 
     def translate_to(ops: tuple[EditOp, ...], c: Value) -> tuple[tuple[EditOp, ...], Value]:
         _shaped(isinstance(c, Seq))
@@ -322,10 +312,10 @@ def build_list_edit_lens(max_length: int = 2) -> Bx:
                 out.append(Insert(index, element.left))
                 hidden.insert(index, element.right)
             elif isinstance(op, ReplaceRoot) and isinstance(op.old, Seq) and isinstance(op.new, Seq):
-                if tuple(hidden) != snds(op.old).elements:
+                if tuple(hidden) != halves(op.old, "right").elements:
                     raise Undefined("root replacement disagrees with the complement")
-                out.append(ReplaceRoot(fsts(op.old), fsts(op.new)))
-                hidden = list(snds(op.new).elements)
+                out.append(ReplaceRoot(halves(op.old, "left"), halves(op.new, "left")))
+                hidden = list(halves(op.new, "right").elements)
             else:
                 raise Undefined("edit cannot be translated")
         return tuple(out), Seq(hidden)
@@ -384,55 +374,30 @@ def _rename_sync() -> Bx:
     field correspondence, so a delta that relinks one field to the
     other propagates as the corresponding relink."""
     bit = atoms(0, 1)
-    domain_a = recs_of(p=bit, q=bit)
-    domain_b = recs_of(r=bit, s=bit)
-    corr_ab = SamenessRelation(
-        [((GoField("p"),), (GoField("r"),)), ((GoField("q"),), (GoField("s"),))]
-    )
-    corr_ba = corr_ab.invert()
+    pairs = (("p", "r"), ("q", "s"))
+    corr = SamenessRelation(((name,), (partner,)) for name, partner in pairs)
 
-    def consistency(a: Value, b: Value) -> bool:
-        if not (isinstance(a, Rec) and isinstance(b, Rec)):
-            return False
-        if not (a.has("p") and a.has("q") and b.has("r") and b.has("s")):
-            return False
-        return a.get("p") == b.get("r") and a.get("q") == b.get("s")
+    def conjugate(renaming: SamenessRelation) -> Callable[[DeltaUpdate, DeltaTrace], tuple[DeltaUpdate, DeltaTrace]]:
+        """The direction that renames each field to its partner in ``renaming``,
+        whose links run from one-field paths of the input side to the output side."""
 
-    def mirror_b(a: Value) -> Rec:
-        _shaped(isinstance(a, Rec) and a.has("p") and a.has("q"))
-        return rec(r=a.get("p"), s=a.get("q"))
+        def run(update: DeltaUpdate, trace: DeltaTrace) -> tuple[DeltaUpdate, DeltaTrace]:
+            # trace runs from the output side's pre-state to the input side's
+            pre, post = trace.src, update.post
+            _shaped(isinstance(post, Rec) and all(post.has(name) for (name,), _ in renaming.links))
+            new = rec({partner: post.get(name) for (name,), (partner,) in renaming.links})
+            raw = compose_relations(renaming, compose_relations(update.same, trace.same))
+            propagated = close_relation(pre, new, restrict_to_equal(pre, new, raw))
+            return DeltaUpdate(pre, new, propagated), DeltaTrace(post, new, restrict_to_equal(post, new, renaming))
 
-    def mirror_a(b: Value) -> Rec:
-        _shaped(isinstance(b, Rec) and b.has("r") and b.has("s"))
-        return rec(p=b.get("r"), q=b.get("s"))
+        return run
 
     def align(a: Value, b: Value) -> SamenessRelation:
-        return restrict_to_equal(a, b, corr_ab)
-
-    def to_fn(update: DeltaUpdate, trace: DeltaTrace) -> tuple[DeltaUpdate, DeltaTrace]:
-        # trace runs b0 -> a0; update runs a0 -> a1
-        b0, a1 = trace.src, update.post
-        b1 = mirror_b(a1)
-        raw = compose_relations(corr_ab, compose_relations(update.same, trace.same))
-        propagated = close_relation(b0, b1, restrict_to_equal(b0, b1, raw))
-        return (
-            DeltaUpdate(b0, b1, propagated),
-            DeltaTrace(a1, b1, align(a1, b1)),
-        )
-
-    def from_fn(update: DeltaUpdate, trace: DeltaTrace) -> tuple[DeltaUpdate, DeltaTrace]:
-        # trace runs a0 -> b0; update runs b0 -> b1
-        a0, b1 = trace.src, update.post
-        a1 = mirror_a(b1)
-        raw = compose_relations(corr_ba, compose_relations(update.same, trace.same))
-        propagated = close_relation(a0, a1, restrict_to_equal(a0, a1, raw))
-        return (
-            DeltaUpdate(a0, a1, propagated),
-            DeltaTrace(b1, a1, align(a1, b1).invert()),
-        )
+        return restrict_to_equal(a, b, corr)
 
     return make_sdelta_lens(
-        "rename-sync", consistency, to_fn, from_fn, domain_a, domain_b, align
+        "rename-sync", _agree(pairs), conjugate(corr), conjugate(corr.invert()),
+        recs_of(p=bit, q=bit), recs_of(r=bit, s=bit), align,
     )
 
 

@@ -149,14 +149,10 @@ def well_behaved(report: "LawReport") -> str:
     if not (kinds("stability") and kinds("correctness")):
         return NOT_GRADED
     stable_ok, stable_held = satisfied("stability")
-    if not stable_held and all(k == Verdict.NOT_EXPRESSIBLE for k in kinds("stability")):
+    if all(k == Verdict.NOT_EXPRESSIBLE for k in kinds("stability")):
         if not kinds("hippocraticness"):
             return NOT_GRADED
-        stand_in_ok, stand_in_held = satisfied("hippocraticness")
-        stable_ok = stand_in_ok
-        stable_held = False  # a stand-in never counts as genuine stability
-        if all(k == Verdict.NOT_EXPRESSIBLE for k in kinds("hippocraticness")):
-            stable_ok = True  # nothing expressible to violate
+        stable_ok, _ = satisfied("hippocraticness")  # a stand-in never counts as genuine stability
     correct_ok, correct_held = satisfied("correctness")
     if not (stable_ok and correct_ok and correct_held):
         return NOT_WELL_BEHAVED

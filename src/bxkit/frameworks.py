@@ -140,14 +140,13 @@ class Bx:
 
     def __post_init__(self):
         self.arrows = {
-            "to": Arrow(
-                "to", "from", self.to_fn, self.upd_to, self.upd_from,
-                self.trace_from, self.trace_to, self.domain_a, self.domain_b,
-            ),
-            "from": Arrow(
-                "from", "to", self.from_fn, self.upd_from, self.upd_to,
-                self.trace_to, self.trace_from, self.domain_b, self.domain_a,
-            ),
+            name: Arrow(
+                name, back, fn,
+                *_oriented(name, self.upd_to, self.upd_from),
+                *_oriented(name, self.trace_from, self.trace_to),
+                *_oriented(name, self.domain_a, self.domain_b),
+            )
+            for name, back, fn in (("to", "from", self.to_fn), ("from", "to", self.from_fn))
         }
 
     @property

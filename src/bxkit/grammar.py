@@ -221,13 +221,13 @@ def _tokenize(text: str) -> list[_Token]:
                     i += 1
             tokens.append(_Token("STRING", "".join(chunks), start))
             continue
-        if c == "-" or c.isdigit():
+        if c == "-" or "0" <= c <= "9":  # not str.isdigit, which also takes "²"
             start = i
             if c == "-":
                 i += 1
-                if i >= n or not text[i].isdigit():
+                if i >= n or not "0" <= text[i] <= "9":
                     raise ParseError(start, "digit after minus sign")
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             if text[start:i] != str(int(text[start:i])):  # a leading zero or minus zero
                 raise ParseError(start, f"canonical integer {int(text[start:i])}")

@@ -192,6 +192,11 @@ def test_parse_trace_rejects_unknown_head():
         (parse_path, "/-0/007", 1, "canonical integer 0"),
         (parse_path, "/0/007", 3, "canonical integer 7"),
         (parse_update, "edits[ins(00, 1)]", 10, "canonical integer 0"),
+        # Digits other than 0-9, which str.isdigit also takes, are no token.
+        (parse_value, "²", 0, "a token"),
+        (parse_value, "[1, ²]", 4, "a token"),
+        (parse_path, "/²", 1, "a token"),
+        (parse_update, "edits[ins(¹, 1)]", 10, "a token"),
         # Text the grammar reads but a constructor refuses, at the form's head.
         (parse_update, "delta{pre=(1, 1), post=(1, 1), same=[(/left, /left), (/left, /right)]}", 0,
          "delta that its constructor accepts: sameness relation must be a partial bijection on paths"),

@@ -53,10 +53,7 @@ from .scheme import (
     StateTrace,
     Traceability,
     Update,
-    UpdatePreorder,
     compose_updates,
-    default_preorder,
-    identity_update,
     incidence_failure,
 )
 from .grammar import parse_value, render_value
@@ -72,7 +69,7 @@ from .frameworks import (
     make_symmetric_lens,
     make_trigonal,
 )
-from .catalog import CatalogEntry, catalog, catalog_entries, catalog_names
+from .catalog import CatalogEntry, catalog, catalog_entries
 from .laws import (
     ALL_LAWS,
     LawReport,

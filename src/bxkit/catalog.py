@@ -566,10 +566,6 @@ def catalog_entries() -> dict[str, CatalogEntry]:
     return {entry.bx.name: entry for entry in entries}
 
 
-def catalog_names() -> tuple[str, ...]:
-    return tuple(catalog_entries())
-
-
 def catalog(name: str) -> CatalogEntry:
     entries = catalog_entries()
     if name not in entries:

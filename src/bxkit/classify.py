@@ -23,12 +23,18 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SchemeSignature:
-    symmetry: str
     upd_to: type[Update]
     upd_from: type[Update]
     trace_to: type[Traceability]
     trace_from: type[Traceability]
     consistency_kind: str
+
+    @property
+    def symmetry(self) -> str:
+        """Symmetric, "S", when both directions share their update and trace
+        classes; else asymmetric, "A"."""
+        same = self.upd_to is self.upd_from and self.trace_to is self.trace_from
+        return "S" if same else "A"
 
     def cells(self) -> tuple[str, ...]:
         """The six axes as text: symmetry, the paper's letters of the four
@@ -44,7 +50,6 @@ class SchemeSignature:
 def classify(bx: Bx) -> SchemeSignature:
     """Read a transformation's signature off its declared representations."""
     return SchemeSignature(
-        symmetry=bx.symmetry,
         upd_to=bx.upd_to,
         upd_from=bx.upd_from,
         trace_to=bx.trace_to,

@@ -48,7 +48,6 @@ from .scheme import (
     StateTrace,
     Traceability,
     Update,
-    UpdatePreorder,
     apply_ops,
     enumerate_ops,
 )
@@ -132,8 +131,7 @@ class Bx:
     from_fn: Transform
     domain_a: DomainDescriptor
     domain_b: DomainDescriptor
-    complement_domain: DomainDescriptor | None = None
-    preorder: UpdatePreorder | None = None
+    preorder: Callable[[Update], int] | None = None  # a size that replaces ``Update.size``
     align: Aligner | None = None
     replay: tuple[Triple, ...] = field(default_factory=tuple)
     arrows: dict[str, Arrow] = field(init=False, repr=False)
@@ -148,12 +146,6 @@ class Bx:
             )
             for name, back, fn in (("to", "from", self.to_fn), ("from", "to", self.from_fn))
         }
-
-    @property
-    def symmetry(self) -> str:
-        same_upd = self.upd_to is self.upd_from
-        same_trace = self.trace_to is self.trace_from
-        return "S" if same_upd and same_trace else "A"
 
     def to(self, update: Update, trace: Traceability) -> tuple[Update, Traceability]:
         return self.apply("to", update, trace)
@@ -467,7 +459,7 @@ def _complement_lens(
 
     return _symmetric(
         name, upd, ComplementTrace, "I", consistency, arrow_fn,
-        to_fn, from_fn, domain_a, domain_b, complement_domain=complement_domain, replay=replay,
+        to_fn, from_fn, domain_a, domain_b, replay=replay,
     )
 
 

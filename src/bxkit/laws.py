@@ -722,7 +722,7 @@ def check_least_update(check: _Check, bx: Bx, arrow: Arrow) -> None:
         if bx.preorder is None:
             return update.size(out_base)
         try:
-            return bx.preorder.size(update)
+            return bx.preorder(update)
         except Exception as exc:
             check.raised(exc, u_in, trace_in, "a size under the preorder")
 

@@ -10,8 +10,8 @@ with: an update its construction, null update, pre/post projection,
 composition, inversion and default-preorder size; a trace its endpoints,
 reversal and extension by an update; an edit its application and
 inverse.  A method is the only spelling of its operator; the module
-functions add edit enumeration, the null update where it is told apart,
-composition with its seam checks, endpoint agreement and the preorder.
+functions add edit enumeration, composition with its seam checks and
+endpoint agreement.
 
 A traceability value is directionless data; whether a stored state is
 the A side or the B side is decided by the call site (the direction of
@@ -20,7 +20,7 @@ the transformation it was passed to or returned from).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, ClassVar, Iterable
+from typing import Any, ClassVar, Iterable
 
 from .values import (
     DomainDescriptor,
@@ -215,8 +215,11 @@ def enumerate_op_sequences(
 @dataclass(frozen=True)
 class Update:
     """An update and its algebra.  The readers, ``null`` and ``inverse``
-    answer ``None`` where the update has no such state or operator; ``size``
-    measures the default preorder named ``order``, by default in edits."""
+    answer ``None`` where the update has no such state or operator.  ``size``
+    is the default "fewest changed components" preorder: the edit count, or
+    the post-state paths not aligned to an equal pre-state component (both
+    states, or a post-state anchored at ``base``) or not linked (delta).  It
+    counts (``node_count``, ``diff_size``) and builds no path or alignment."""
 
     __slots__ = ()
     symbol: ClassVar[str]  # the paper's letter for the representation
@@ -225,7 +228,6 @@ class Update:
     carries_pre: ClassVar[bool] = False
     invertible: ClassVar[bool] = False
     identifiable: ClassVar[bool] = False  # a null update is told from the others
-    order: ClassVar[str] = "edit-count"
 
     @classmethod
     def build(cls, pre: Value, step: Any) -> "Update":
@@ -279,7 +281,6 @@ class Update:
 @frozen
 class PostState(Update):
     symbol = "S"
-    order = "post-size"
     post: Value
 
     def then(self, second: Update) -> Update:
@@ -297,7 +298,6 @@ class PostState(Update):
 class BothStates(Update):
     symbol = "\U0001d54a"  # blackboard S: pre- and post-state
     carries_pre = invertible = identifiable = True
-    order = "changed-paths"
     pre: Value
     post: Value
 
@@ -309,7 +309,6 @@ class BothStates(Update):
 class DeltaUpdate(Update):
     symbol = "D"
     carries_pre = invertible = identifiable = True
-    order = "unlinked-paths"
     pre: Value
     post: Value
     same: SamenessRelation
@@ -370,17 +369,8 @@ class Opaque(Update):
     algebraic = False
     tag: str
 
-
-def identity_update(value: Value, cls: type[Update]) -> Update:
-    """The null update on ``value`` in the representation ``cls``.
-
-    Post-state-only updates carry no pre-state, so a null update cannot
-    be distinguished there; same for opaque updates.
-    """
-    null = cls.null(value) if cls.identifiable else None
-    if null is None:
-        raise NotExpressibleError(f"null update for representation {cls.symbol}")
-    return null
+    def size(self, base: Value | None = None) -> int:
+        raise NotExpressibleError("no preorder for opaque updates")
 
 
 def compose_updates(second: Update, first: Update) -> Update:
@@ -544,33 +534,3 @@ def incidence_failure(
         if lhs is not None and rhs is not None and lhs != rhs:
             return condition, lhs, rhs
     return None
-
-
-# ---------------------------------------------------------------------------
-# Update preorder
-# ---------------------------------------------------------------------------
-
-LESS_OR_EQUAL = "LessOrEqual"
-GREATER = "Greater"
-
-
-@dataclass(frozen=True)
-class UpdatePreorder:
-    """A total preorder on updates of one representation, given by a size."""
-
-    name: str
-    size: Callable[[Update], int]
-
-    def compare(self, u1: Update, u2: Update) -> str:
-        return LESS_OR_EQUAL if self.size(u1) <= self.size(u2) else GREATER
-
-
-def default_preorder(cls: type[Update]) -> UpdatePreorder:
-    """The default "fewest changed components" preorder, the ``size`` of the
-    representation ``cls``: post-state paths not aligned to an equal
-    pre-state component (both states) or not linked (delta), edit count,
-    or post-state size where no pre-state is available.  Sizes are counted
-    (``node_count``, ``diff_size``): no path, alignment or cache entry is built."""
-    if not cls.algebraic:
-        raise NotExpressibleError("no preorder for opaque updates")
-    return UpdatePreorder(cls.order, cls.size)

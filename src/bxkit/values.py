@@ -384,10 +384,6 @@ def compose_relations(second: SamenessRelation, first: SamenessRelation) -> Same
     )
 
 
-def identity_relation(value: Value) -> SamenessRelation:
-    return SamenessRelation((p, p) for p in all_paths(value))
-
-
 def restrict_to_equal(source: Value, target: Value, rel: SamenessRelation) -> SamenessRelation:
     """Drop links whose endpoints are not structurally equal components."""
     kept = []

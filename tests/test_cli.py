@@ -316,11 +316,12 @@ def test_config_file_format_is_checked_like_the_flag(capsys, tmp_path):
     assert "yaml" in err
 
 
-@pytest.mark.parametrize("laws", ["", ","])
+@pytest.mark.parametrize("laws", ["", ",", "stabilty"])
 def test_check_selecting_no_law_is_a_usage_error(capsys, laws):
-    code, out, _ = run_cli(capsys, "check", "--bx", "fst-lens", "--laws", laws)
+    code, out, err = run_cli(capsys, "check", "--bx", "fst-lens", "--laws", laws)
     assert code == EXIT_USAGE
     assert out == ""
+    assert ("unknown law 'stabilty'" if laws == "stabilty" else "selects no law") in err
 
 
 def _config(tmp_path, text):

@@ -49,7 +49,8 @@ from bxkit.frameworks import (
     make_maintainer,
     make_symmetric_lens,
 )
-from bxkit.catalog import build_list_edit_lens, catalog, catalog_entries, catalog_names
+from bxkit.catalog import build_list_edit_lens, catalog, catalog_entries
+from bxkit.classify import SchemeSignature, classify
 from bxkit.grammar import render_trace, render_update
 from bxkit.laws import LawSuiteConfig, audit_incidence, check_history_ignorance
 from bxkit.verdict import Fails, Verdict
@@ -143,7 +144,7 @@ _TRACE_OF = {
 
 
 @pytest.mark.parametrize("direction", ("to", "from"))
-@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("name", tuple(catalog_entries()))
 def test_repr_mismatch_is_reported(name, direction):
     assert set(_UPDATE_OF) == set(Update.__subclasses__())
     assert set(_TRACE_OF) == set(Traceability.__subclasses__())
@@ -426,7 +427,7 @@ def test_history_ignorance_fails_on_a_genuine_counterexample_through_unhashable_
 
 # -- trigonal -----------------------------------------------------------------------
 
-def test_trigonal_identity_update_returns_source():
+def test_trigonal_null_update_returns_source():
     bx = catalog("trigonal-key").bx
     b = rec(k=atom(1), v=atom(7))
     a = rec(k=atom(1), u=atom(7))
@@ -671,15 +672,17 @@ def test_delta_update_rejects_invalid_relation_paths():
 
 # -- incidence audit across the whole catalog ----------------------------------------------
 
-@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("name", tuple(catalog_entries()))
 def test_incidence_audit_clean(name):
     verdict = audit_incidence(catalog(name).bx, LawSuiteConfig())
     assert not isinstance(verdict, Fails), verdict
 
 
 def test_symmetry_derivation():
-    assert catalog("fst-lens").bx.symmetry == "A"
-    assert catalog("key-maintainer").bx.symmetry == "S"
+    assert classify(catalog("fst-lens").bx).symmetry == "A"
+    assert classify(catalog("key-maintainer").bx).symmetry == "S"
+    # Shared update classes with different trace classes are asymmetric.
+    assert SchemeSignature(BothStates, BothStates, StateTrace, NoTrace, "E").symmetry == "A"
 
 
 def test_transformation_valued_consistency_coherence():

@@ -6,6 +6,12 @@ A name counts as read where it appears as a name node anywhere in the
 module, annotations included.  ``__init__.py`` imports to re-export and
 ``from __future__`` imports are directives, so neither is checked.
 
+Every public module-level function and class of ``src/bxkit`` is read
+somewhere in ``src/bxkit``, ``demos/`` or ``bench/``, besides its own
+definition and its export from ``__init__.py``: one that only tests read
+repeats an operator or is left over.  The entry points tests call by
+design are listed with their reasons.
+
 The layers: ``values`` imports no bxkit module and ``scheme`` only
 ``values``, imports inside functions included, so the algebra knows
 nothing of laws, verdicts or text.  Only ``laws`` builds a
@@ -16,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bxkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bxkit"
 
 # (module, name) -> why the name is imported although the module never reads it.
 ALLOWED = {
@@ -57,6 +64,59 @@ def test_each_allowed_unread_import_is_still_unread():
     assert len(_modules()) > len(ALLOWED)
     for module, name in ALLOWED:
         assert name in _unread_imports((SRC / module).read_text(encoding="utf-8")), (module, name)
+
+
+# Public definition -> why nothing in src/bxkit, demos/ or bench/ reads it.
+_PINNED = "a per-law entry point whose signature and docstring tests/golden_verdicts.txt pins"
+UNREAD_ALLOWED = {
+    **{f"check_{law}": _PINNED for law in (
+        "stability", "invertibility", "undoability", "history_ignorance", "correctness",
+        "hippocraticness", "least_update", "totality", "safety", "convergence",
+    )},
+    "audit_incidence": "the incidence audit's entry point, exported for callers of the library",
+    "parse_path": "the path grammar's parser, exported beside parse_value, parse_update and parse_trace",
+}
+
+
+def _unread_definitions(sources: dict[str, str], defining: set[str]) -> set[str]:
+    """The public functions and classes defined at module level in the
+    modules named in ``defining`` that no statement of ``sources`` reads as
+    a name or an attribute, other than the definition itself."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            own = None
+            if module in defining and isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                own = statement.name
+                if not own.startswith("_"):
+                    defined.add(own)
+            for node in ast.walk(statement):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    read.add(name)
+    return defined - read
+
+
+def _readers() -> dict[str, str]:
+    paths = _modules() + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in paths}
+
+
+def test_the_check_finds_an_unread_definition():
+    sources = {
+        "a.py": "class A: pass\ndef f(): return f()\ndef g(): return A\ndef _h(): pass\n",
+        "b.py": "import a\na.g()\ndef f(): pass\n",
+    }
+    assert _unread_definitions(sources, {"a.py"}) == {"f"}
+    assert _unread_definitions(sources, {"a.py", "b.py"}) == {"f"}
+    assert _unread_definitions({**sources, "c.py": "x = f"}, {"a.py"}) == set()
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    readers = _readers()
+    defining = {name for name in readers if name.startswith("src/")}
+    assert len(defining) == len(_modules())
+    assert _unread_definitions(readers, defining) == set(UNREAD_ALLOWED)
 
 
 def _bxkit_imports(source: str) -> set[str]:

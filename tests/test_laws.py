@@ -27,13 +27,12 @@ from bxkit.scheme import (
     StateTrace,
     Traceability,
     Update,
-    UpdatePreorder,
     apply_ops,
     compose_updates,
 )
 from bxkit.frameworks import Arrow, BoundaryMismatch, Bx, Undefined, make_lens, make_mapping, make_maintainer, make_trigonal
 from bxkit.grammar import parse_trace, parse_update, render_trace, render_update, render_value
-from bxkit.catalog import catalog, catalog_entries, catalog_names
+from bxkit.catalog import catalog, catalog_entries
 import bxkit.laws
 from bxkit.laws import (
     ALL_LAWS,
@@ -65,7 +64,7 @@ from bxkit.laws import (
     consistent_cases,
     run_suite,
 )
-from bxkit.verdict import Fails, Holds, NotExpressible, Vacuous, Verdict, WeaklyHolds
+from bxkit.verdict import Counterexample, Fails, Holds, NotExpressible, Vacuous, Verdict, WeaklyHolds
 
 
 def bx(name):
@@ -452,9 +451,52 @@ def test_run_suite_key_maintainer_summary():
 
 
 def test_meta_theorems_hold_across_catalog():
-    for name in catalog_names():
+    for name in catalog_entries():
         report = run_suite(bx(name))
         assert report.meta_errors == (), (name, report.meta_errors)
+
+
+_FIXED = {
+    Verdict.HOLDS: Holds(1),
+    Verdict.FAILS: Fails(Counterexample("law", "to", "fixed", "u", "t", "observed", "expected")),
+    Verdict.WEAKLY_HOLDS: WeaklyHolds("weak", 1),
+    Verdict.NOT_EXPRESSIBLE: NotExpressible("fixed"),
+    Verdict.VACUOUS: Vacuous("fixed"),
+}
+
+
+def _meta_errors(monkeypatch, kinds):
+    """The suite's meta-check errors on fst-lens when every law's checker
+    answers, in both directions, the fixed verdict of its kind in ``kinds``,
+    by default one that holds."""
+    for law in ALL_LAWS:
+        verdict = _FIXED[kinds.get(law, Verdict.HOLDS)]
+        monkeypatch.setitem(bxkit.laws.CHECKERS, law, lambda run, direction, verdict=verdict: verdict)
+    return run_suite(bx("fst-lens")).meta_errors
+
+
+def test_the_undoability_entailment_errs_only_when_its_premises_hold(monkeypatch):
+    for *premises, undo in itertools.product(_FIXED, repeat=4):
+        kinds = dict(zip((TOTALITY, STABILITY, HISTORY_IGNORANCE, UNDOABILITY), (*premises, undo)))
+        errors = _meta_errors(monkeypatch, kinds)
+        if undo != Verdict.HOLDS and set(premises) == {Verdict.HOLDS}:
+            assert errors == tuple(
+                f"fst-lens/{d}: totality, stability and history-ignorance hold but undoability is {undo}"
+                for d in DIRECTIONS
+            ), kinds
+        else:
+            assert errors == (), kinds
+
+
+def test_the_least_update_entailment_errs_only_when_hippocraticness_fails(monkeypatch):
+    for least, hip in itertools.product(_FIXED, repeat=2):
+        errors = _meta_errors(monkeypatch, {LEAST_UPDATE: least, HIPPOCRATICNESS: hip})
+        if (least, hip) == (Verdict.HOLDS, Verdict.FAILS):
+            assert errors == tuple(
+                f"fst-lens/{d}: least-update holds but hippocraticness fails" for d in DIRECTIONS
+            )
+        else:
+            assert errors == (), (least, hip)
 
 
 def _tiny_partial_lens():
@@ -677,7 +719,7 @@ def test_attached_preorder_overrides_the_default():
     strict = make_maintainer("resetter", keyed, forward, resetting, domain_a, domain_b)
     assert isinstance(check_least_update(strict, "from"), Fails)
     indifferent = make_maintainer("resetter-flat", keyed, forward, resetting, domain_a, domain_b)
-    indifferent.preorder = UpdatePreorder("flat", lambda u: 0)
+    indifferent.preorder = lambda u: 0
     assert isinstance(check_least_update(indifferent, "from"), Holds)
 
 
@@ -869,7 +911,7 @@ def _raising_preorder(error):
     def size(update):
         raise error
 
-    return dataclasses.replace(bx("key-maintainer"), preorder=UpdatePreorder("raising", size))
+    return dataclasses.replace(bx("key-maintainer"), preorder=size)
 
 
 def test_an_attached_preorder_that_raises_fails_least_update():
@@ -902,7 +944,7 @@ def test_a_boundary_mismatch_ends_the_run_only_when_it_is_the_checked_bx_own():
     assert isinstance(verdict, Fails)
     assert verdict.counterexample.observed.startswith("raised BoundaryMismatch('result:")
     own = dataclasses.replace(bx("key-maintainer"))
-    own.preorder = UpdatePreorder("own", lambda update: own.apply("to", update, NO_TRACE))
+    own.preorder = lambda update: own.apply("to", update, NO_TRACE)
     with pytest.raises(BoundaryMismatch) as raised:
         check_least_update(own, "to")
     assert raised.value.bx is own

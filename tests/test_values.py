@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import bxkit
 from bxkit.scheme import (
     BothStates,
-    default_preorder,
     ComplementTrace,
     Delete,
     DeltaTrace,
@@ -53,7 +52,6 @@ from bxkit.values import (
     diff,
     diff_size,
     enumerate_values,
-    identity_relation,
     node_count,
     pair,
     pairs_of,
@@ -204,18 +202,14 @@ def test_relation_inversion_and_composition():
     assert composed == SamenessRelation([((LEFT,), ()), ((RIGHT,), (LEFT, LEFT))])
 
 
-def test_identity_relation_covers_all_paths():
-    v = rec(k=atom(1), u=pair(atom(2), atom(3)))
-    assert identity_relation(v) == SamenessRelation((p, p) for p in all_paths(v))
-
-
 # -- diff --------------------------------------------------------------------
 
 def test_diff_self_links_every_path():
-    for domain in (recs_of(k=atoms(1, 2), u=atoms(7, 8)), seqs_of(atoms(0, 1), 2)):
+    nested = recs_of(k=atoms(1), u=pairs_of(atoms(2), atoms(3)))
+    for domain in (recs_of(k=atoms(1, 2), u=atoms(7, 8)), seqs_of(atoms(0, 1), 2), nested):
         for v in enumerate_values(domain):
             rel = diff(v, v)
-            assert rel == identity_relation(v)
+            assert rel == SamenessRelation((p, p) for p in all_paths(v))
             assert ((), ()) in rel.links
 
 
@@ -346,10 +340,8 @@ def test_counting_matches_the_paths_and_alignments_it_replaces():
             assert diff_size(x, y) == len(diff(x, y)), (x, y)
 
 
-def test_default_preorders_match_their_path_definitions():
-    both = default_preorder(BothStates).size
-    delta = default_preorder(DeltaUpdate).size
-    post = default_preorder(PostState).size
+def test_sizes_match_their_path_definitions():
+    both, delta, post = BothStates.size, DeltaUpdate.size, PostState.size
     values = _counted_values()
     for x in values:
         assert post(PostState(x)) == len(all_paths(x))

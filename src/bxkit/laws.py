@@ -9,9 +9,12 @@ mentions is defined, so an undefined call discharges the case instead
 of failing it, and a law whose premise is never satisfied reports
 vacuity rather than success.
 
-Every memo here is filled through ``values.remember``.  Each call of
-``run_suite``, ``audit_incidence`` or a lone ``check_*`` is one run: its
-checks share the consistent cases, input updates and partner rows.  History
+Every memo here is filled through ``values.remember``, or by its rule
+written inline.  Each call of ``run_suite``, ``audit_incidence`` or a lone
+``check_*`` is one run: its checks share the consistent cases, input
+updates and partner rows, and the results of the first ``_KEPT_CALLS``
+distinct state-based calls into the transformation, so a law reuses a call
+that an earlier law of the run made; edit calls are never kept.  History
 ignorance keeps its second results per check, keyed by the moved input
 state and the reversed trace, and, for state-based updates, its combined
 results per anchor, keyed by the composite update.  Least update keeps, per
@@ -183,6 +186,9 @@ def _realize_arrow(bx: Bx, arrow: Arrow, case: Case) -> Traceability | None:
     return arrow.trace_out.testifying(ends, case.c, align)
 
 
+_KEPT_CALLS = 2 ** 9  # bounded; a catalog run keeps at most 72 calls
+
+
 class _Run:
     """One call's transformation and configuration, and the memos its checks share."""
 
@@ -194,6 +200,9 @@ class _Run:
         self._cases: dict[str, tuple[Case, ...]] = {}
         self._updates: dict[tuple[str, Value | None], tuple[Update, ...]] = {}
         self._rows: dict[tuple[str, Value], dict[Value, None]] = {}
+        # The results of state-based calls, ``None`` for undefined, that
+        # ``_Check.call`` shares across the run's checks.
+        self.calls: dict[tuple[str, Update, Traceability], tuple[Update, Traceability] | None] = {}
 
     def cases(self, arrow: Arrow) -> tuple[Case, ...]:
         return remember(
@@ -242,27 +251,6 @@ def _render_result(result: tuple[Update, Traceability]) -> str:
     return f"{_shown(render_update, result[0])} | {_shown(render_trace, result[1])}"
 
 
-def _match_updates(
-    expected: Update,
-    actual: Update,
-    config: LawSuiteConfig,
-    base_pre: Value | None,
-) -> str:
-    """Returns "strict", "weak", or "no"."""
-    if expected == actual:
-        return "strict"
-    if not config.weak_variants:
-        return "no"
-    pe = expected.post_state(base_pre)
-    pa = actual.post_state(base_pre)
-    if pe is None or pa is None:
-        return "no"
-    if config.normalizer is not None:
-        pe = config.normalizer(pe)
-        pa = config.normalizer(pa)
-    return "weak" if pe == pa else "no"
-
-
 class _Stop(Exception):
     """Ends a law body at its first counterexample, the ``Fails`` in ``args[0]``."""
 
@@ -309,13 +297,32 @@ class _Check:
 
     def call(self, arrow: Arrow, update: Update, trace: Traceability):
         """The checkers' only call into the transformation; ``None`` when
-        undefined.  Another exception goes to ``raised``."""
+        undefined.  Another exception goes to ``raised``.
+
+        A state-based call is kept in the run's ``calls`` while it holds
+        fewer than ``_KEPT_CALLS``, so the run's other checks reuse it; an
+        exception is never kept, and an unhashable key is called every
+        time (``values.remember``'s rule, inline).  Edit calls are nearly
+        all distinct, and keeping them made the depth-2 edit lens check
+        slower and larger, so they are called plainly."""
+        keep = False
+        if not arrow.upd_in.edits:
+            calls, key = self.run.calls, (arrow.name, update, trace)
+            try:
+                return calls[key]
+            except KeyError:
+                keep = len(calls) < _KEPT_CALLS
+            except TypeError:
+                pass
         try:
-            return self.run.bx.apply(arrow.name, update, trace)
+            result = self.run.bx.apply(arrow.name, update, trace)
         except Undefined:
-            return None
+            result = None
         except Exception as exc:
             self.raised(exc, update, trace, "a result, or Undefined", arrow)
+        if keep:
+            calls[key] = result
+        return result
 
     def raised(
         self,
@@ -379,7 +386,7 @@ class _Check:
         """Compare the result of the call ``(update, trace)`` against the
         law's stated result: a match is counted, a mismatch fails."""
         u_out, t_out = result
-        match = _match_updates(expected_update, u_out, self.run.config, base_pre)
+        match = self.match(expected_update, u_out, base_pre, update, trace, arrow)
         if match == "no" or (expected_trace is not None and t_out != expected_trace):
             expected_text = _shown(render_update, expected_update)
             if expected_trace is not None:
@@ -395,6 +402,33 @@ class _Check:
             self.weakly("post-state equality")
         else:
             self.checked += 1
+
+    def match(
+        self,
+        expected: Update,
+        actual: Update,
+        base_pre: Value | None,
+        update: Update,
+        trace: Traceability,
+        arrow: Arrow | None,
+    ) -> str:
+        """"strict", "weak", or "no".  The normalizer is user code, checked
+        on the call ``(update, trace)``: its exception goes to ``raised``."""
+        if expected == actual:
+            return "strict"
+        config = self.run.config
+        if not config.weak_variants:
+            return "no"
+        pe = expected.post_state(base_pre)
+        pa = actual.post_state(base_pre)
+        if pe is None or pa is None:
+            return "no"
+        if config.normalizer is not None:
+            try:
+                pe, pa = config.normalizer(pe), config.normalizer(pa)
+            except Exception as exc:
+                self.raised(exc, update, trace, "a normal form of each post-state", arrow)
+        return "weak" if pe == pa else "no"
 
     def verdict(self) -> Verdict:
         if self.checked == 0:

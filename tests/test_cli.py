@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import bxkit
+import bxkit.cli
 from bxkit.cli import EXIT_LAW_FAILURE, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE, main
 from bxkit.grammar import parse_trace, parse_update, parse_value
+from bxkit.laws import STABILITY, LawReport
+from bxkit.verdict import Holds, Vacuous
 
 # SHA-256 of ``bxkit report --format value-grammar``; it must not change
 # unless a fix demonstrably needs it to (see ROADMAP).
@@ -276,6 +279,30 @@ def test_check_respects_edit_ops_flag(capsys):
         capsys, "check", "--bx", "list-edit-lens", "--laws", "stability", "--edit-ops", "2"
     )
     assert code == EXIT_OK
+
+
+def test_check_prints_a_weakly_holding_verdict(capsys):
+    code, out, _ = run_cli(
+        capsys, "check", "--bx", "list-edit-lens", "--laws", "hippocraticness", "--edit-ops", "2"
+    )
+    assert code == EXIT_LAW_FAILURE  # hippocraticness/to fails at two edits
+    assert "  hippocraticness/from: weakly holds [post-state equality] (57 cases)" in out.splitlines()
+
+
+def test_report_text_prints_vacuous_verdicts_and_meta_theorem_violations():
+    # No catalog entry is vacuous or breaks a meta-theorem, so the report is
+    # built from fixed verdicts.
+    report = LawReport(
+        "fixed",
+        {(STABILITY, "to"): Vacuous("no premise call is defined"), (STABILITY, "from"): Holds(3)},
+        ("fixed/to: least-update holds but hippocraticness fails",),
+    )
+    assert bxkit.cli._report_text(report).splitlines() == [
+        "bx: fixed",
+        "  stability/to: vacuous: no premise call is defined",
+        "  stability/from: holds (3 cases)",
+        "  meta-theorem violation: fixed/to: least-update holds but hippocraticness fails",
+    ]
 
 
 def test_check_selecting_the_literal_reading_is_a_usage_error(capsys):

@@ -11,7 +11,8 @@ drifted from the concrete semantics.
 
 History ignorance and least update also keep their plain loops here,
 as the references for the checkers that reuse second results, combined
-results and passed scans.
+results and passed scans.  A lone check, a run of its own, is the
+reference for a suite run, whose checks share its state-based calls.
 """
 import dataclasses
 
@@ -32,6 +33,7 @@ from bxkit.frameworks import Undefined, make_maintainer
 from bxkit.grammar import render_update
 from bxkit.catalog import catalog, catalog_entries
 from bxkit.laws import (
+    HIPPOCRATICNESS_LITERAL,
     HISTORY_IGNORANCE,
     LEAST_UPDATE,
     LawSuiteConfig,
@@ -42,6 +44,7 @@ from bxkit.laws import (
     check_least_update,
     check_stability,
     check_undoability,
+    run_suite,
 )
 from bxkit.verdict import Verdict
 
@@ -526,3 +529,21 @@ def test_least_update_compares_unhashable_results_by_changed_paths(monkeypatch, 
     resizer = dataclasses.replace(_loose_resizer(trim), preorder=None)
     verdict = _assert_matches_plain_loop(monkeypatch, resizer, "from", law=LEAST_UPDATE)
     assert verdict.kind == Verdict.FAILS
+
+
+@pytest.mark.parametrize(
+    "config",
+    [LawSuiteConfig(), LawSuiteConfig(weak_variants=False), LawSuiteConfig(max_convergence_rounds=1)],
+    ids=["default", "strict", "one-round"],
+)
+@pytest.mark.parametrize("name", list(catalog_entries()))
+def test_a_suite_run_reaches_each_lone_checks_verdict(name, config):
+    # A suite run keeps the results of its state-based calls for all of its
+    # checks; a lone check makes every call of its own run.
+    checked = catalog(name).bx
+    for (law, direction), verdict in run_suite(checked, config).verdicts.items():
+        if law == HIPPOCRATICNESS_LITERAL:
+            lone = check_hippocraticness(checked, direction, config, literal=True)
+        else:
+            lone = getattr(bxkit.laws, f"check_{law}")(checked, direction, config)
+        assert verdict == lone, (law, direction)

@@ -414,6 +414,34 @@ def test_weak_variant_under_normalizer():
     assert weak.variant == "post-state equality"
 
 
+def _raised_counterexamples(report):
+    """The counterexamples of ``report`` whose call raised, by law and direction."""
+    return {
+        key: verdict.counterexample
+        for key, verdict in report.verdicts.items()
+        if isinstance(verdict, Fails) and verdict.counterexample.observed.startswith("raised")
+    }
+
+
+def test_a_normalizer_that_raises_fails_the_law_that_called_it():
+    # The normalizer is user code: its exception is a counterexample of each
+    # law whose comparison reaches it, and the rest of the report stands.
+    def missing(value):
+        raise KeyError("missing")
+
+    report = run_suite(bx("oscillating-toy"), LawSuiteConfig(normalizer=missing))
+    raised = _raised_counterexamples(report)
+    assert set(raised) == {
+        (law, direction) for law in (HIPPOCRATICNESS, INVERTIBILITY, UNDOABILITY) for direction in DIRECTIONS
+    }
+    for (law, _), counterexample in raised.items():
+        assert counterexample.law == law
+        assert counterexample.observed == "raised KeyError('missing')"
+        assert counterexample.expected == "a normal form of each post-state"
+    assert report.kind(CONVERGENCE, "to") == Verdict.FAILS
+    assert report.kind(TOTALITY, "to") == Verdict.HOLDS
+
+
 # -- suite and meta-theorems --------------------------------------------------------------------------------
 
 def test_run_suite_is_deterministic():
@@ -782,15 +810,35 @@ def test_history_ignorance_calls_each_second_input_once():
 
 def test_history_ignorance_calls_each_state_based_composite_once_per_anchor():
     # 32 first calls, 32 second calls and 128 combined calls per direction
-    # without kept combined results.  A post-state composite names only its
-    # last post-state, so on each of the 8 anchors the 16 combined calls
-    # cover 4 distinct composites, and 32 combined calls remain.
+    # without kept results.  A post-state composite names only its last
+    # post-state, so on each of the 8 anchors the 16 combined calls cover 4
+    # distinct composites, and kept combined results leave 96 calls.  A lone
+    # check is one run, which keeps its state-based calls: the 8 anchors
+    # carry 4 distinct traces, so the first calls are 16 distinct inputs,
+    # and every second and combined call repeats one of them.
     key = bx("key-maintainer")
     for direction in DIRECTIONS:
         calls = []
         verdict = check_history_ignorance(_counting_calls(key, calls), direction)
         assert verdict == Holds(128)
-        assert len(calls) == 96, direction
+        assert len(calls) == 16, direction
+
+
+def test_a_suite_run_calls_each_state_based_input_once():
+    # Every law of the run reuses the state-based calls an earlier law made:
+    # 808 calls when each check made its own.
+    key, calls = bx("key-maintainer"), []
+    assert run_suite(_counting_calls(key, calls)).verdicts == run_suite(key).verdicts
+    assert len(calls) == 32
+    assert len(set(calls)) == 32
+
+
+def test_a_suite_run_calls_the_edit_lens_plainly():
+    # Edit calls are not kept, so the run makes every call it made when
+    # each check made its own.
+    calls = []
+    run_suite(_counting_calls(bx("list-edit-lens"), calls))
+    assert len(calls) == 5607
 
 
 def test_history_ignorance_survives_an_unhashable_complement():
@@ -978,14 +1026,21 @@ def test_public_checkers_keep_their_signatures():
         assert checker.__doc__
 
 
-def _totality_peak(size):
-    """Traced peak of ``check_totality`` on a ``size``-atom identity trigonal,
-    once the domain's enumeration is in the module cache."""
+def _identity_trigonal(size):
+    """A ``size``-atom identity trigonal, once the domain's enumeration is in
+    the module cache."""
     values = atoms(*range(size))
     identity = make_trigonal(
         "identity", lambda a, b: a == b, lambda u, b: u[1], lambda u, a: u[1], values, values
     )
     consistent_cases(identity, "to")
+    return identity
+
+
+def _totality_peak(size):
+    """Traced peak of ``check_totality`` on a ``size``-atom identity trigonal,
+    once the domain's enumeration is in the module cache."""
+    identity = _identity_trigonal(size)
     tracemalloc.start()
     try:
         verdict = check_totality(identity, "to")
@@ -1002,6 +1057,31 @@ def test_a_run_keeps_no_both_states_updates_per_pre_state():
     # (every anchor's updates kept until the run ends).  Doubling |A|
     # about doubles the peak; keeping the updates about quadruples it.
     assert _totality_peak(100) < 2.5 * _totality_peak(50)
+
+
+_PREMISE_LAWS = (CORRECTNESS, TOTALITY, SAFETY)
+
+
+def _premise_suite_peak(size):
+    """Traced peak of a suite run of the premise laws on a ``size``-atom
+    identity trigonal, whose |A| x |A| state-based calls are all distinct."""
+    identity = _identity_trigonal(size)
+    tracemalloc.start()
+    try:
+        report = run_suite(identity, LawSuiteConfig(laws=_PREMISE_LAWS))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdicts == {
+        (law, direction): Holds(size * size) for law in _PREMISE_LAWS for direction in DIRECTIONS
+    }
+    return peak
+
+
+def test_a_suite_run_keeps_a_bounded_number_of_calls():
+    # The run keeps at most 2 ** 9 call results, so its peak grows with |A|
+    # as a lone check's does; keeping every call would about quadruple it.
+    assert _premise_suite_peak(100) < 2.5 * _premise_suite_peak(50)
 
 
 def _history_ignorance_peak(size):
@@ -1088,6 +1168,39 @@ def test_an_exception_of_the_users_code_is_a_replayable_counterexample():
         trace = parse_trace(counterexample.trace)
         with pytest.raises(KeyError):
             raising.apply("from", update, trace)
+
+
+def test_an_exception_on_one_input_fails_each_law_that_reaches_it():
+    # The run keeps no call that raised, so every law whose loop reaches the
+    # input calls it again and fails under its own name.
+    key = bx("key-maintainer")
+    b_post, a_pre = rec({"k": atom(2), "v": atom(8)}), rec({"k": atom(1), "u": atom(7)})
+
+    def repair_a(post, pre):
+        if (post, pre) == (b_post, a_pre):
+            raise KeyError("boom")
+        return pre.set("k", post.get("k"))
+
+    raising = make_maintainer(
+        "boom-maintainer",
+        key.consistency,
+        lambda a_post, b_pre: b_pre.set("k", a_post.get("k")),
+        repair_a,
+        key.domain_a,
+        key.domain_b,
+    )
+    report = run_suite(raising)
+    raised = _raised_counterexamples(report)
+    assert sorted(raised) == [
+        (CONVERGENCE, "from"), (CONVERGENCE, "to"), (CORRECTNESS, "from"), (HISTORY_IGNORANCE, "from"),
+        (LEAST_UPDATE, "from"), (SAFETY, "from"), (TOTALITY, "from"), (UNDOABILITY, "from"),
+    ]
+    for (law, _), counterexample in raised.items():
+        assert (counterexample.law, counterexample.direction) == (law, "from")
+        assert counterexample.observed == "raised KeyError('boom')"
+        assert counterexample.update == render_update(PostState(b_post))
+        assert counterexample.trace == render_trace(StateTrace(a_pre))
+    assert report.kind(TOTALITY, "to") == Verdict.HOLDS
 
 
 def test_a_repr_mismatch_inside_the_users_code_is_a_replayable_counterexample():
